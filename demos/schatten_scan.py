@@ -2,7 +2,7 @@
 
 The demo certifies both sides of the boundary for n = 2:
 
-* r = 3: an exact partial sum plus a closed-form integral tail bound give a
+* r = 3: an exact partial sum plus lower and upper tail bounds give a
   rigorous two-sided bracket for ||G||_3^3;
 * r = 2: the rigorous lower bound keeps growing under cutoff doubling (it
   only grows logarithmically, so the doublings run far past direct
@@ -13,6 +13,7 @@ from kohn_spectra.schatten import (
     approx_formula,
     lower_bound_sum,
     partial_sum,
+    tail_lower_bound,
     tail_upper_bound,
     verdict,
 )
@@ -23,11 +24,12 @@ print(f"=== ||G||_r on S^{2 * n - 1} (n = {n}): finite iff r > {n} ===\n")
 r = 3
 print(f"r = {r}: verdict {verdict(n, r)}")
 for cutoff in (25, 50, 100, 200):
-    exact = partial_sum(n, r, cutoff, cutoff)
-    tail = tail_upper_bound(n, r, cutoff, cutoff)
+    exact = float(partial_sum(n, r, cutoff, cutoff))
+    low = exact + tail_lower_bound(n, r, cutoff, cutoff)
+    high = exact + tail_upper_bound(n, r, cutoff, cutoff)
     print(
-        f"  cutoff {cutoff:>4}: ||G||_3^3 in [{float(exact):.6f}, {float(exact) + tail:.6f}]"
-        f"   (tail bound {tail:.2e})"
+        f"  cutoff {cutoff:>4}: ||G||_3^3 in [{low:.10f}, {high:.10f}]"
+        f"   (width {high - low:.1e})"
     )
 print(f"  closed-form approximation: {approx_formula(n, r):.6f} (uncertified, for scale)")
 

@@ -4,11 +4,6 @@ and Sobolev reports, and the bundled verification suite.
 All exact rationals serialize as "numerator/denominator" strings; float
 fields carry an explicit ``_float`` suffix.  Outputs are byte-identical for
 identical inputs (stable orderings everywhere).
-
-The environment variable ``KOHN_SPECTRA_THREADS`` caps internal parallelism
-(0 = auto).  Every computation in this package is a pure deterministic
-reduction, so the current implementation always executes sequentially and
-the cap is honored trivially; results never depend on it.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -39,20 +33,6 @@ class CliError(Exception):
     def __init__(self, message: str, status: int = 1) -> None:
         super().__init__(message)
         self.status = status
-
-
-def thread_cap() -> int:
-    """Validated value of KOHN_SPECTRA_THREADS (0 = auto)."""
-    raw = os.environ.get("KOHN_SPECTRA_THREADS")
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"KOHN_SPECTRA_THREADS must be a nonnegative integer, got {raw!r}")
-    if value < 0:
-        raise CliError(f"KOHN_SPECTRA_THREADS must be a nonnegative integer, got {value}")
-    return value
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -418,7 +398,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(_json_text({"error": str(exc)}))

@@ -226,17 +226,6 @@ def hardy_projection(f: Polynomial) -> SphericalDecomposition:
     return _scaled(decompose(f), lambda d: Fraction(1) if d.q == 0 else Fraction(0))
 
 
-def _integral_exponent(value) -> int | None:
-    """The int value of an exactly integral exponent, else None (float path)."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return None
-
-
 def apply_sobolev_power(
     f: Polynomial, t
 ) -> SphericalDecomposition | FloatScaledDecomposition:
@@ -247,7 +236,7 @@ def apply_sobolev_power(
     components are returned exact and unscaled alongside float factors.
     """
     n = f.n
-    t_int = _integral_exponent(t)
+    t_int = spectrum._integral_exponent(t)
     dec = decompose(f)
     if t_int is not None:
         return _scaled(
@@ -275,7 +264,7 @@ def sobolev_norm_squared(f: Polynomial, s) -> Fraction | float:
     """
     n = f.n
     dec = decompose(f)
-    s_int = _integral_exponent(s)
+    s_int = spectrum._integral_exponent(s)
     if s_int is not None:
         total = Fraction(0)
         for comp in dec.components:

@@ -6,27 +6,44 @@ multiplicity m_{p,q} on each bidegree-(p, q) harmonic space (q >= 1), so
     ||G||_r^r = sum_{q>=1} sum_{p>=0} m_{p,q} / (2q(p+n-1))^r,
 
 finite exactly when r > n.  This module computes truncated sums (exactly for
-integer r), certifies convergence with closed-form integral tail bounds, and
-certifies divergence with a rigorous separable lower bound that remains
-evaluable at astronomically large cutoffs.
+integer r), brackets the discarded tail from both sides, and certifies
+divergence with a rigorous separable lower bound that remains evaluable at
+astronomically large cutoffs.
 
-Termwise bounds used throughout (valid for every p, q >= 0 resp. p >= n):
+The tail bracket.  Splitting p+q+n-1 = (p+n-1) + q in
+m_{p,q} = (p+q+n-1)/(n-1) C(p+n-2, n-2) C(q+n-2, n-2) makes the summand
+rank 2:
+
+    m_{p,q} / (2q(p+n-1))^r = [a_{r-1}(p) b_r(q) + a_r(p) b_{r-1}(q)] / ((n-1) 2^r),
+    a_s(p) = C(p+n-2, n-2) (p+n-1)^{-s},    b_s(q) = C(q+n-2, n-2) q^{-s}.
+
+For each rank term the discarded region {q > Q} union {p > P, q <= Q}
+carries A B_tail + A_tail B_head, where the heads are the direct sums over
+p <= P and q <= Q and A = A_head + A_tail sums over all p >= 0.  Each 1-d
+tail is bracketed by the integral test, valid for f decreasing on [X, inf):
+
+    integral_X^inf f  <=  sum_{x>=X} f(x)  <=  f(X) + integral_X^inf f.
+
+In x = p+n-1 the p-side factor is C(x-1, n-2) x^{-s}; its log derivative is
+at most (n-2)/(x-n+2) - s/x, so it decreases for x >= (n-1)(n-2) when
+s >= n-1, and tail terms below that point are summed directly.  The q-side
+factor decreases for every q >= 1 once s > n-2.  Both are a polynomial times
+a power, so the identity
+
+    integral_X^inf x^(j-s) dx = X^(j+1-s) / (s-j-1)      (s > j+1)
+
+gives every integral; it is validated against independent numeric
+quadrature in the test suite.  All factors are nonnegative, so the 1-d lower
+and upper bounds combine directly into the two-sided bracket.
+
+Termwise bounds from the paper, checked by the acceptance criteria and by
+``verify`` (valid for every p, q >= 0 resp. p >= n):
 
     m_{p,q} <= (n+p+q-1) (p+n-2)^{n-2} (q+n-2)^{n-2} / ((n-1)!(n-2)!)
     m_{0,q} <= (q+n-1)^{n-1} / (n-1)!
     1/(2q(p+n-1)) <  1/(2pq)   for p >= 1
     m_{p,q} >= (p+q) p^{n-2} q^{n-2} / ((n-1)!(n-2)!)
     1/(2q(p+n-1)) >= 1/(4pq)   for p >= n
-
-Each upper-bound term is decreasing in p and in q once r > n-1 (log
-derivative <= (n-1-r)/x), so sums over p > P or q > Q are bounded by the
-corresponding integrals from P or Q to infinity.  The integrands expand into
-pure power functions, whose antiderivatives are elementary; the identity
-
-    integral_X^inf x^(j-r) dx = X^(j+1-r) / (r-j-1)      (r > j+1)
-
-is all that is needed, and it is validated against independent numeric
-quadrature in the test suite before anything relies on it.
 """
 
 from __future__ import annotations
@@ -69,16 +86,11 @@ def _as_exponent(r) -> Fraction | float:
         raise ValueError("r must be a number")
     if isinstance(r, int):
         return Fraction(r)
+    if isinstance(r, float) and not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     if isinstance(r, (Fraction, float)):
         return r
     raise ValueError(f"r must be an int, Fraction, or float, got {type(r).__name__}")
-
-
-def _integer_exponent(r) -> int | None:
-    r = _as_exponent(r)
-    if isinstance(r, Fraction) and r.denominator == 1:
-        return r.numerator
-    return None
 
 
 def _validate_order(r) -> Fraction | float:
@@ -100,7 +112,7 @@ def schatten_term(n: int, r, p: int, q: int) -> Fraction | float:
         raise ValueError("requires q >= 1 and p >= 0")
     m = spectrum.multiplicity(n, Bidegree(p, q))
     base = 2 * q * (p + n - 1)
-    r_int = _integer_exponent(r)
+    r_int = spectrum._integral_exponent(r)
     if r_int is not None:
         return Fraction(m, base**r_int)
     return m * float(base) ** (-float(r))
@@ -116,7 +128,7 @@ def upper_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
     r = _validate_order(r)
     if q < 1 or p < 0:
         raise ValueError("requires q >= 1 and p >= 0")
-    r_int = _integer_exponent(r)
+    r_int = spectrum._integral_exponent(r)
     if p == 0:
         num = (q + n - 1) ** (n - 1)
         den_base = 2 * q * (n - 1)
@@ -137,7 +149,7 @@ def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
     if q < 1 or p < n:
         raise ValueError("requires q >= 1 and p >= n")
     num = (p + q) * p ** (n - 2) * q ** (n - 2)
-    r_int = _integer_exponent(r)
+    r_int = spectrum._integral_exponent(r)
     if r_int is not None:
         return Fraction(num, (4 * p * q) ** r_int * _bound_constant(n))
     return num * float(4 * p * q) ** (-float(r)) / _bound_constant(n)
@@ -154,7 +166,7 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     r = _validate_order(r)
     if P < 0 or Q < 1:
         raise ValueError("requires P >= 0 and Q >= 1")
-    r_int = _integer_exponent(r)
+    r_int = spectrum._integral_exponent(r)
     if r_int is not None:
         total = Fraction(0)
         for q in range(1, Q + 1):
@@ -313,20 +325,7 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     return (sp1 * sq2 + sp2 * sq1) / (4.0**rf * _bound_constant(n))
 
 
-# -- closed-form tail bounds --------------------------------------------
-
-
-def _poly_mul(a: list[float], b: list[float]) -> list[float]:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _shifted_power(x0: float, m: int) -> list[float]:
-    """Coefficients of (q + x0)^m in powers of q."""
-    return [math.comb(m, j) * x0 ** (m - j) for j in range(m + 1)]
+# -- tail bracket -------------------------------------------------------
 
 
 def _integral_to_infinity(coeffs: list[float], r: float, x: float) -> float:
@@ -341,105 +340,60 @@ def _integral_to_infinity(coeffs: list[float], r: float, x: float) -> float:
     return total
 
 
-def _p_integral_pieces(n: int, r: float, from_p: float) -> tuple[float, float]:
-    """(S0, S1) with integral_{from_p}^inf (n+p+q-1)(p+n-2)^{n-2} / p^r dp
-    = S0 + S1 * (q+n-1), obtained by expanding (p+n-2)^{n-2} binomially and
-    splitting n+p+q-1 = p + (q+n-1)."""
-    s0 = 0.0
-    s1 = 0.0
-    for a in range(n - 1):
-        w = math.comb(n - 2, a) * float(n - 2) ** (n - 2 - a)  # 0.0**0 == 1.0 covers n=2
-        s0 += w * from_p ** (a + 2 - r) / (r - a - 2)
-        s1 += w * from_p ** (a + 1 - r) / (r - a - 1)
-    return s0, s1
+def _side_sums(
+    n: int, shift: int, s: float, first: int, last: int, decreasing_from: int
+) -> tuple[float, float, float]:
+    """For f(x) = C(x+shift, n-2) x^{-s}: the head sum over first <= x <= last
+    and a (lower, upper) bracket of the tail sum over x > last.
+
+    f must be decreasing on [decreasing_from, inf); tail terms below that
+    point are summed directly and the rest is bracketed by the integral test.
+    """
+
+    def f(x: int) -> float:
+        return math.comb(x + shift, n - 2) * float(x) ** -s
+
+    head = math.fsum(f(x) for x in range(first, last + 1))
+    start = max(last + 1, decreasing_from)
+    direct = math.fsum(f(x) for x in range(last + 1, start))
+    # C(x+shift, n-2) = prod_{j<n-2} (x+shift-j) / (n-2)!, lowest power first
+    coeffs = [1.0 / math.factorial(n - 2)]
+    for j in range(n - 2):
+        coeffs = [(shift - j) * c + prev for c, prev in zip(coeffs + [0.0], [0.0] + coeffs)]
+    integral = _integral_to_infinity(coeffs, s, float(start))
+    return head, direct + integral, direct + integral + f(start)
+
+
+def _tail_bracket(n: int, r, P: int, Q: int) -> tuple[float, float]:
+    """(lower, upper) for the discarded mass {q > Q} union {q <= Q, p > P},
+    from the rank-2 split of the module docstring; both +inf when r <= n."""
+    spectrum._check_dimension(n)
+    r = _validate_order(r)
+    if P < 0 or Q < 1:
+        raise ValueError("requires P >= 0 and Q >= 1")
+    if r <= n:
+        return math.inf, math.inf
+    rf = float(r)
+    bounds = [0.0, 0.0]
+    for sa, sb in ((rf - 1, rf), (rf, rf - 1)):
+        a_head, *a_tail = _side_sums(n, -1, sa, n - 1, P + n - 1, (n - 1) * (n - 2))
+        b_head, *b_tail = _side_sums(n, n - 2, sb, 1, Q, 1)
+        for i in (0, 1):
+            bounds[i] += (a_head + a_tail[i]) * b_tail[i] + a_tail[i] * b_head
+    scale = (n - 1) * 2.0**rf
+    return bounds[0] / scale, bounds[1] / scale
 
 
 def tail_upper_bound(n: int, r, P: int, Q: int) -> float:
-    """Rigorous upper bound for all discarded terms {q > Q} union {q <= Q, p > P}.
-
-    +inf whenever r <= n (the series diverges there).  For r > n the three
-    pieces are (K = 1/((n-1)!(n-2)!)):
-
-    * p = 0 column, q > Q:
-        integral_Q^inf (q+n-1)^{n-1} / ((2(n-1))^r (n-1)! q^r) dq
-    * p >= 1, q > Q: the inner sum over p is bounded by U(1, q) plus the
-      integral from 1, and the outer sum by the integral from Q:
-        integral_Q^inf [ U(1,q) + integral_1^inf U(p,q) dp ] dq
-    * q <= Q, p > P: per q the exact closed-form integral from max(P, 1):
-        sum_{q<=Q} integral_P^inf U(p,q) dp        (P = 0 falls back to
-        U(1,q) + integral_1^inf, since the integrand blows up at p = 0).
-
-    Monotonicity in p and q (r > n-1) makes every integral comparison valid.
-    """
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
-    if P < 0 or Q < 1:
-        raise ValueError("requires P >= 0 and Q >= 1")
-    if r <= n:
-        return math.inf
-    rf = float(r)
-    K = 1.0 / _bound_constant(n)
-
-    # piece 1: p = 0 column beyond Q
-    t1 = _integral_to_infinity(_shifted_power(float(n - 1), n - 1), rf, float(Q)) / (
-        float(2 * (n - 1)) ** rf * math.factorial(n - 1)
-    )
-
-    # G(q) * (2q)^r / K = (q+n-2)^{n-2} * [(n+q)(n-1)^{n-2} + S0 + S1 (q+n-1)]
-    s0, s1 = _p_integral_pieces(n, rf, 1.0)
-    lead = float(n - 1) ** (n - 2)
-    inner = [n * lead + s0 + s1 * (n - 1), lead + s1]
-    poly_g = _poly_mul(_shifted_power(float(n - 2), n - 2), inner)
-
-    # piece 2: p >= 1 beyond Q
-    t2 = (K / 2.0**rf) * _integral_to_infinity(poly_g, rf, float(Q))
-
-    # piece 3: q <= Q, p > P
-    t3 = 0.0
-    if P >= 1:
-        s0p, s1p = _p_integral_pieces(n, rf, float(P))
-        for q in range(1, Q + 1):
-            t3 += (q + n - 2) ** (n - 2) * (s0p + s1p * (q + n - 1)) / float(q) ** rf
-        t3 *= K / 2.0**rf
-    else:
-        for q in range(1, Q + 1):
-            u1q = (
-                K
-                * (n + q)
-                * lead
-                * (q + n - 2) ** (n - 2)
-                / float(2 * q) ** rf
-            )
-            t3 += u1q + (K / 2.0**rf) * (q + n - 2) ** (n - 2) * (
-                s0 + s1 * (q + n - 1)
-            ) / float(q) ** rf
-    return t1 + t2 + t3
+    """Rigorous upper bound for all discarded terms {q > Q} union {q <= Q, p > P};
+    +inf whenever r <= n (the series diverges there)."""
+    return _tail_bracket(n, r, P, Q)[1]
 
 
 def tail_lower_bound(n: int, r, P: int, Q: int) -> float:
-    """Rigorous lower bound for the discarded mass, via the separable lower
-    integrand over {q > Q, p >= n} union {q <= Q, p > max(P, n-1)}.
-
-    +inf when r <= n (the tail alone already diverges)."""
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
-    if P < 0 or Q < 1:
-        raise ValueError("requires P >= 0 and Q >= 1")
-    if r <= n:
-        return math.inf
-    rf = float(r)
-    scale = 1.0 / (4.0**rf * _bound_constant(n))
-    s1, s2 = rf - n + 1, rf - n + 2
-
-    def block(p_from: int, p_to: int | None, q_from: int, q_to: int | None) -> float:
-        if (p_to is not None and p_to < p_from) or (q_to is not None and q_to < q_from):
-            return 0.0
-        return scale * (
-            _power_sum(s1, p_from, p_to) * _power_sum(s2, q_from, q_to)
-            + _power_sum(s2, p_from, p_to) * _power_sum(s1, q_from, q_to)
-        )
-
-    return block(n, None, Q + 1, None) + block(max(P + 1, n), None, 1, Q)
+    """Rigorous lower bound for the same discarded mass; +inf when r <= n
+    (the tail alone already diverges)."""
+    return _tail_bracket(n, r, P, Q)[0]
 
 
 # -- report --------------------------------------------------------------

@@ -73,16 +73,6 @@ def equality_bidegree(n: int) -> Bidegree:
     return Bidegree(0, 1) if n == 2 else Bidegree(n * n - 3 * n, 1)
 
 
-def _integral_exponent(s) -> int | None:
-    if isinstance(s, bool):
-        return None
-    if isinstance(s, int):
-        return s
-    if isinstance(s, Fraction) and s.denominator == 1:
-        return s.numerator
-    return None
-
-
 def ratio(n: int, s, k: int) -> Fraction | float:
     """(1 + k(k+2n-2))^s / (4(k+n-2)^2); exact for integral s."""
     spectrum._check_dimension(n)
@@ -90,7 +80,7 @@ def ratio(n: int, s, k: int) -> Fraction | float:
         raise ValueError(f"degree must be a positive integer, got {k}")
     base = k * (k + 2 * n - 2) + 1
     den = 4 * (k + n - 2) ** 2
-    s_int = _integral_exponent(s)
+    s_int = spectrum._integral_exponent(s)
     if s_int is not None:
         return Fraction(base) ** s_int / den
     return math.pow(float(base), float(s)) / den
@@ -259,7 +249,7 @@ def sobolev_gain_certificate(n: int, f: Polynomial, s: int = 0) -> GainCertifica
     spectrum._check_dimension(n)
     if f.n != n:
         raise ValueError(f"polynomial lives on C^{f.n}, expected C^{n}")
-    s_int = _integral_exponent(s)
+    s_int = spectrum._integral_exponent(s)
     if s_int is None or s_int < 0:
         raise ValueError(f"gain certificates require a nonnegative integer s, got {s}")
 

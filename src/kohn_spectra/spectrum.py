@@ -33,6 +33,18 @@ def _check_bidegree(d: Bidegree) -> Bidegree:
     return d
 
 
+def _integral_exponent(value) -> int | None:
+    """The int value of an exactly integral exponent (an int or an integral
+    Fraction, never a bool or a float), else None: the caller's float path."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return None
+
+
 def boxb_eigenvalue(n: int, d: Bidegree) -> Fraction:
     """Kohn Laplacian eigenvalue 2q(p+n-1) on the (p, q) harmonic space.
 

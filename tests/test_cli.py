@@ -181,18 +181,6 @@ def test_invalid_parameters_rejected():
     assert cp.returncode == 1
 
 
-def test_thread_env_var(tmp_path):
-    import os
-
-    env = dict(os.environ, KOHN_SPECTRA_THREADS="4")
-    cp = run_cli("sobolev-constant", "--n", "3", env=env)
-    assert json.loads(cp.stdout)["c_squared"] == "3/8"
-    env["KOHN_SPECTRA_THREADS"] = "lots"
-    cp = run_cli("sobolev-constant", "--n", "3", env=env, check=False)
-    assert cp.returncode == 1
-    assert "KOHN_SPECTRA_THREADS" in json.loads(cp.stderr)["error"]
-
-
 def test_byte_identical_reruns():
     first = run_cli("spectrum", "--n", "2", "--cutoff", "12")
     second = run_cli("spectrum", "--n", "2", "--cutoff", "12")

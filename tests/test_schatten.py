@@ -1,23 +1,23 @@
 """Schatten norms: exact partial sums, certified tail bounds, verdicts.
 
-The closed-form tail bounds rest on elementary antiderivatives of power
-functions; those are validated here against independent numeric quadrature
-(scipy) and against brute-force summation before the acceptance suite leans
-on them.
+The tail bracket rests on elementary antiderivatives of power functions;
+those are validated here against independent numeric quadrature (scipy),
+and the whole bracket against brute-force summation and the zeta closed
+forms of ||G||_r^r for n = 2 and 3, before the acceptance suite leans on it.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from kohn_spectra.schatten import (
     CONVERGES,
     DIVERGES,
     _integral_to_infinity,
-    _p_integral_pieces,
     _power_sum,
+    _side_sums,
     approx_formula,
     approx_pole_constant,
     lower_bound_sum,
@@ -42,6 +42,17 @@ def brute_square_sum(n, r, cutoff):
     b2 = sum(float(q) ** (-(r - 1)) for q in range(1, cutoff + 1))
     b3 = sum(float(q) ** (-r) for q in range(1, cutoff + 1))
     return (a2 * b3 + a3 * b2) / 2.0**r
+
+
+def zeta_closed_form(n, r):
+    """||G||_r^r from scipy's zeta: the rank-2 split summed in closed form."""
+    z = special.zeta
+    if n == 2:
+        return 2.0 ** (1 - r) * z(r) * z(r - 1)
+    assert n == 3
+    return (
+        (z(r - 2) - z(r - 1)) * (z(r - 1) + z(r)) + (z(r - 1) - z(r)) * (z(r - 2) + z(r - 1))
+    ) / (2 * 2.0**r)
 
 
 class TestPartialSum:
@@ -81,6 +92,11 @@ class TestPartialSum:
             partial_sum(2, 3, -1, 5)
         with pytest.raises(ValueError):
             partial_sum(2, 3, 5, 0)
+
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_non_finite_order_rejected(self, r):
+        with pytest.raises(ValueError):
+            schatten_report(2, r, 10, 10)
 
     def test_series_increments(self):
         series = partial_sum_series(2, 3, 12)
@@ -198,13 +214,32 @@ class TestTailBounds:
         assert _integral_to_infinity(coeffs, r, x) == pytest.approx(expected, rel=1e-9)
         assert err < 1e-9
 
-    def test_p_integral_pieces_against_quadrature(self):
-        n, r, q, P = 3, 4.5, 6, 9
-        s0, s1 = _p_integral_pieces(n, r, float(P))
-        expected, err = integrate.quad(
-            lambda p: (n + p + q - 1) * (p + n - 2) ** (n - 2) / p**r, P, math.inf
-        )
-        assert s0 + s1 * (q + n - 1) == pytest.approx(expected, rel=1e-9)
+    @pytest.mark.parametrize(
+        "n, shift, s, first, last, decreasing_from",
+        [
+            (2, -1, 2.5, 1, 9, 0),  # p side, n = 2
+            (4, -1, 4.5, 3, 3, 6),  # p side, tail starts below the threshold
+            (4, -1, 4.0, 3, 40, 6),
+            (3, 1, 3.5, 1, 7, 1),  # q side
+            (4, 2, 5.0, 1, 12, 1),
+        ],
+    )
+    def test_side_sums_against_quadrature(self, n, shift, s, first, last, decreasing_from):
+        def f(x):
+            return special.binom(x + shift, n - 2) * x**-s
+
+        head, lower, upper = _side_sums(n, shift, s, first, last, decreasing_from)
+        assert head == pytest.approx(sum(f(x) for x in range(first, last + 1)), rel=1e-12)
+        start = max(last + 1, decreasing_from)
+        direct = sum(f(x) for x in range(last + 1, start))
+        integral, err = integrate.quad(f, start, math.inf, epsabs=0, epsrel=1e-12, limit=200)
+        assert err < 1e-9 * integral
+        assert lower == pytest.approx(direct + integral, rel=1e-9)
+        assert upper - lower == pytest.approx(f(start), rel=1e-9)
+        # truncated at 10^5, where the rest of every tail here is far smaller
+        # than the gap f(start)/2 between the lower bound and the true tail
+        brute = sum(f(x) for x in range(last + 1, 10**5))
+        assert lower <= brute <= upper
 
     def test_infinite_at_and_below_n(self):
         assert tail_upper_bound(2, 2, 10, 10) == math.inf
@@ -224,8 +259,30 @@ class TestTailBounds:
         assert bound <= 3 * brute_tail  # sanity: not wildly loose
 
     def test_tail_lower_below_true_tail(self):
-        brute_tail = brute_square_sum(2, 3, 5000) - brute_square_sum(2, 3, 50)
-        assert 0 < tail_lower_bound(2, 3, 50, 50) <= brute_tail
+        true_tail = zeta_closed_form(2, 3) - float(partial_sum(2, 3, 50, 50))
+        lower = tail_lower_bound(2, 3, 50, 50)
+        assert 0 < lower <= true_tail <= tail_upper_bound(2, 3, 50, 50)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("dr", [Fraction(1, 2), 1, 2])
+    @pytest.mark.parametrize("P, Q", [(0, 5), (3, 200), (40, 5), (50, 50)])
+    def test_bracket_contains_zeta_closed_form(self, n, dr, P, Q):
+        r = n + dr
+        partial = float(partial_sum(n, r, P, Q))
+        closed = zeta_closed_form(n, float(r))
+        assert partial + tail_lower_bound(n, r, P, Q) <= closed
+        assert closed <= partial + tail_upper_bound(n, r, P, Q)
+
+    def test_closed_form_n3_r4(self):
+        assert zeta_closed_form(3, 4) == pytest.approx(0.04226813973530, rel=1e-12)
+
+    def test_bracket_width(self):
+        # partial_sum only grows with the cutoffs, so dividing by the cheap
+        # P = Q = 50 sum bounds the relative width at P = Q = 400 from above
+        for n in (2, 3, 4):
+            for r in (n + 0.5, n + 1):
+                width = tail_upper_bound(n, r, 400, 400) - tail_lower_bound(n, r, 400, 400)
+                assert 0 < width <= 1e-3 * partial_sum(n, float(r), 50, 50)
 
     def test_asymmetric_cutoffs(self):
         assert tail_upper_bound(2, 3, 0, 5) > tail_upper_bound(2, 3, 40, 5) > 0
