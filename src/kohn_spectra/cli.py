@@ -44,8 +44,11 @@ def _fraction_arg(text: str) -> Fraction:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {output}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -179,8 +182,7 @@ def cmd_schatten(args) -> int:
             args.n, args.r, min(args.cutoff_p, args.cutoff_q)
         )
         rows = [[str(c), repr(v)] for c, v in series]
-        with open(args.emit_plot, "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(["cutoff", "partial_sum_float"], rows))
+        _emit(_csv_text(["cutoff", "partial_sum_float"], rows), args.emit_plot)
     _emit(_json_text(report.to_json_dict()), args.output)
     return 0
 

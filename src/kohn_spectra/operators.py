@@ -28,13 +28,13 @@ it would mean the arithmetic itself is broken.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import spectrum
 from .polynomials import (
     Bidegree,
+    _collect,
     Polynomial,
     ambient_laplacian,
     bidegree_split,
@@ -50,6 +50,10 @@ __all__ = [
     "FloatScaledComponent",
     "FloatScaledDecomposition",
     "decompose",
+    "apply",
+    "weighted_norm_squared",
+    "green_symbol",
+    "sobolev_symbol",
     "apply_boxb",
     "apply_green",
     "hardy_projection",
@@ -76,10 +80,7 @@ class SphericalDecomposition:
     components: tuple[HarmonicComponent, ...]
 
     def as_polynomial(self) -> Polynomial:
-        total = Polynomial.zero(self.n)
-        for comp in self.components:
-            total = total + comp.part
-        return total
+        return sum((comp.part for comp in self.components), Polynomial.zero(self.n))
 
     def component(self, d: Bidegree) -> Polynomial:
         d = Bidegree(*d)
@@ -92,18 +93,7 @@ class SphericalDecomposition:
         return tuple(comp.bidegree for comp in self.components)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "components": [
-                {
-                    "p": comp.bidegree.p,
-                    "q": comp.bidegree.q,
-                    "polynomial": polynomial_to_dict(comp.part),
-                    "norm_squared": fraction_to_string(l2_norm_squared(comp.part)),
-                }
-                for comp in self.components
-            ],
-        }
+        return {"n": self.n, "components": [_component_json(c) for c in self.components]}
 
 
 @dataclass(frozen=True)
@@ -127,16 +117,18 @@ class FloatScaledDecomposition:
         return {
             "n": self.n,
             "components": [
-                {
-                    "p": comp.bidegree.p,
-                    "q": comp.bidegree.q,
-                    "polynomial": polynomial_to_dict(comp.part),
-                    "norm_squared": fraction_to_string(l2_norm_squared(comp.part)),
-                    "factor_float": comp.factor,
-                }
-                for comp in self.components
+                {**_component_json(c), "factor_float": c.factor} for c in self.components
             ],
         }
+
+
+def _component_json(comp: HarmonicComponent | FloatScaledComponent) -> dict:
+    return {
+        "p": comp.bidegree.p,
+        "q": comp.bidegree.q,
+        "polynomial": polynomial_to_dict(comp.part),
+        "norm_squared": fraction_to_string(l2_norm_squared(comp.part)),
+    }
 
 
 def _fischer_components(piece: Polynomial, d: Bidegree) -> dict[Bidegree, Polynomial]:
@@ -176,26 +168,58 @@ def decompose(f: Polynomial) -> SphericalDecomposition:
     parts (which is all that survives restriction to the sphere, where
     |z|^2 = 1) are merged across pieces.
     """
-    merged: dict[Bidegree, Polynomial] = {}
-    for d, piece in bidegree_split(f).items():
-        for dd, h in _fischer_components(piece, d).items():
-            if dd in merged:
-                merged[dd] = merged[dd] + h
-            else:
-                merged[dd] = h
-    components = tuple(
-        HarmonicComponent(d, merged[d]) for d in sorted(merged) if merged[d]
+    merged = _collect(
+        pair
+        for d, piece in bidegree_split(f).items()
+        for pair in _fischer_components(piece, d).items()
     )
+    components = tuple(HarmonicComponent(d, merged[d]) for d in sorted(merged))
     return SphericalDecomposition(f.n, components)
 
 
-def _scaled(dec: SphericalDecomposition, factor_of) -> SphericalDecomposition:
-    components = []
+def apply(
+    dec: SphericalDecomposition, symbol
+) -> SphericalDecomposition | FloatScaledDecomposition:
+    """The spectral multiplier whose symbol maps each Bidegree d to a scalar:
+    component d is scaled by symbol(d).
+
+    A rational symbol scales the parts exactly and drops those it sends to
+    zero.  A float symbol keeps every part exact and unscaled beside its
+    factor.  The kind is read off symbol at (0, 0), so the zero polynomial
+    gets the same result type as any other input.
+    """
+    factors = [(comp, symbol(comp.bidegree)) for comp in dec.components]
+    if _is_float(symbol):
+        return FloatScaledDecomposition(
+            dec.n, tuple(FloatScaledComponent(c.bidegree, c.part, x) for c, x in factors)
+        )
+    return SphericalDecomposition(
+        dec.n, tuple(HarmonicComponent(c.bidegree, c.part * x) for c, x in factors if x)
+    )
+
+
+def weighted_norm_squared(dec: SphericalDecomposition, symbol) -> Fraction | float:
+    """sum over the components of symbol(bidegree) <h, h>; a float for a
+    float symbol (see :func:`apply`), else an exact rational."""
+    total = 0.0 if _is_float(symbol) else Fraction(0)
     for comp in dec.components:
-        factor = factor_of(comp.bidegree)
-        if factor:
-            components.append(HarmonicComponent(comp.bidegree, comp.part * factor))
-    return SphericalDecomposition(dec.n, tuple(components))
+        total += symbol(comp.bidegree) * l2_norm_squared(comp.part)
+    return total
+
+
+def _is_float(symbol) -> bool:
+    return isinstance(symbol(Bidegree(0, 0)), float)
+
+
+def green_symbol(n: int, d: Bidegree) -> Fraction:
+    """1/(2q(p+n-1)), the reciprocal Kohn eigenvalue; 0 on the Hardy part q = 0."""
+    ev = spectrum.boxb_eigenvalue(n, d)
+    return 1 / ev if ev else Fraction(0)
+
+
+def sobolev_symbol(n: int, t, d: Bidegree) -> Fraction | float:
+    """(1 + k(k+2n-2))^t at total degree k = p + q; exact for integral t."""
+    return spectrum.power(1 + spectrum.laplace_beltrami_eigenvalue(n, d.total), t)
 
 
 def apply_boxb(f: Polynomial) -> SphericalDecomposition:
@@ -204,26 +228,19 @@ def apply_boxb(f: Polynomial) -> SphericalDecomposition:
     q = 0 components (the Hardy part, including constants) map to zero and
     are dropped.
     """
-    n = f.n
-    return _scaled(decompose(f), lambda d: spectrum.boxb_eigenvalue(n, d))
+    return apply(decompose(f), lambda d: spectrum.boxb_eigenvalue(f.n, d))
 
 
 def apply_green(f: Polynomial) -> SphericalDecomposition:
     """Complex Green operator: annihilates q = 0 components, scales the rest
     by the exact reciprocal eigenvalue 1/(2q(p+n-1))."""
-    n = f.n
-
-    def factor(d: Bidegree) -> Fraction:
-        ev = spectrum.boxb_eigenvalue(n, d)
-        return 1 / ev if ev else Fraction(0)
-
-    return _scaled(decompose(f), factor)
+    return apply(decompose(f), lambda d: green_symbol(f.n, d))
 
 
 def hardy_projection(f: Polynomial) -> SphericalDecomposition:
     """The q = 0 part of the decomposition: exactly the Kohn-Laplacian kernel
     at the function level (holomorphic boundary values plus constants)."""
-    return _scaled(decompose(f), lambda d: Fraction(1) if d.q == 0 else Fraction(0))
+    return apply(decompose(f), lambda d: Fraction(1) if d.q == 0 else Fraction(0))
 
 
 def apply_sobolev_power(
@@ -235,25 +252,7 @@ def apply_sobolev_power(
     component is scaled by the rational (1 + k(k+2n-2))^t.  Otherwise the
     components are returned exact and unscaled alongside float factors.
     """
-    n = f.n
-    t_int = spectrum._integral_exponent(t)
-    dec = decompose(f)
-    if t_int is not None:
-        return _scaled(
-            dec,
-            lambda d: (1 + spectrum.laplace_beltrami_eigenvalue(n, d.total)) ** t_int,
-        )
-    t_float = float(t)
-    components = tuple(
-        FloatScaledComponent(
-            comp.bidegree,
-            comp.part,
-            (1.0 + float(spectrum.laplace_beltrami_eigenvalue(n, comp.bidegree.total)))
-            ** t_float,
-        )
-        for comp in dec.components
-    )
-    return FloatScaledDecomposition(n, components)
+    return apply(decompose(f), lambda d: sobolev_symbol(f.n, t, d))
 
 
 def sobolev_norm_squared(f: Polynomial, s) -> Fraction | float:
@@ -262,21 +261,7 @@ def sobolev_norm_squared(f: Polynomial, s) -> Fraction | float:
     Exact rational for integral s (all factors rational); double precision
     otherwise.  s = 0 recovers the L^2 pairing.
     """
-    n = f.n
-    dec = decompose(f)
-    s_int = spectrum._integral_exponent(s)
-    if s_int is not None:
-        total = Fraction(0)
-        for comp in dec.components:
-            weight = (1 + spectrum.laplace_beltrami_eigenvalue(n, comp.bidegree.total)) ** s_int
-            total += weight * l2_norm_squared(comp.part)
-        return total
-    s_float = float(s)
-    total_f = 0.0
-    for comp in dec.components:
-        base = 1.0 + float(spectrum.laplace_beltrami_eigenvalue(n, comp.bidegree.total))
-        total_f += math.pow(base, s_float) * float(l2_norm_squared(comp.part))
-    return total_f
+    return weighted_norm_squared(decompose(f), lambda d: sobolev_symbol(f.n, s, d))
 
 
 def residual_check(f: Polynomial) -> Fraction:

@@ -33,6 +33,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Union
 
 Multiindex = tuple[int, ...]
@@ -150,7 +151,9 @@ class Bidegree(NamedTuple):
 
 
 def _check_multiindex(entries: Iterable[int], n: int) -> Multiindex:
-    idx = tuple(int(e) for e in entries)
+    idx = tuple(entries)
+    if not all(isinstance(e, int) and not isinstance(e, bool) for e in idx):
+        raise TypeError(f"multiindex {idx!r} must hold integers")
     if len(idx) != n:
         raise ValueError(f"multiindex {idx} has length {len(idx)}, expected {n}")
     if any(e < 0 for e in idx):
@@ -177,15 +180,11 @@ class Polynomial:
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"ambient complex dimension must be an integer >= 2, got {n}")
         object.__setattr__(self, "n", n)
-        canonical: dict[tuple[Multiindex, Multiindex], ExactScalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for (alpha, beta), coeff in items:
-            key = (_check_multiindex(alpha, n), _check_multiindex(beta, n))
-            value = canonical.get(key, ZERO) + as_scalar(coeff)
-            if value:
-                canonical[key] = value
-            else:
-                canonical.pop(key, None)
+        canonical = _collect(
+            ((_check_multiindex(alpha, n), _check_multiindex(beta, n)), as_scalar(coeff))
+            for (alpha, beta), coeff in items
+        )
         object.__setattr__(self, "_terms", canonical)
 
     @property
@@ -232,14 +231,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dimension(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            value = out.get(key, ZERO) + coeff
-            if value:
-                out[key] = value
-            else:
-                out.pop(key, None)
-        return _raw(self.n, out)
+        return _raw(self.n, _collect(chain(self._terms.items(), other._terms.items())))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -255,19 +247,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dimension(other)
-        out: dict[tuple[Multiindex, Multiindex], ExactScalar] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
+        return _raw(
+            self.n,
+            _collect(
+                (
+                    (tuple(x + y for x, y in zip(a1, a2)), tuple(x + y for x, y in zip(b1, b2))),
+                    c1 * c2,
                 )
-                value = out.get(key, ZERO) + c1 * c2
-                if value:
-                    out[key] = value
-                else:
-                    out.pop(key, None)
-        return _raw(self.n, out)
+                for (a1, b1), c1 in self._terms.items()
+                for (a2, b2), c2 in other._terms.items()
+            ),
+        )
 
     def __rmul__(self, other: ScalarLike) -> "Polynomial":
         return self.scale(other)
@@ -330,6 +320,15 @@ class Polynomial:
         return f"Polynomial(n={self.n}: {self})"
 
 
+def _collect(pairs: Iterable[tuple]) -> dict:
+    """Sum the values of equal keys (coefficients of equal exponent pairs,
+    or polynomials of equal bidegree), then drop the zero sums."""
+    out = {}
+    for key, value in pairs:
+        out[key] = out[key] + value if key in out else value
+    return {key: value for key, value in out.items() if value}
+
+
 def _raw(n: int, terms: dict[tuple[Multiindex, Multiindex], ExactScalar]) -> Polynomial:
     """Build a polynomial from an already-canonical term dict (no re-validation)."""
     poly = Polynomial.__new__(Polynomial)
@@ -354,57 +353,24 @@ def radius_squared(n: int) -> Polynomial:
 # -- differential operators -------------------------------------------
 
 
-def partial_z(f: Polynomial, j: int) -> Polynomial:
-    """d/dz_j (1-based)."""
-    i = j - 1
-    out: dict[tuple[Multiindex, Multiindex], ExactScalar] = {}
-    for (alpha, beta), coeff in f.terms.items():
-        if alpha[i]:
-            key = (alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :], beta)
-            value = out.get(key, ZERO) + coeff * alpha[i]
-            if value:
-                out[key] = value
-            else:
-                out.pop(key, None)
-    return _raw(f.n, out)
-
-
-def partial_z_bar(f: Polynomial, j: int) -> Polynomial:
-    """d/dzbar_j (1-based)."""
-    i = j - 1
-    out: dict[tuple[Multiindex, Multiindex], ExactScalar] = {}
-    for (alpha, beta), coeff in f.terms.items():
-        if beta[i]:
-            key = (alpha, beta[:i] + (beta[i] - 1,) + beta[i + 1 :])
-            value = out.get(key, ZERO) + coeff * beta[i]
-            if value:
-                out[key] = value
-            else:
-                out.pop(key, None)
-    return _raw(f.n, out)
-
-
 def ambient_laplacian(f: Polynomial) -> Polynomial:
     """4 * sum_j d^2 f / (dz_j dzbar_j), computed termwise.
 
     Each monomial of bidegree (p, q) maps to bidegree (p-1, q-1) terms;
     anything with no mixed dependence (q = 0 or p = 0 in a variable) drops out.
     """
-    out: dict[tuple[Multiindex, Multiindex], ExactScalar] = {}
-    for (alpha, beta), coeff in f.terms.items():
-        for j in range(f.n):
-            a, b = alpha[j], beta[j]
-            if a and b:
-                key = (
-                    alpha[:j] + (a - 1,) + alpha[j + 1 :],
-                    beta[:j] + (b - 1,) + beta[j + 1 :],
-                )
-                value = out.get(key, ZERO) + coeff * (4 * a * b)
-                if value:
-                    out[key] = value
-                else:
-                    out.pop(key, None)
-    return _raw(f.n, out)
+    return _raw(
+        f.n,
+        _collect(
+            (
+                (alpha[:j] + (a - 1,) + alpha[j + 1 :], beta[:j] + (b - 1,) + beta[j + 1 :]),
+                coeff * (4 * a * b),
+            )
+            for (alpha, beta), coeff in f.terms.items()
+            for j, (a, b) in enumerate(zip(alpha, beta))
+            if a and b
+        ),
+    )
 
 
 def euler_z(f: Polynomial) -> Polynomial:
@@ -530,7 +496,7 @@ def random_polynomial(
     Deterministic for a given ``random.Random`` state; used by the seeded
     property checks and the CLI verification bundle.
     """
-    terms: dict[tuple[Multiindex, Multiindex], ExactScalar] = {}
+    terms = []
     for _ in range(max_terms):
         k = rng.randint(0, max_degree)
         p = rng.randint(0, k)
@@ -539,9 +505,7 @@ def random_polynomial(
         beta = _random_composition(rng, n, q)
         re = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 4))
         im = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 4)) if complex_coeffs else Fraction(0)
-        coeff = ExactScalar(re, im)
-        if coeff:
-            terms[(alpha, beta)] = terms.get((alpha, beta), ZERO) + coeff
+        terms.append(((alpha, beta), ExactScalar(re, im)))
     return Polynomial(n, terms)
 
 
@@ -565,7 +529,10 @@ def fraction_to_string(value: Fraction) -> str:
 def fraction_from_string(text: str) -> Fraction:
     if not isinstance(text, str) or not _FRACTION_RE.match(text.strip()):
         raise FormatError(f"malformed rational {text!r}; expected \"numerator/denominator\"")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise FormatError(f"rational {text!r} has a zero denominator") from exc
 
 
 def polynomial_to_dict(f: Polynomial) -> dict:

@@ -111,11 +111,7 @@ def schatten_term(n: int, r, p: int, q: int) -> Fraction | float:
     if q < 1 or p < 0:
         raise ValueError("requires q >= 1 and p >= 0")
     m = spectrum.multiplicity(n, Bidegree(p, q))
-    base = 2 * q * (p + n - 1)
-    r_int = spectrum._integral_exponent(r)
-    if r_int is not None:
-        return Fraction(m, base**r_int)
-    return m * float(base) ** (-float(r))
+    return m * spectrum.power(2 * q * (p + n - 1), -r)
 
 
 def upper_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
@@ -128,7 +124,6 @@ def upper_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
     r = _validate_order(r)
     if q < 1 or p < 0:
         raise ValueError("requires q >= 1 and p >= 0")
-    r_int = spectrum._integral_exponent(r)
     if p == 0:
         num = (q + n - 1) ** (n - 1)
         den_base = 2 * q * (n - 1)
@@ -137,9 +132,7 @@ def upper_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
         num = (n + p + q - 1) * (p + n - 2) ** (n - 2) * (q + n - 2) ** (n - 2)
         den_base = 2 * p * q
         den_const = _bound_constant(n)
-    if r_int is not None:
-        return Fraction(num, den_base**r_int * den_const)
-    return num * float(den_base) ** (-float(r)) / den_const
+    return num * spectrum.power(den_base, -r) / den_const
 
 
 def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
@@ -149,10 +142,7 @@ def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
     if q < 1 or p < n:
         raise ValueError("requires q >= 1 and p >= n")
     num = (p + q) * p ** (n - 2) * q ** (n - 2)
-    r_int = spectrum._integral_exponent(r)
-    if r_int is not None:
-        return Fraction(num, (4 * p * q) ** r_int * _bound_constant(n))
-    return num * float(4 * p * q) ** (-float(r)) / _bound_constant(n)
+    return num * spectrum.power(4 * p * q, -r) / _bound_constant(n)
 
 
 def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:

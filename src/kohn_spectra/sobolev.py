@@ -30,12 +30,18 @@ source of truth; the scan confirms the first display.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import spectrum
-from .operators import apply_green, decompose, sobolev_norm_squared
+from .operators import (
+    apply,
+    decompose,
+    green_symbol,
+    sobolev_norm_squared,
+    sobolev_symbol,
+    weighted_norm_squared,
+)
 from .polynomials import Bidegree, Polynomial, fraction_to_string
 
 __all__ = [
@@ -78,12 +84,7 @@ def ratio(n: int, s, k: int) -> Fraction | float:
     spectrum._check_dimension(n)
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"degree must be a positive integer, got {k}")
-    base = k * (k + 2 * n - 2) + 1
-    den = 4 * (k + n - 2) ** 2
-    s_int = spectrum._integral_exponent(s)
-    if s_int is not None:
-        return Fraction(base) ** s_int / den
-    return math.pow(float(base), float(s)) / den
+    return spectrum.power(k * (k + 2 * n - 2) + 1, s) / (4 * (k + n - 2) ** 2)
 
 
 @dataclass(frozen=True)
@@ -254,14 +255,15 @@ def sobolev_gain_certificate(n: int, f: Polynomial, s: int = 0) -> GainCertifica
         raise ValueError(f"gain certificates require a nonnegative integer s, got {s}")
 
     c_squared = best_constant(n).c_squared
-    lhs = sobolev_norm_squared(apply_green(f).as_polynomial(), s_int + 1)
-    rhs = c_squared * sobolev_norm_squared(f, s_int)
+    dec = decompose(f)
+    green_f = apply(dec, lambda d: green_symbol(n, d)).as_polynomial()
+    lhs = sobolev_norm_squared(green_f, s_int + 1)
+    rhs = c_squared * weighted_norm_squared(dec, lambda d: sobolev_symbol(n, s_int, d))
     if lhs > rhs:
         raise RuntimeError(
             f"gain inequality violated ({lhs} > {rhs}); exact arithmetic is broken"
         )
     locus = equality_bidegree(n)
-    bidegrees = decompose(f).bidegrees()
     return GainCertificate(
         n=n,
         s=s_int,
@@ -270,5 +272,5 @@ def sobolev_gain_certificate(n: int, f: Polynomial, s: int = 0) -> GainCertifica
         ratio=lhs / rhs if rhs else None,
         holds=True,
         equality=lhs == rhs,
-        in_equality_locus=bidegrees == (locus,),
+        in_equality_locus=dec.bidegrees() == (locus,),
     )

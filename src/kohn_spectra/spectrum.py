@@ -45,6 +45,15 @@ def _integral_exponent(value) -> int | None:
     return None
 
 
+def power(base, exponent) -> Fraction | float:
+    """base ** exponent: an exact Fraction when the exponent is integral (see
+    :func:`_integral_exponent`), a double otherwise."""
+    e = _integral_exponent(exponent)
+    if e is not None:
+        return Fraction(base) ** e
+    return float(base) ** float(exponent)
+
+
 def boxb_eigenvalue(n: int, d: Bidegree) -> Fraction:
     """Kohn Laplacian eigenvalue 2q(p+n-1) on the (p, q) harmonic space.
 

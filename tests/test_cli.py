@@ -172,6 +172,39 @@ def test_dimension_flag_mismatch(tmp_path):
     assert "C^2" in json.loads(cp.stderr)["error"]
 
 
+def cli_error(*args):
+    """Run a command that must fail with a JSON error on stderr and status 1."""
+    cp = run_cli(*args, check=False)
+    assert cp.returncode == 1
+    return json.loads(cp.stderr)["error"]
+
+
+def test_zero_denominator_rejected(tmp_path):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"n": 2, "terms": [dict(ZBAR1["terms"][0], re="1/0")]}))
+    assert "zero denominator" in cli_error("green-solve", "--n", "2", "--input", str(f))
+
+
+@pytest.mark.parametrize("alpha", [[1.7, 0], ["1", 0], [True, 0]], ids=["float", "str", "bool"])
+def test_non_integer_multiindex_rejected(tmp_path, alpha):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"n": 2, "terms": [dict(ZBAR1["terms"][0], alpha=alpha)]}))
+    assert "term 0" in cli_error("green-solve", "--n", "2", "--input", str(f))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("spectrum", "--n", "2", "--cutoff", "4", "--output"),
+        ("schatten", "--n", "2", "--r", "3", "--cutoff-p", "4", "--cutoff-q", "4", "--emit-plot"),
+    ],
+    ids=["output", "emit-plot"],
+)
+def test_unwritable_path_rejected(tmp_path, command):
+    path = tmp_path / "missing_dir" / "x.csv"
+    assert "cannot write" in cli_error(*command, str(path))
+
+
 def test_invalid_parameters_rejected():
     cp = run_cli("spectrum", "--n", "1", "--cutoff", "4", check=False)
     assert cp.returncode == 1

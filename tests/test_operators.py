@@ -202,12 +202,27 @@ class TestSobolevPower:
         result = apply_sobolev_power(zb(1), -1)
         assert result.as_polynomial() == zb(1) * Fraction(1, 4)
 
+    def test_underflowed_float_factor_keeps_its_component(self):
+        (comp,) = apply_sobolev_power(zb(1), Fraction(-2001, 2)).components
+        assert comp.factor == 0.0 and comp.part == zb(1)
+
+    def test_zero_input_keeps_the_result_type_of_its_order(self):
+        assert isinstance(apply_sobolev_power(Polynomial.zero(3), 2), SphericalDecomposition)
+        result = apply_sobolev_power(Polynomial.zero(3), Fraction(1, 2))
+        assert isinstance(result, FloatScaledDecomposition)
+        assert result.components == ()
+
 
 class TestSobolevNorm:
     def test_constant_has_unit_norm_at_every_order(self):
         one = Polynomial.constant(2, 1)
         for s in (0, 1, 5, Fraction(1, 2), 0.75):
             assert sobolev_norm_squared(one, s) == 1
+
+    def test_zero_input_keeps_the_scalar_type_of_its_order(self):
+        for s, zero in ((0.5, 0.0), (2, Fraction(0)), (Fraction(3), Fraction(0))):
+            value = sobolev_norm_squared(Polynomial.zero(2), s)
+            assert type(value) is type(zero) and value == zero
 
     def test_l2_anchor(self):
         assert sobolev_norm_squared(zb(1), 0) == Fraction(1, 2)

@@ -24,7 +24,7 @@ from kohn_spectra import (
     random_polynomial,
     sphere_inner_product,
 )
-from kohn_spectra.polynomials import euler_z, euler_z_bar, multiindices, partial_z
+from kohn_spectra.polynomials import euler_z, euler_z_bar, multiindices
 
 
 def z(j, n=2):
@@ -155,7 +155,6 @@ class TestBidegreeSplit:
         f = z(1) ** 2 * zb(2)
         assert euler_z(f) == f * 2
         assert euler_z_bar(f) == f
-        assert partial_z(z(1) ** 2, 1) == z(1) * 2
 
 
 class TestSphereInnerProduct:

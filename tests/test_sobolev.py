@@ -10,7 +10,9 @@ from kohn_spectra import (
     Polynomial,
     best_constant,
     harmonic_basis,
+    operators,
     random_polynomial,
+    sobolev,
     sobolev_gain_certificate,
 )
 from kohn_spectra.sobolev import (
@@ -176,6 +178,20 @@ class TestGainCertificate:
     def test_requires_integer_order(self):
         with pytest.raises(ValueError):
             sobolev_gain_certificate(2, Polynomial.z_bar(2, 1), Fraction(1, 2))
+
+    def test_decomposes_f_once_and_green_f_once(self, monkeypatch):
+        calls = []
+        decompose = operators.decompose
+
+        def counting(f):
+            calls.append(f)
+            return decompose(f)
+
+        monkeypatch.setattr(operators, "decompose", counting)
+        monkeypatch.setattr(sobolev, "decompose", counting)
+        f = Polynomial.z(2, 1) * Polynomial.z_bar(2, 2) + Polynomial.z_bar(2, 1)
+        sobolev_gain_certificate(2, f, 1)
+        assert len(calls) == 2
 
     def test_argmax_degree_helper(self):
         assert argmax_degree(2) == 1
