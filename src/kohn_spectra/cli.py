@@ -407,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, FormatError) as exc:
         sys.stderr.write(_json_text({"error": str(exc)}))
         return 1
+    except OverflowError as exc:
+        sys.stderr.write(_json_text({"error": f"floating-point overflow: {exc}"}))
+        return 1
 
 
 if __name__ == "__main__":

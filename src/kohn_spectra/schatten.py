@@ -10,6 +10,17 @@ integer r), brackets the discarded tail from both sides, and certifies
 divergence with a rigorous separable lower bound that remains evaluable at
 astronomically large cutoffs.
 
+Exact partial sums.  At integer r every summand is an integer over the common
+denominator L M, with L = lcm(n-1, ..., P+n-1)^r (the p side) and
+M = (2 lcm(1, ..., Q))^r (the q side).  The double sum is accumulated as the
+integer sum_q (M / (2q)^r) sum_p m_{p,q} (L / (p+n-1)^r) and normalised into
+a Fraction once, at the end, instead of reducing a Fraction at every cell.
+
+Huge cutoffs.  The power sums behind the divergence witness switch to
+Euler-Maclaurin above _DIRECT_LIMIT summands, after a direct head of about
+1e5 terms.  The head depends only on the exponent and the start, which stay
+fixed while the witness doubles its cutoff, so it is memoised.
+
 The tail bracket.  Splitting p+q+n-1 = (p+n-1) + q in
 m_{p,q} = (p+q+n-1)/(n-1) C(p+n-2, n-2) C(q+n-2, n-2) makes the summand
 rank 2:
@@ -48,6 +59,7 @@ Termwise bounds from the paper, checked by the acceptance criteria and by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,9 +160,10 @@ def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
 def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     """sum_{q=1}^{Q} sum_{p=0}^{P} m_{p,q} / (2q(p+n-1))^r.
 
-    Exact rational for positive integer r.  Otherwise every term is computed
-    in double precision and accumulated in ascending order of magnitude to
-    limit rounding error.
+    Exact rational for positive integer r, accumulated as one integer over
+    the shared denominator of the module docstring and normalised once.
+    Otherwise every term is computed in double precision and accumulated in
+    ascending order of magnitude to limit rounding error.
     """
     spectrum._check_dimension(n)
     r = _validate_order(r)
@@ -158,14 +171,16 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
         raise ValueError("requires P >= 0 and Q >= 1")
     r_int = spectrum._integral_exponent(r)
     if r_int is not None:
-        total = Fraction(0)
+        L = math.lcm(*range(n - 1, P + n)) ** r_int
+        M = (2 * math.lcm(*range(1, Q + 1))) ** r_int
+        weights = [L // (p + n - 1) ** r_int for p in range(P + 1)]
+        total = 0
         for q in range(1, Q + 1):
-            row = Fraction(0)
-            for p in range(0, P + 1):
-                m = spectrum.multiplicity(n, Bidegree(p, q))
-                row += Fraction(m, (2 * q * (p + n - 1)) ** r_int)
-            total += row
-        return total
+            row = 0
+            for p, w in enumerate(weights):
+                row += spectrum.multiplicity(n, Bidegree(p, q)) * w
+            total += row * (M // (2 * q) ** r_int)
+        return Fraction(total, L * M)
     rf = float(r)
     terms = []
     for q in range(1, Q + 1):
@@ -249,6 +264,17 @@ def approx_pole_constant(n: int) -> float:
 # -- 1-d power sums with certified evaluation ---------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _em_head(s: float, a: int, m: int) -> float:
+    """sum_{k=a}^{m-1} k^(-s) in descending order: the direct head of the
+    Euler-Maclaurin branch of _power_sum, memoised because the cutoff
+    doubling of the divergence witness asks for the same (s, a) every time."""
+    head = 0.0
+    for k in range(m - 1, a - 1, -1):
+        head += float(k) ** (-s)
+    return head
+
+
 def _power_sum(s: float, a: int, b: int | None, lower: bool = True) -> float:
     """sum_{k=a}^{b} k^(-s), with b = None meaning infinity.
 
@@ -258,10 +284,10 @@ def _power_sum(s: float, a: int, b: int | None, lower: bool = True) -> float:
         sum_{k=m}^{b} f(k) = integral_m^b f + (f(m)+f(b))/2 + R,
         |R| <= (s/12) (m^{-s-1} - b^{-s-1}),
 
-    after summing [a, m) directly with m ~ 1e5, so the certified error bound
-    is below 1e-10 absolute.  With ``lower`` the bound is subtracted, making
-    the result a rigorous lower bound for the true sum; otherwise the
-    midpoint estimate is returned.
+    after summing [a, m) directly with m ~ 1e5 (memoised, see _em_head), so
+    the certified error bound is below 1e-10 absolute.  With ``lower`` the
+    bound is subtracted, making the result a rigorous lower bound for the
+    true sum; otherwise the midpoint estimate is returned.
     """
     if a < 1:
         raise ValueError("power sums start at a >= 1")
@@ -277,9 +303,7 @@ def _power_sum(s: float, a: int, b: int | None, lower: bool = True) -> float:
     if s <= 0:
         raise ValueError("huge-cutoff evaluation needs decaying terms (s > 0)")
     m = max(a, 100_000)
-    head = 0.0
-    for k in range(m - 1, a - 1, -1):
-        head += float(k) ** (-s)
+    head = _em_head(s, a, m)
     if s == 1:
         integral = math.log(b / m) if b is not None else math.inf
     else:

@@ -139,6 +139,7 @@ def test_criterion_05_schatten_verdicts():
             doublings += 1
             value = lower_bound_sum(n, n, cutoff, cutoff)
         assert value > target
+        assert doublings == {2: 58, 3: 52}[n]
 
         r = n + 1
         assert verdict(n, r) == CONVERGES

@@ -205,6 +205,28 @@ def test_unwritable_path_rejected(tmp_path, command):
     assert "cannot write" in cli_error(*command, str(path))
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("ratio", "--n", "2", "--s", "1001/2", "--k-max", "100"),
+        ("apply", "--n", "2", "--operator", "sobolev", "--t", "2001/2", "--input"),
+        ("schatten", "--n", "2", "--r", "2001/2", "--cutoff-p", "3", "--cutoff-q", "3"),
+        ("schatten-approx", "--n", "2", "--r", "2001/2"),
+        ("schatten", "--n", "2", "--r", "100000", "--cutoff-p", "3", "--cutoff-q", "3"),
+    ],
+    ids=["ratio", "apply-sobolev", "schatten-float", "schatten-approx", "schatten-tail"],
+)
+def test_float_overflow_rejected(tmp_path, command):
+    if command[-1] == "--input":
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(ZBAR1))
+        command = (*command, str(f))
+    cp = run_cli(*command, check=False)
+    assert cp.returncode == 1
+    assert "Traceback" not in cp.stderr
+    assert "overflow" in json.loads(cp.stderr)["error"]
+
+
 def test_invalid_parameters_rejected():
     cp = run_cli("spectrum", "--n", "1", "--cutoff", "4", check=False)
     assert cp.returncode == 1

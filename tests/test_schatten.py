@@ -12,9 +12,13 @@ from fractions import Fraction
 import pytest
 from scipy import integrate, special
 
+from kohn_spectra import spectrum
+from kohn_spectra.polynomials import Bidegree
 from kohn_spectra.schatten import (
+    _DIRECT_LIMIT,
     CONVERGES,
     DIVERGES,
+    _em_head,
     _integral_to_infinity,
     _power_sum,
     _side_sums,
@@ -98,6 +102,22 @@ class TestPartialSum:
         with pytest.raises(ValueError):
             schatten_report(2, r, 10, 10)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("P, Q", [(0, 1), (1, 1), (7, 3), (3, 7), (25, 25)])
+    def test_matches_naive_fraction_sum(self, n, P, Q):
+        """The shared-denominator sum equals a per-cell Fraction sum that uses
+        the binomial form of the multiplicity, also at the divergent r <= n."""
+        for r in sorted({1, 2, n, n + 1, n + 3, 12}):
+            naive = Fraction(0)
+            for q in range(1, Q + 1):
+                for p in range(P + 1):
+                    m = spectrum.multiplicity_binomial(n, Bidegree(p, q))
+                    naive += Fraction(m, (2 * q * (p + n - 1)) ** r)
+            exact = partial_sum(n, r, P, Q)
+            assert type(exact) is Fraction
+            assert exact == naive
+            assert str(exact) == str(naive)
+
     def test_series_increments(self):
         series = partial_sum_series(2, 3, 12)
         assert series[-1][1] == pytest.approx(float(partial_sum(2, 3, 12, 12)), rel=1e-12)
@@ -154,6 +174,29 @@ class TestPowerSum:
 
     def test_infinite_divergent(self):
         assert _power_sum(1.0, 1, None) == math.inf
+
+    @pytest.mark.parametrize("a, b", [(2, 50 * _DIRECT_LIMIT), (1, None)])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_memoised_head_is_bit_identical(self, a, b, lower):
+        s = 1.25
+        # the Euler-Maclaurin branch written out, head summed in descending order
+        m = max(a, 100_000)
+        head = 0.0
+        for k in range(m - 1, a - 1, -1):
+            head += float(k) ** (-s)
+        upper = float(b) ** (1 - s) if b is not None else 0.0
+        end_term = float(b) ** (-s) if b is not None else 0.0
+        trapezoid = (float(m) ** (1 - s) - upper) / (s - 1) + (float(m) ** (-s) + end_term) / 2.0
+        error = (s / 12.0) * float(m) ** (-s - 1)
+        reference = head + (trapezoid - error if lower else trapezoid)
+
+        _em_head.cache_clear()
+        cold = _power_sum(s, a, b, lower)
+        warm = _power_sum(s, a, b, lower)
+        assert _em_head.cache_info().hits == 1
+        _em_head.cache_clear()
+        cleared = _power_sum(s, a, b, lower)
+        assert cold == warm == cleared == reference
 
 
 class TestTermBounds:
