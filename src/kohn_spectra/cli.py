@@ -229,6 +229,8 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise CliError(f"--samples must be >= 0, got {args.samples}")
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str) -> None:

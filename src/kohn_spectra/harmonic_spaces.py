@@ -2,14 +2,16 @@
 
 This module is the independent oracle for the closed-form spectral data: it
 computes kernels of the ambient Laplacian on bidegree monomial spaces by
-exact Gaussian elimination over the rationals, so dimensions, orthogonality,
-and the eigenvalue bookkeeping can all be checked without trusting any
-formula.
+exact Gaussian elimination over the rationals on sparse rows, so dimensions,
+orthogonality, and the eigenvalue bookkeeping can all be checked without
+trusting any formula.  Cross-cell orthogonality is one bucketed Gram pass:
+terms pair only when they share alpha - beta, as in the sphere pairing.
 
 Determinism: monomials of a fixed bidegree are ordered lexicographically on
 the concatenated exponent pair (alpha, beta) (all candidates share the same
-grade, so graded-lex reduces to lex), and elimination always pivots on the
-first nonzero entry.  Bases are therefore reproducible bit for bit.
+grade, so graded-lex reduces to lex), and elimination scans columns in order,
+pivoting on the first remaining row with a nonzero entry in that column.  The
+reduced row echelon form is unique, so bases are reproducible bit for bit.
 
 The Kohn-Laplacian eigenvalue itself is not re-derived (that would need the
 tangential Cauchy-Riemann operators on forms); the oracle verifies the two
@@ -29,6 +31,8 @@ from .polynomials import (
     ExactScalar,
     Multiindex,
     Polynomial,
+    _collect,
+    _diagonal_integral,
     ambient_laplacian,
     euler_z,
     euler_z_bar,
@@ -64,50 +68,52 @@ class HarmonicBasis:
 
 def bidegree_monomials(n: int, d: Bidegree) -> list[tuple[Multiindex, Multiindex]]:
     """All monomial exponent pairs of bidegree (p, q), lex-sorted."""
-    d = Bidegree(*d)
+    d = spectrum._check_bidegree(d)
     return [(a, b) for a in multiindices(n, d.p) for b in multiindices(n, d.q)]
 
 
-def _rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (matrix, pivot columns)."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+def _kernel(rows: list[dict[int, Fraction]], cols: int) -> list[dict[int, Fraction]]:
+    """Standard kernel basis of a sparse matrix, one vector per free column.
+
+    ``rows`` holds only nonzero entries and is reduced in place to RREF.
+    Columns are scanned in order and each pivots on the first row at or
+    below the current one that stores it, so the RREF (unique) and the
+    returned vectors are those of dense elimination.  Row operations touch
+    stored entries only, and every zero they produce is deleted.
+    """
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if matrix[i][c]), None)
+        pivot_row = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot_row is None:
             continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        pivot = matrix[r][c]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][c]
         if pivot != 1:
-            matrix[r] = [x / pivot for x in matrix[r]]
-        for i in range(rows):
-            if i != r and matrix[i][c]:
-                factor = matrix[i][c]
-                row_r = matrix[r]
-                matrix[i] = [a - factor * b if b else a for a, b in zip(matrix[i], row_r)]
+            rows[r] = {k: x / pivot for k, x in rows[r].items()}
+        row_r = rows[r]
+        for i, row in enumerate(rows):
+            if i == r or c not in row:
+                continue
+            factor = row[c]
+            for k, x in row_r.items():
+                value = row.get(k, 0) - factor * x
+                if value:
+                    row[k] = value
+                else:
+                    del row[k]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(rows):
             break
-    return matrix, pivots
-
-
-def _nullspace(matrix: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
-    """Standard kernel basis from the RREF: one vector per free column."""
-    if not matrix:
-        return [[Fraction(1) if i == f else Fraction(0) for i in range(cols)] for f in range(cols)]
-    reduced, pivots = _rref(matrix)
     pivot_set = set(pivots)
     basis = []
     for free in range(cols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            if row[free]:
+        vec = {free: Fraction(1)}
+        for row, pc in zip(rows, pivots):
+            if free in row:
                 vec[pc] = -row[free]
         basis.append(vec)
     return basis
@@ -119,10 +125,11 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
     For p = 0 or q = 0 every monomial is already harmonic and the monomial
     basis is returned directly.  Otherwise the Laplacian is written as an
     exact integer matrix from the (p, q) monomial space to the (p-1, q-1)
-    one and its kernel is extracted by exact elimination.
+    one, stored as sparse rows (each column has at most n nonzeros), and
+    its kernel is extracted by exact elimination on those rows.
     """
     spectrum._check_dimension(n)
-    d = Bidegree(*d)
+    d = spectrum._check_bidegree(d)
     source = bidegree_monomials(n, d)
     if d.p == 0 or d.q == 0:
         elements = tuple(Polynomial.monomial(n, a, b) for a, b in source)
@@ -130,7 +137,7 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
 
     target = bidegree_monomials(n, Bidegree(d.p - 1, d.q - 1))
     target_index = {key: i for i, key in enumerate(target)}
-    matrix = [[Fraction(0)] * len(source) for _ in target]
+    rows: list[dict[int, Fraction]] = [{} for _ in target]
     for col, (alpha, beta) in enumerate(source):
         for j in range(n):
             a, b = alpha[j], beta[j]
@@ -139,13 +146,13 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
                     alpha[:j] + (a - 1,) + alpha[j + 1 :],
                     beta[:j] + (b - 1,) + beta[j + 1 :],
                 )
-                matrix[target_index[key]][col] += 4 * a * b
+                rows[target_index[key]][col] = Fraction(4 * a * b)
 
-    elements = []
-    for vec in _nullspace(matrix, len(source)):
-        terms = {source[i]: ExactScalar(vec[i]) for i in range(len(source)) if vec[i]}
-        elements.append(Polynomial(n, terms))
-    return HarmonicBasis(n, d, tuple(elements))
+    elements = tuple(
+        Polynomial(n, {source[i]: ExactScalar(vec[i]) for i in sorted(vec)})
+        for vec in _kernel(rows, len(source))
+    )
+    return HarmonicBasis(n, d, elements)
 
 
 def orthonormalize(basis: HarmonicBasis) -> HarmonicBasis:
@@ -232,6 +239,36 @@ class VerificationReport:
         }
 
 
+def _cross_cell_gram(
+    n: int, bases: list[HarmonicBasis]
+) -> dict[tuple[int, int, int, int], ExactScalar]:
+    """Every nonzero <f, g> with f = bases[i].elements[a], g = bases[j].elements[b]
+    and i < j, keyed (i, j, a, b), in one pass over all terms.
+
+    Each term of each element is bucketed once by alpha - beta.  Only terms
+    in a common bucket pair, each adding c * conj(d) * integral of
+    |z^(alpha+delta)|^2 exactly as :func:`sphere_inner_product` does, so a
+    pair sharing no bucket is exactly 0 and never touched.
+    """
+    buckets: dict[Multiindex, list] = {}
+    for i, basis in enumerate(bases):
+        for a, f in enumerate(basis.elements):
+            for (alpha, beta), c in f.terms.items():
+                key = tuple(x - y for x, y in zip(alpha, beta))
+                buckets.setdefault(key, []).append((i, a, alpha, beta, c))
+    # entries are appended in cell order, so a later entry of another cell has j > i
+    return _collect(
+        (
+            (i, j, a, b),
+            c * d.conjugate() * _diagonal_integral(n, tuple(x + y for x, y in zip(alpha, delta))),
+        )
+        for entries in buckets.values()
+        for x, (i, a, alpha, _, c) in enumerate(entries)
+        for j, b, _, delta, d in entries[x + 1 :]
+        if j != i
+    )
+
+
 def verify_eigen_identities(n: int, max_degree: int) -> VerificationReport:
     """Run the full oracle over every bidegree cell with p+q <= max_degree.
 
@@ -244,7 +281,10 @@ def verify_eigen_identities(n: int, max_degree: int) -> VerificationReport:
       sum z_j d/dz_j and sum zbar_j d/dzbar_j, which pins the Kohn-Laplacian
       eigenvalue 2q(p+n-1);
     * the kernel dimension matches the closed-form multiplicity;
-    * elements of distinct cells are pairwise orthogonal on the sphere.
+    * elements of distinct cells are pairwise orthogonal on the sphere,
+      checked for all pairs at once by one bucketed Gram pass
+      (:func:`_cross_cell_gram`); a nonzero pair is reported as
+      ``<f, g> = value != 0``, ordered by cell pair, then by element pair.
     """
     spectrum._check_dimension(n)
     if max_degree < 1:
@@ -284,23 +324,17 @@ def verify_eigen_identities(n: int, max_degree: int) -> VerificationReport:
                     f"{cells[-1].formula_dimension}"
                 )
 
-    orthogonality_ok = True
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            for f in bases[i].elements:
-                for g in bases[j].elements:
-                    value = sphere_inner_product(f, g)
-                    if value:
-                        orthogonality_ok = False
-                        failures.append(
-                            f"cells {bases[i].bidegree} vs {bases[j].bidegree}: "
-                            f"<{f}, {g}> = {value} != 0"
-                        )
+    gram = _cross_cell_gram(n, bases)
+    for (i, j, a, b), value in sorted(gram.items()):
+        failures.append(
+            f"cells {bases[i].bidegree} vs {bases[j].bidegree}: "
+            f"<{bases[i].elements[a]}, {bases[j].elements[b]}> = {value} != 0"
+        )
 
     return VerificationReport(
         n=n,
         max_degree=max_degree,
         cells=tuple(cells),
-        orthogonality_ok=orthogonality_ok,
+        orthogonality_ok=not gram,
         failures=tuple(failures),
     )

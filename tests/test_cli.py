@@ -236,6 +236,12 @@ def test_invalid_parameters_rejected():
     assert cp.returncode == 1
 
 
+def test_negative_samples_rejected():
+    assert "--samples" in cli_error("verify", "--n", "2", "--max-degree", "1", "--samples", "-1")
+    cp = run_cli("verify", "--n", "2", "--max-degree", "1", "--samples", "0")
+    assert json.loads(cp.stdout)["passed"] is True
+
+
 def test_byte_identical_reruns():
     first = run_cli("spectrum", "--n", "2", "--cutoff", "12")
     second = run_cli("spectrum", "--n", "2", "--cutoff", "12")

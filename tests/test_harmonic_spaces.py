@@ -8,6 +8,7 @@ import pytest
 from kohn_spectra import (
     Bidegree,
     ExactScalar,
+    HarmonicBasis,
     Polynomial,
     ambient_laplacian,
     harmonic_basis,
@@ -17,7 +18,9 @@ from kohn_spectra import (
     sphere_inner_product,
     verify_eigen_identities,
 )
-from kohn_spectra.polynomials import bidegree_of
+from kohn_spectra import harmonic_spaces
+from kohn_spectra.harmonic_spaces import bidegree_monomials
+from kohn_spectra.polynomials import bidegree_of, random_polynomial
 
 
 def test_antiholomorphic_cell_is_monomial_basis():
@@ -53,6 +56,89 @@ def test_kernel_rank_matches_formula_small(n):
         for p in range(k + 1):
             d = Bidegree(p, k - p)
             assert len(harmonic_basis(n, d).elements) == multiplicity(n, d)
+
+
+@pytest.mark.parametrize("make", [harmonic_basis, bidegree_monomials])
+@pytest.mark.parametrize("d", [(-1, 2), (2, -1)])
+def test_negative_bidegree_rejected(make, d):
+    with pytest.raises(ValueError, match="nonnegative"):
+        make(3, d)
+
+
+def _dense_rref(matrix):
+    """Dense reduced row echelon form: the reference for the sparse kernel."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if matrix[i][c]), None)
+        if pivot_row is None:
+            continue
+        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
+        pivot = matrix[r][c]
+        if pivot != 1:
+            matrix[r] = [x / pivot for x in matrix[r]]
+        for i in range(rows):
+            if i != r and matrix[i][c]:
+                factor = matrix[i][c]
+                row_r = matrix[r]
+                matrix[i] = [a - factor * b if b else a for a, b in zip(matrix[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return matrix, pivots
+
+
+def _dense_nullspace(matrix, cols):
+    reduced, pivots = _dense_rref(matrix)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            if row[free]:
+                vec[pc] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def _dense_harmonic_elements(n, d):
+    """The harmonic basis by dense elimination of the full Laplacian matrix."""
+    source = bidegree_monomials(n, d)
+    if d.p == 0 or d.q == 0:
+        return [Polynomial.monomial(n, a, b) for a, b in source]
+    target = bidegree_monomials(n, Bidegree(d.p - 1, d.q - 1))
+    target_index = {key: i for i, key in enumerate(target)}
+    matrix = [[Fraction(0)] * len(source) for _ in target]
+    for col, (alpha, beta) in enumerate(source):
+        for j in range(n):
+            a, b = alpha[j], beta[j]
+            if a and b:
+                key = (
+                    alpha[:j] + (a - 1,) + alpha[j + 1 :],
+                    beta[:j] + (b - 1,) + beta[j + 1 :],
+                )
+                matrix[target_index[key]][col] += 4 * a * b
+    return [
+        Polynomial(n, {source[i]: vec[i] for i in range(len(source)) if vec[i]})
+        for vec in _dense_nullspace(matrix, len(source))
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sparse_kernel_matches_dense_rref(n):
+    cells = [Bidegree(p, k - p) for k in range(6) for p in range(k + 1)]
+    if n > 2:
+        cells.append(Bidegree(4, 4))
+    for d in cells:
+        sparse = harmonic_basis(n, d).elements
+        dense = _dense_harmonic_elements(n, d)
+        assert list(sparse) == dense, d
+        assert [str(e) for e in sparse] == [str(e) for e in dense], d
 
 
 def test_bases_are_reproducible():
@@ -147,3 +233,70 @@ def test_random_harmonic_combinations_stay_harmonic():
             c = ExactScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
             f = f + element * c
         assert not ambient_laplacian(f)
+
+
+# Non-harmonic elements planted in three cells of the n = 2 oracle, chosen so
+# that the failures' (cell pair, element pair) order differs from the
+# (cell, element, cell, element) order.
+PLANTED = {
+    (1, 1): ((1, 0), (1, 0)),
+    (1, 2): ((0, 1), (0, 2)),
+    (2, 3): ((2, 0), (3, 0)),
+}
+
+# The cross-cell failures of verify_eigen_identities(2, 5) with PLANTED,
+# as the pairwise sphere_inner_product loop reported them.
+PLANTED_FAILURES = [
+    "cells Bidegree(p=0, q=0) vs Bidegree(p=1, q=1): <1*1, 1*z1*zb1> = 1/2 != 0",
+    "cells Bidegree(p=0, q=1) vs Bidegree(p=1, q=2): <1*zb2, 1*z2*zb2^2> = 1/3 != 0",
+    "cells Bidegree(p=0, q=1) vs Bidegree(p=2, q=3): <1*zb1, 1*z1^2*zb1^3> = 1/4 != 0",
+    "cells Bidegree(p=1, q=2) vs Bidegree(p=2, q=3): "
+    "<-2*z2*zb1*zb2 + 1*z1*zb1^2, 1*z1^2*zb1^3> = 1/10 != 0",
+]
+
+
+def _planted_basis(n, d):
+    basis = harmonic_basis(n, d)
+    if tuple(d) not in PLANTED:
+        return basis
+    extra = Polynomial.monomial(n, *PLANTED[tuple(d)])
+    return HarmonicBasis(n, basis.bidegree, basis.elements + (extra,))
+
+
+def test_planted_non_orthogonal_pairs_are_reported(monkeypatch):
+    monkeypatch.setattr(harmonic_spaces, "harmonic_basis", _planted_basis)
+    report = verify_eigen_identities(2, 5)
+    assert report.orthogonality_ok is False
+    cross = [f for f in report.failures if f.startswith("cells ")]
+    assert cross == PLANTED_FAILURES
+    assert report.failures[-len(cross) :] == tuple(PLANTED_FAILURES)
+
+
+def _planted_cells():
+    return [_planted_basis(2, Bidegree(p, k - p)) for k in range(6) for p in range(k + 1)]
+
+
+def _random_cells():
+    """Cells of random polynomials: almost every bucket pairs terms of
+    several cells with nonzero products, unlike a harmonic basis."""
+    rng = random.Random(61)
+    return [
+        HarmonicBasis(3, Bidegree(0, 0), tuple(random_polynomial(rng, 3, 4) for _ in range(3)))
+        for _ in range(6)
+    ]
+
+
+@pytest.mark.parametrize("make_cells", [_planted_cells, _random_cells])
+def test_cross_cell_gram_equals_sphere_pairing(make_cells):
+    bases = make_cells()
+    gram = harmonic_spaces._cross_cell_gram(bases[0].n, bases)
+    expected = {}
+    for i, cell_i in enumerate(bases):
+        for j in range(i + 1, len(bases)):
+            for a, f in enumerate(cell_i.elements):
+                for b, g in enumerate(bases[j].elements):
+                    value = sphere_inner_product(f, g)
+                    if value:
+                        expected[i, j, a, b] = value
+    assert expected
+    assert gram == expected
