@@ -16,6 +16,13 @@ M = (2 lcm(1, ..., Q))^r (the q side).  The double sum is accumulated as the
 integer sum_q (M / (2q)^r) sum_p m_{p,q} (L / (p+n-1)^r) and normalised into
 a Fraction once, at the end, instead of reducing a Fraction at every cell.
 
+Float partial sums.  At non-integer r the rank-2 split of the tail bracket
+(below) gives (A1 B1 + A2 B2 / 2) / (n-1) over four 1-d math.fsum sums,
+A1 = sum_p a_{r-1}(p), A2 = sum_p a_r(p), B1 = sum_q C(q+n-2, n-2) (2q)^{-r}
+and B2 = sum_q C(q+n-2, n-2) (2q)^{1-r}: O(P+Q) terms instead of (P+1)Q.  The
+2 stays inside the q-side powers, so no 2^r is formed and huge orders
+underflow towards 0 instead of overflowing.
+
 Huge cutoffs.  The power sums behind the divergence witness switch to
 Euler-Maclaurin above _DIRECT_LIMIT summands, after a direct head of about
 1e5 terms.  The head depends only on the exponent and the start, which stay
@@ -63,6 +70,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import spectrum
 from .polynomials import Bidegree, fraction_to_string
@@ -157,13 +165,20 @@ def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
     return num * spectrum.power(4 * p * q, -r) / _bound_constant(n)
 
 
+def _side_terms(
+    n: int, shift: int, s: float, first: int, last: int, scale: int = 1
+) -> list[float]:
+    """The 1-d terms C(x+shift, n-2) (scale x)^{-s} for first <= x <= last."""
+    return [math.comb(x + shift, n - 2) * float(scale * x) ** -s for x in range(first, last + 1)]
+
+
 def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     """sum_{q=1}^{Q} sum_{p=0}^{P} m_{p,q} / (2q(p+n-1))^r.
 
     Exact rational for positive integer r, accumulated as one integer over
     the shared denominator of the module docstring and normalised once.
-    Otherwise every term is computed in double precision and accumulated in
-    ascending order of magnitude to limit rounding error.
+    Otherwise a double: the rank-2 split over four 1-d sums, each
+    accumulated with math.fsum (see the module docstring).
     """
     spectrum._check_dimension(n)
     r = _validate_order(r)
@@ -182,43 +197,26 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
             total += row * (M // (2 * q) ** r_int)
         return Fraction(total, L * M)
     rf = float(r)
-    terms = []
-    for q in range(1, Q + 1):
-        for p in range(0, P + 1):
-            m = spectrum.multiplicity(n, Bidegree(p, q))
-            terms.append(m * float(2 * q * (p + n - 1)) ** (-rf))
-    terms.sort()
-    total_f = 0.0
-    for t in terms:
-        total_f += t
-    return total_f
+    a1, a2 = (math.fsum(_side_terms(n, -1, s, n - 1, P + n - 1)) for s in (rf - 1, rf))
+    b1, b2 = (math.fsum(_side_terms(n, n - 2, s, 1, Q, 2)) for s in (rf, rf - 1))
+    return (a1 * b1 + a2 * b2 / 2) / (n - 1)
 
 
 def partial_sum_series(n: int, r, cutoff: int) -> list[tuple[int, float]]:
-    """Running square-cutoff partial sums for plotting: entry c holds the
-    float value of partial_sum(n, r, c, c), built incrementally by adding
-    the L-shaped increment at each step."""
+    """Running square-cutoff partial sums for plotting: entry c is
+    partial_sum(n, float(r), c, c) up to rounding, (A1 B1 + A2 B2 / 2) / (n-1)
+    over running prefix sums of the four 1-d factors of the module docstring,
+    so the whole series costs O(cutoff) terms."""
     spectrum._check_dimension(n)
     r = _validate_order(r)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     rf = float(r)
-
-    def term(p: int, q: int) -> float:
-        return spectrum.multiplicity(n, Bidegree(p, q)) * float(
-            2 * q * (p + n - 1)
-        ) ** (-rf)
-
-    series = []
-    total = sum(term(p, 1) for p in range(0, 2))
-    series.append((1, total))
-    for c in range(2, cutoff + 1):
-        for p in range(0, c + 1):
-            total += term(p, c)
-        for q in range(1, c):
-            total += term(c, q)
-        series.append((c, total))
-    return series
+    a1, a2 = (accumulate(_side_terms(n, -1, s, n - 1, cutoff + n - 1)) for s in (rf - 1, rf))
+    # B(0) = 0 puts the sums over p <= c and q <= c at index c of every prefix list
+    b1, b2 = (accumulate(_side_terms(n, n - 2, s, 1, cutoff, 2), initial=0.0) for s in (rf, rf - 1))
+    sums = enumerate(zip(a1, a2, b1, b2))
+    return [(c, (x1 * y1 + x2 * y2 / 2) / (n - 1)) for c, (x1, x2, y1, y2) in sums][1:]
 
 
 def verdict(n: int, r) -> str:
@@ -363,19 +361,16 @@ def _side_sums(
     f must be decreasing on [decreasing_from, inf); tail terms below that
     point are summed directly and the rest is bracketed by the integral test.
     """
-
-    def f(x: int) -> float:
-        return math.comb(x + shift, n - 2) * float(x) ** -s
-
-    head = math.fsum(f(x) for x in range(first, last + 1))
+    head = math.fsum(_side_terms(n, shift, s, first, last))
     start = max(last + 1, decreasing_from)
-    direct = math.fsum(f(x) for x in range(last + 1, start))
+    direct = math.fsum(_side_terms(n, shift, s, last + 1, start - 1))
     # C(x+shift, n-2) = prod_{j<n-2} (x+shift-j) / (n-2)!, lowest power first
     coeffs = [1.0 / math.factorial(n - 2)]
     for j in range(n - 2):
         coeffs = [(shift - j) * c + prev for c, prev in zip(coeffs + [0.0], [0.0] + coeffs)]
     integral = _integral_to_infinity(coeffs, s, float(start))
-    return head, direct + integral, direct + integral + f(start)
+    (f_start,) = _side_terms(n, shift, s, start, start)
+    return head, direct + integral, direct + integral + f_start
 
 
 def _tail_bracket(n: int, r, P: int, Q: int) -> tuple[float, float]:

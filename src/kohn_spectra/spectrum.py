@@ -28,6 +28,8 @@ def _check_dimension(n: int) -> None:
 
 def _check_bidegree(d: Bidegree) -> Bidegree:
     d = Bidegree(*d)
+    if type(d.p) is not int or type(d.q) is not int:
+        raise ValueError(f"bidegree entries must be integers, got {d!r}")
     if d.p < 0 or d.q < 0:
         raise ValueError(f"bidegree entries must be nonnegative, got {d}")
     return d

@@ -65,6 +65,13 @@ def test_negative_bidegree_rejected(make, d):
         make(3, d)
 
 
+@pytest.mark.parametrize("make", [multiplicity, harmonic_basis, bidegree_monomials])
+@pytest.mark.parametrize("d", [(1.5, 1), (1, 1.5), (True, 1), (1, False)])
+def test_non_integer_bidegree_rejected(make, d):
+    with pytest.raises(ValueError, match="integers"):
+        make(3, d)
+
+
 def _dense_rref(matrix):
     """Dense reduced row echelon form: the reference for the sparse kernel."""
     rows = len(matrix)

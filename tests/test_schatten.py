@@ -48,6 +48,37 @@ def brute_square_sum(n, r, cutoff):
     return (a2 * b3 + a3 * b2) / 2.0**r
 
 
+def sorted_cell_loop(n, r, P, Q):
+    """The float partial sum as one term per cell, summed in ascending order:
+    the reference for the separable float branch of partial_sum."""
+    terms = []
+    for q in range(1, Q + 1):
+        for p in range(0, P + 1):
+            m = spectrum.multiplicity(n, Bidegree(p, q))
+            terms.append(m * float(2 * q * (p + n - 1)) ** (-r))
+    terms.sort()
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def mp_partial_sum(mpmath, n, r, P, Q):
+    """The partial sum at mpmath's working precision, through the rank-2 split
+    m_{p,q} / (2q x)^r = C_p C_q [x^{1-r} (2q)^{-r} + x^{-r} (2q)^{1-r} / 2] / (n-1)."""
+    r = mpmath.mpf(r)
+    c = [math.comb(k + n - 2, n - 2) for k in range(max(P, Q) + 1)]
+    a1, a2 = (
+        mpmath.fsum(c[p] * mpmath.mpf(p + n - 1) ** (s - r) for p in range(P + 1)) for s in (1, 0)
+    )
+    b1, b2 = (mpmath.fsum(c[q] * mpmath.mpf(2 * q) ** (s - r) for q in range(1, Q + 1)) for s in (0, 1))
+    return (a1 * b1 + a2 * b2 / 2) / (n - 1)
+
+
+def float_orders(n):
+    return (1.0, 2.5, float(n), n + 0.5, n + 1.0, 37.25)
+
+
 def zeta_closed_form(n, r):
     """||G||_r^r from scipy's zeta: the rank-2 split summed in closed form."""
     z = special.zeta
@@ -117,6 +148,52 @@ class TestPartialSum:
             assert type(exact) is Fraction
             assert exact == naive
             assert str(exact) == str(naive)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("P, Q", [(0, 1), (7, 3), (3, 7), (50, 50)])
+    def test_float_branch_matches_sorted_cell_loop(self, n, P, Q):
+        for r in float_orders(n):
+            assert partial_sum(n, r, P, Q) == pytest.approx(sorted_cell_loop(n, r, P, Q), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "n, P, Q",
+        [(n, P, Q) for n in range(2, 7) for P, Q in [(0, 1), (7, 3), (3, 7), (50, 50)]]
+        + [(n, 400, 400) for n in (2, 3, 4)],
+    )
+    def test_float_branch_against_mpmath(self, n, P, Q):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for r in float_orders(n):
+                reference = mp_partial_sum(mpmath, n, r, P, Q)
+                value = partial_sum(n, r, P, Q)
+                assert abs(value - reference) <= 2e-15 * reference
+
+    def test_mpmath_reference_matches_cell_sum(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for n, r, P, Q in [(2, 2.5, 7, 3), (3, 3.5, 3, 7), (5, 37.25, 6, 6)]:
+                cells = mpmath.fsum(
+                    spectrum.multiplicity(n, Bidegree(p, q)) * mpmath.mpf(2 * q * (p + n - 1)) ** -r
+                    for q in range(1, Q + 1)
+                    for p in range(P + 1)
+                )
+                assert abs(mp_partial_sum(mpmath, n, r, P, Q) - cells) <= mpmath.mpf(10) ** -36 * cells
+
+    @pytest.mark.parametrize("r", [1100.5, 100000.5])
+    def test_huge_order_float_sum_underflows_to_zero(self, r):
+        value = partial_sum(2, r, 3, 3)
+        assert type(value) is float
+        assert value == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("dr", [0.5, 1])
+    def test_series_matches_partial_sum_at_every_cutoff(self, n, dr):
+        r = n + dr
+        series = partial_sum_series(n, r, 30)
+        assert [c for c, _ in series] == list(range(1, 31))
+        for c, value in series:
+            assert value == pytest.approx(partial_sum(n, float(r), c, c), rel=1e-13)
+        assert all(a[1] < b[1] for a, b in zip(series, series[1:]))
 
     def test_series_increments(self):
         series = partial_sum_series(2, 3, 12)
