@@ -28,11 +28,7 @@ from .polynomials import (
 
 
 class CliError(Exception):
-    """Structured CLI failure: message plus exit status."""
-
-    def __init__(self, message: str, status: int = 1) -> None:
-        super().__init__(message)
-        self.status = status
+    """Structured CLI failure, reported as a JSON error with exit status 1."""
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -90,9 +86,9 @@ def _bidegree_str(d: Bidegree) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    aggregated = spectrum.aggregate_spectrum(args.n, args.cutoff)
-    if args.format == "csv":
-        if args.per_bidegree:
+    if args.per_bidegree:
+        table = spectrum.spectrum_table(args.n, args.cutoff)
+        if args.format == "csv":
             rows = [
                 [
                     str(e.bidegree.p),
@@ -101,12 +97,29 @@ def cmd_spectrum(args) -> int:
                     str(e.eigenvalue.denominator),
                     str(e.multiplicity),
                 ]
-                for e in spectrum.spectrum_table(args.n, args.cutoff)
+                for e in table
             ]
             text = _csv_text(
                 ["p", "q", "eigenvalue_num", "eigenvalue_den", "multiplicity"], rows
             )
         else:
+            obj = {
+                "n": args.n,
+                "cutoff": fraction_to_string(Fraction(args.cutoff)),
+                "entries": [
+                    {
+                        "p": e.bidegree.p,
+                        "q": e.bidegree.q,
+                        "eigenvalue": fraction_to_string(e.eigenvalue),
+                        "multiplicity": e.multiplicity,
+                    }
+                    for e in table
+                ],
+            }
+            text = _json_text(obj)
+    else:
+        aggregated = spectrum.aggregate_spectrum(args.n, args.cutoff)
+        if args.format == "csv":
             rows = [
                 [
                     str(e.eigenvalue.numerator),
@@ -119,23 +132,8 @@ def cmd_spectrum(args) -> int:
             text = _csv_text(
                 ["eigenvalue_num", "eigenvalue_den", "multiplicity", "contributors"], rows
             )
-    else:
-        obj = aggregated.to_json_dict()
-        if args.per_bidegree:
-            obj = {
-                "n": args.n,
-                "cutoff": fraction_to_string(Fraction(args.cutoff)),
-                "entries": [
-                    {
-                        "p": e.bidegree.p,
-                        "q": e.bidegree.q,
-                        "eigenvalue": fraction_to_string(e.eigenvalue),
-                        "multiplicity": e.multiplicity,
-                    }
-                    for e in spectrum.spectrum_table(args.n, args.cutoff)
-                ],
-            }
-        text = _json_text(obj)
+        else:
+            text = _json_text(aggregated.to_json_dict())
     _emit(text, args.output)
     return 0
 
@@ -195,7 +193,7 @@ def cmd_schatten_approx(args) -> int:
 
 
 def cmd_sobolev_constant(args) -> int:
-    report = sobolev.best_constant(args.n, args.scan_max)
+    report = sobolev.best_constant(args.n)
     _emit(_json_text(report.to_json_dict()), args.output)
     return 0
 
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sobolev-constant", help="best constant report with equality locus")
     _add_common(p)
-    p.add_argument("--scan-max", type=int, default=None, help="exact scan window (defaulted safely)")
     p.set_defaults(func=cmd_sobolev_constant)
 
     p = sub.add_parser("ratio", help="the Sobolev ratio sequence (k, value)")
@@ -403,10 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(_json_text({"error": str(exc)}))
-        return exc.status
-    except (ValueError, FormatError) as exc:
+    except (CliError, ValueError) as exc:
         sys.stderr.write(_json_text({"error": str(exc)}))
         return 1
     except OverflowError as exc:

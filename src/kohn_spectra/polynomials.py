@@ -31,6 +31,7 @@ import math
 import re as _re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -299,12 +300,6 @@ class Polynomial:
     def __hash__(self):
         raise TypeError("Polynomial is not hashable")
 
-    def total_degree(self) -> int:
-        """Max of |alpha| + |beta| over stored terms (0 for the zero polynomial)."""
-        if not self._terms:
-            return 0
-        return max(sum(a) + sum(b) for a, b in self._terms)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -522,8 +517,12 @@ _FRACTION_RE = _re.compile(r"^-?\d+(/\d+)?$")
 
 
 def fraction_to_string(value: Fraction) -> str:
-    """Serialize as "numerator/denominator", always with the slash."""
-    return f"{value.numerator}/{value.denominator}"
+    """Serialize as "numerator/denominator", always with the slash.
+
+    The digits come from Decimal, which prints an int of any length; str(int)
+    refuses more than sys.get_int_max_str_digits() digits.
+    """
+    return f"{Decimal(value.numerator)!s}/{Decimal(value.denominator)!s}"
 
 
 def fraction_from_string(text: str) -> Fraction:

@@ -16,39 +16,38 @@ M = (2 lcm(1, ..., Q))^r (the q side).  The double sum is accumulated as the
 integer sum_q (M / (2q)^r) sum_p m_{p,q} (L / (p+n-1)^r) and normalised into
 a Fraction once, at the end, instead of reducing a Fraction at every cell.
 
-Float partial sums.  At non-integer r the rank-2 split of the tail bracket
-(below) gives (A1 B1 + A2 B2 / 2) / (n-1) over four 1-d math.fsum sums,
-A1 = sum_p a_{r-1}(p), A2 = sum_p a_r(p), B1 = sum_q C(q+n-2, n-2) (2q)^{-r}
-and B2 = sum_q C(q+n-2, n-2) (2q)^{1-r}: O(P+Q) terms instead of (P+1)Q.  The
-2 stays inside the q-side powers, so no 2^r is formed and huge orders
-underflow towards 0 instead of overflowing.
+The rank-2 split.  With x = p+n-1, splitting p+q+n-1 = x + q in
+m_{p,q} = (p+q+n-1)/(n-1) C(p+n-2, n-2) C(q+n-2, n-2) gives
+
+    m_{p,q} / (2q x)^r = [a_{r-1}(p) b_r(q) + a_r(p) b_{r-1}(q) / 2] / (n-1),
+    a_s(p) = C(p+n-2, n-2) x^{-s},    b_s(q) = C(q+n-2, n-2) (2q)^{-s}.
+
+This is the module's one scaling convention: the 2 of the eigenvalue sits
+inside the q-side power.  No float power in this module grows with r, so
+huge orders underflow towards 0 instead of overflowing.  At
+non-integer r the partial sum is (A1 B1 + A2 B2 / 2) / (n-1) over four 1-d
+math.fsum sums of a_{r-1}, a_r, b_r and b_{r-1}: O(P+Q) terms, not (P+1)Q.
 
 Huge cutoffs.  The power sums behind the divergence witness switch to
 Euler-Maclaurin above _DIRECT_LIMIT summands, after a direct head of about
 1e5 terms.  The head depends only on the exponent and the start, which stay
 fixed while the witness doubles its cutoff, so it is memoised.
 
-The tail bracket.  Splitting p+q+n-1 = (p+n-1) + q in
-m_{p,q} = (p+q+n-1)/(n-1) C(p+n-2, n-2) C(q+n-2, n-2) makes the summand
-rank 2:
-
-    m_{p,q} / (2q(p+n-1))^r = [a_{r-1}(p) b_r(q) + a_r(p) b_{r-1}(q)] / ((n-1) 2^r),
-    a_s(p) = C(p+n-2, n-2) (p+n-1)^{-s},    b_s(q) = C(q+n-2, n-2) q^{-s}.
-
-For each rank term the discarded region {q > Q} union {p > P, q <= Q}
-carries A B_tail + A_tail B_head, where the heads are the direct sums over
-p <= P and q <= Q and A = A_head + A_tail sums over all p >= 0.  Each 1-d
-tail is bracketed by the integral test, valid for f decreasing on [X, inf):
+The tail bracket.  For each rank term the discarded region
+{q > Q} union {p > P, q <= Q} carries A B_tail + A_tail B_head, where the
+heads are the direct sums over p <= P and q <= Q and A = A_head + A_tail sums
+over all p >= 0.  Each 1-d tail is bracketed by the integral test, valid for
+f decreasing on [X, inf):
 
     integral_X^inf f  <=  sum_{x>=X} f(x)  <=  f(X) + integral_X^inf f.
 
-In x = p+n-1 the p-side factor is C(x-1, n-2) x^{-s}; its log derivative is
-at most (n-2)/(x-n+2) - s/x, so it decreases for x >= (n-1)(n-2) when
-s >= n-1, and tail terms below that point are summed directly.  The q-side
-factor decreases for every q >= 1 once s > n-2.  Both are a polynomial times
-a power, so the identity
+The p-side factor C(x-1, n-2) x^{-s} has log derivative at most
+(n-2)/(x-n+2) - s/x, so it decreases for x >= (n-1)(n-2) when s >= n-1, and
+tail terms below that point are summed directly.  The q-side factor
+decreases for every q >= 1 once s > n-2.  Both are a polynomial times a
+power, so the identity
 
-    integral_X^inf x^(j-s) dx = X^(j+1-s) / (s-j-1)      (s > j+1)
+    integral_X^inf x^j (c x)^{-s} dx = c^{-s} X^(j+1-s) / (s-j-1)      (s > j+1)
 
 gives every integral; it is validated against independent numeric
 quadrature in the test suite.  All factors are nonnegative, so the 1-d lower
@@ -124,6 +123,11 @@ def _bound_constant(n: int) -> int:
     return math.factorial(n - 1) * math.factorial(n - 2)
 
 
+def _check_cutoff(name: str, value, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"cutoff {name} must be an integer >= {least}, got {value!r}")
+
+
 def schatten_term(n: int, r, p: int, q: int) -> Fraction | float:
     """Exact summand m_{p,q} / (2q(p+n-1))^r; Fraction for integer r."""
     spectrum._check_dimension(n)
@@ -182,8 +186,8 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     """
     spectrum._check_dimension(n)
     r = _validate_order(r)
-    if P < 0 or Q < 1:
-        raise ValueError("requires P >= 0 and Q >= 1")
+    _check_cutoff("P", P, 0)
+    _check_cutoff("Q", Q, 1)
     r_int = spectrum._integral_exponent(r)
     if r_int is not None:
         L = math.lcm(*range(n - 1, P + n)) ** r_int
@@ -209,8 +213,7 @@ def partial_sum_series(n: int, r, cutoff: int) -> list[tuple[int, float]]:
     so the whole series costs O(cutoff) terms."""
     spectrum._check_dimension(n)
     r = _validate_order(r)
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    _check_cutoff("cutoff", cutoff, 1)
     rf = float(r)
     a1, a2 = (accumulate(_side_terms(n, -1, s, n - 1, cutoff + n - 1)) for s in (rf - 1, rf))
     # B(0) = 0 puts the sums over p <= c and q <= c at index c of every prefix list
@@ -230,7 +233,7 @@ def approx_formula(n: int, r) -> float:
     """The closed-form approximation of ||G||_r^r obtained by replacing the
     double sum with its comparison integrals:
 
-        r / (4^r (r-n)(r-n+1) n^{r-n} (n-1) (n-1)! (n-2)!)  +  n / (2n-2)^r.
+        r 4^{-r} n^{n-r} / ((r-n)(r-n+1) (n-1) (n-1)! (n-2)!)  +  n (2n-2)^{-r}.
 
     Captures the blow-up like 1/(r-n) as r -> n+ and the exact leading decay
     n/(2n-2)^r as r -> infinity, but carries no quantified error: certified
@@ -241,15 +244,10 @@ def approx_formula(n: int, r) -> float:
     if r <= n:
         raise ValueError(f"approximation requires r > n, got r={r}, n={n}")
     rf = float(r)
-    first = rf / (
-        4.0**rf
-        * (rf - n)
-        * (rf - n + 1)
-        * float(n) ** (rf - n)
-        * (n - 1)
-        * _bound_constant(n)
+    first = rf * 0.25**rf * float(n) ** (n - rf) / (
+        (rf - n) * (rf - n + 1) * (n - 1) * _bound_constant(n)
     )
-    second = n / float(2 * n - 2) ** rf
+    second = n * float(2 * n - 2) ** -rf
     return first + second
 
 
@@ -273,27 +271,22 @@ def _em_head(s: float, a: int, m: int) -> float:
     return head
 
 
-def _power_sum(s: float, a: int, b: int | None, lower: bool = True) -> float:
-    """sum_{k=a}^{b} k^(-s), with b = None meaning infinity.
+def _power_sum(s: float, a: int, b: int) -> float:
+    """sum_{k=a}^{b} k^(-s), as a rigorous lower bound on long ranges.
 
-    Short ranges are summed directly (ascending magnitude).  Long or infinite
-    ranges use the trapezoid form of Euler-Maclaurin on [m, b],
+    Short ranges are summed directly (ascending magnitude).  Long ranges use
+    the trapezoid form of Euler-Maclaurin on [m, b],
 
         sum_{k=m}^{b} f(k) = integral_m^b f + (f(m)+f(b))/2 + R,
         |R| <= (s/12) (m^{-s-1} - b^{-s-1}),
 
-    after summing [a, m) directly with m ~ 1e5 (memoised, see _em_head), so
-    the certified error bound is below 1e-10 absolute.  With ``lower`` the
-    bound is subtracted, making the result a rigorous lower bound for the
-    true sum; otherwise the midpoint estimate is returned.
+    after summing [a, m) directly with m ~ 1e5 (memoised, see _em_head).  The
+    bound on |R|, below 1e-10 absolute, is subtracted, making the result a
+    rigorous lower bound for the true sum.
     """
     if a < 1:
         raise ValueError("power sums start at a >= 1")
-    if b is not None and b < a:
-        return 0.0
-    if b is None and s <= 1:
-        return math.inf
-    if b is not None and b - a <= _DIRECT_LIMIT:
+    if b - a <= _DIRECT_LIMIT:
         total = 0.0
         for k in range(b, a - 1, -1) if s > 0 else range(a, b + 1):
             total += float(k) ** (-s)
@@ -303,16 +296,12 @@ def _power_sum(s: float, a: int, b: int | None, lower: bool = True) -> float:
     m = max(a, 100_000)
     head = _em_head(s, a, m)
     if s == 1:
-        integral = math.log(b / m) if b is not None else math.inf
+        integral = math.log(b / m)
     else:
-        upper = float(b) ** (1 - s) if b is not None else 0.0
-        integral = (float(m) ** (1 - s) - upper) / (s - 1)
-    if integral == math.inf:
-        return math.inf
-    end_term = float(b) ** (-s) if b is not None else 0.0
-    trapezoid = integral + (float(m) ** (-s) + end_term) / 2.0
+        integral = (float(m) ** (1 - s) - float(b) ** (1 - s)) / (s - 1)
+    trapezoid = integral + (float(m) ** (-s) + float(b) ** (-s)) / 2.0
     error = (s / 12.0) * float(m) ** (-s - 1)
-    return head + (trapezoid - error if lower else trapezoid)
+    return head + (trapezoid - error)
 
 
 def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
@@ -327,14 +316,14 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     """
     spectrum._check_dimension(n)
     r = _validate_order(r)
-    if P < n or Q < 1:
-        raise ValueError(f"requires P >= n={n} and Q >= 1")
+    _check_cutoff("P", P, n)
+    _check_cutoff("Q", Q, 1)
     rf = float(r)
     sp1 = _power_sum(rf - n + 1, n, P)  # sum p^{n-1-r}
     sp2 = _power_sum(rf - n + 2, n, P)  # sum p^{n-2-r}
     sq1 = _power_sum(rf - n + 1, 1, Q)
     sq2 = _power_sum(rf - n + 2, 1, Q)
-    return (sp1 * sq2 + sp2 * sq1) / (4.0**rf * _bound_constant(n))
+    return (sp1 * sq2 + sp2 * sq1) * 0.25**rf / _bound_constant(n)
 
 
 # -- tail bracket -------------------------------------------------------
@@ -353,23 +342,23 @@ def _integral_to_infinity(coeffs: list[float], r: float, x: float) -> float:
 
 
 def _side_sums(
-    n: int, shift: int, s: float, first: int, last: int, decreasing_from: int
+    n: int, shift: int, s: float, first: int, last: int, decreasing_from: int, scale: int = 1
 ) -> tuple[float, float, float]:
-    """For f(x) = C(x+shift, n-2) x^{-s}: the head sum over first <= x <= last
-    and a (lower, upper) bracket of the tail sum over x > last.
+    """For f(x) = C(x+shift, n-2) (scale x)^{-s}: the head sum over
+    first <= x <= last and a (lower, upper) bracket of the tail sum over x > last.
 
     f must be decreasing on [decreasing_from, inf); tail terms below that
     point are summed directly and the rest is bracketed by the integral test.
     """
-    head = math.fsum(_side_terms(n, shift, s, first, last))
+    head = math.fsum(_side_terms(n, shift, s, first, last, scale))
     start = max(last + 1, decreasing_from)
-    direct = math.fsum(_side_terms(n, shift, s, last + 1, start - 1))
+    direct = math.fsum(_side_terms(n, shift, s, last + 1, start - 1, scale))
     # C(x+shift, n-2) = prod_{j<n-2} (x+shift-j) / (n-2)!, lowest power first
     coeffs = [1.0 / math.factorial(n - 2)]
     for j in range(n - 2):
         coeffs = [(shift - j) * c + prev for c, prev in zip(coeffs + [0.0], [0.0] + coeffs)]
-    integral = _integral_to_infinity(coeffs, s, float(start))
-    (f_start,) = _side_terms(n, shift, s, start, start)
+    integral = _integral_to_infinity(coeffs, s, float(start)) * float(scale) ** -s
+    (f_start,) = _side_terms(n, shift, s, start, start, scale)
     return head, direct + integral, direct + integral + f_start
 
 
@@ -378,19 +367,18 @@ def _tail_bracket(n: int, r, P: int, Q: int) -> tuple[float, float]:
     from the rank-2 split of the module docstring; both +inf when r <= n."""
     spectrum._check_dimension(n)
     r = _validate_order(r)
-    if P < 0 or Q < 1:
-        raise ValueError("requires P >= 0 and Q >= 1")
+    _check_cutoff("P", P, 0)
+    _check_cutoff("Q", Q, 1)
     if r <= n:
         return math.inf, math.inf
     rf = float(r)
     bounds = [0.0, 0.0]
-    for sa, sb in ((rf - 1, rf), (rf, rf - 1)):
+    for sa, sb, weight in ((rf - 1, rf, 1.0), (rf, rf - 1, 0.5)):
         a_head, *a_tail = _side_sums(n, -1, sa, n - 1, P + n - 1, (n - 1) * (n - 2))
-        b_head, *b_tail = _side_sums(n, n - 2, sb, 1, Q, 1)
+        b_head, *b_tail = _side_sums(n, n - 2, sb, 1, Q, 1, 2)
         for i in (0, 1):
-            bounds[i] += (a_head + a_tail[i]) * b_tail[i] + a_tail[i] * b_head
-    scale = (n - 1) * 2.0**rf
-    return bounds[0] / scale, bounds[1] / scale
+            bounds[i] += weight * ((a_head + a_tail[i]) * b_tail[i] + a_tail[i] * b_head)
+    return bounds[0] / (n - 1), bounds[1] / (n - 1)
 
 
 def tail_upper_bound(n: int, r, P: int, Q: int) -> float:
@@ -444,14 +432,15 @@ def schatten_report(n: int, r, P: int, Q: int) -> SchattenReport:
     """Assemble the full report at cutoffs (P, Q)."""
     r = _validate_order(r)
     v = verdict(n, r)
+    tail_lower, tail_upper = _tail_bracket(n, r, P, Q)
     return SchattenReport(
         n=n,
         r=r,
         cutoff_p=P,
         cutoff_q=Q,
         partial_sum=partial_sum(n, r, P, Q),
-        tail_upper=tail_upper_bound(n, r, P, Q),
-        tail_lower=tail_lower_bound(n, r, P, Q),
+        tail_upper=tail_upper,
+        tail_lower=tail_lower,
         verdict=v,
         approx_value=approx_formula(n, r) if v == CONVERGES else None,
     )

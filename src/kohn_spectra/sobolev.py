@@ -80,11 +80,10 @@ def equality_bidegree(n: int) -> Bidegree:
 
 
 def ratio(n: int, s, k: int) -> Fraction | float:
-    """(1 + k(k+2n-2))^s / (4(k+n-2)^2); exact for integral s."""
-    spectrum._check_dimension(n)
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"degree must be a positive integer, got {k}")
-    return spectrum.power(k * (k + 2 * n - 2) + 1, s) / (4 * (k + n - 2) ** 2)
+    """(1 + mu(k))^s / lambda_min(k)^2 = (1 + k(k+2n-2))^s / (4(k+n-2)^2);
+    exact for integral s."""
+    lam = spectrum.lambda_min(n, k)
+    return spectrum.power(1 + spectrum.laplace_beltrami_eigenvalue(n, k), s) / lam**2
 
 
 @dataclass(frozen=True)
@@ -168,21 +167,15 @@ class BestConstantReport:
         }
 
 
-def best_constant(n: int, scan_max: int | None = None) -> BestConstantReport:
+def best_constant(n: int) -> BestConstantReport:
     """Exact maximum of the t = 1 ratio sequence, with equality locus and
     comparison flags for the two circulating closed-form displays.
 
-    The scan window must extend at least n^2 past the critical degree so the
-    certified decreasing tail provably brackets the maximum.
+    The scan window extends n^2 past the critical degree, so the certified
+    decreasing tail provably brackets the maximum.
     """
     spectrum._check_dimension(n)
-    required = max(1, critical_degree(n)) + n * n
-    if scan_max is None:
-        scan_max = required
-    if scan_max < required:
-        raise ValueError(
-            f"scan_max={scan_max} cannot bracket the maximum; need at least {required}"
-        )
+    scan_max = max(1, critical_degree(n)) + n * n
     k_star = decreasing_tail_certificate(n)
 
     best_k = 1

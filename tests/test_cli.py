@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from kohn_spectra.polynomials import fraction_to_string
+from kohn_spectra.schatten import partial_sum
+
 GOLDEN = Path(__file__).parent / "golden"
 
 ZBAR1 = {
@@ -210,11 +213,8 @@ def test_unwritable_path_rejected(tmp_path, command):
     [
         ("ratio", "--n", "2", "--s", "1001/2", "--k-max", "100"),
         ("apply", "--n", "2", "--operator", "sobolev", "--t", "2001/2", "--input"),
-        ("schatten", "--n", "2", "--r", "2001/2", "--cutoff-p", "3", "--cutoff-q", "3"),
-        ("schatten-approx", "--n", "2", "--r", "2001/2"),
-        ("schatten", "--n", "2", "--r", "100000", "--cutoff-p", "3", "--cutoff-q", "3"),
     ],
-    ids=["ratio", "apply-sobolev", "schatten-float", "schatten-approx", "schatten-tail"],
+    ids=["ratio", "apply-sobolev"],
 )
 def test_float_overflow_rejected(tmp_path, command):
     if command[-1] == "--input":
@@ -225,6 +225,29 @@ def test_float_overflow_rejected(tmp_path, command):
     assert cp.returncode == 1
     assert "Traceback" not in cp.stderr
     assert "overflow" in json.loads(cp.stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("schatten", "--n", "2", "--r", "2001/2", "--cutoff-p", "3", "--cutoff-q", "3"),
+        ("schatten-approx", "--n", "2", "--r", "2001/2"),
+        ("schatten", "--n", "2", "--r", "100000", "--cutoff-p", "3", "--cutoff-q", "3"),
+        ("schatten", "--n", "2", "--r", "512", "--cutoff-p", "3", "--cutoff-q", "3"),
+        ("schatten", "--n", "3", "--r", "700", "--cutoff-p", "3", "--cutoff-q", "3"),
+    ],
+    ids=["schatten-float", "schatten-approx", "schatten-tail", "schatten-512", "schatten-n3"],
+)
+def test_huge_orders_underflow(command):
+    obj = json.loads(run_cli(*command).stdout)
+    if command[0] == "schatten":
+        assert 0 <= obj["tail_lower_float"] <= obj["tail_upper_float"] < 1e-300
+    assert obj["approx_value_float"] >= 0
+
+
+def test_long_exact_rationals_print():
+    obj = json.loads(run_cli("schatten", "--n", "2", "--r", "26").stdout)
+    assert obj["partial_sum"] == fraction_to_string(partial_sum(2, 26, 200, 200))
 
 
 def test_invalid_parameters_rejected():

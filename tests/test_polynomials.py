@@ -239,6 +239,8 @@ def test_exactness_warranty_at_degree_limit():
 class TestSerialization:
     def test_fraction_strings(self):
         assert fraction_to_string(Fraction(-3, 6)) == "-1/2"
+        # longer than the 4300 digits str(int) prints by default
+        assert fraction_to_string(Fraction(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
         assert fraction_from_string("7/2") == Fraction(7, 2)
         assert fraction_from_string("5") == Fraction(5)
         with pytest.raises(FormatError):

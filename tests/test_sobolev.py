@@ -112,10 +112,6 @@ class TestBestConstant:
         for n in range(3, 11):
             assert ratio(n, 1, critical_degree(n)) == proof_display_c_squared(n)
 
-    def test_insufficient_scan_rejected(self):
-        with pytest.raises(ValueError):
-            best_constant(5, scan_max=10)
-
     def test_tail_certificate(self):
         for n in range(2, 12):
             k_star = decreasing_tail_certificate(n)
