@@ -24,34 +24,31 @@ m_{p,q} = (p+q+n-1)/(n-1) C(p+n-2, n-2) C(q+n-2, n-2) gives
 
 This is the module's one scaling convention: the 2 of the eigenvalue sits
 inside the q-side power.  No float power in this module grows with r, so
-huge orders underflow towards 0 instead of overflowing.  At
-non-integer r the partial sum is (A1 B1 + A2 B2 / 2) / (n-1) over four 1-d
-math.fsum sums of a_{r-1}, a_r, b_r and b_{r-1}: O(P+Q) terms, not (P+1)Q.
+huge orders underflow towards 0 instead of overflowing; factorials and
+binomials meet floats only as exact integer quotients rounded once, so huge
+n does the same.  At non-integer r the partial sum is (A1 B1 + A2 B2 / 2) /
+(n-1) over four 1-d math.fsum sums of a_{r-1}, a_r, b_r and b_{r-1}: O(P+Q)
+terms, not (P+1)Q.
 
-Huge cutoffs.  The power sums behind the divergence witness switch to
-Euler-Maclaurin above _DIRECT_LIMIT summands, after a direct head of about
-1e5 terms.  The head depends only on the exponent and the start, which stay
-fixed while the witness doubles its cutoff, so it is memoised.
+Certified 1-d sums.  The tail bracket and the divergence witness rest on one
+bracket (_sum_bracket) of a sum of f(x) = C(x+shift, k) (scale x)^{-s}: a
+direct head, then the integral test on the rest, where f is monotone,
 
-The tail bracket.  For each rank term the discarded region
+    integral_m^b f + min(f(m), f(b))  <=  sum_{x=m}^{b} f(x)
+                                      <=  integral_m^b f + max(f(m), f(b)),
+
+with f(inf) = 0, both ends rounded outward.  Expanding the binomial gives the
+integral from powers of x; it is validated against numeric quadrature in
+the test suite.  For each rank term the discarded region
 {q > Q} union {p > P, q <= Q} carries A B_tail + A_tail B_head, where the
-heads are the direct sums over p <= P and q <= Q and A = A_head + A_tail sums
-over all p >= 0.  Each 1-d tail is bracketed by the integral test, valid for
-f decreasing on [X, inf):
-
-    integral_X^inf f  <=  sum_{x>=X} f(x)  <=  f(X) + integral_X^inf f.
-
-The p-side factor C(x-1, n-2) x^{-s} has log derivative at most
+heads sum over p <= P and q <= Q and A = A_head + A_tail sums over all
+p >= 0.  The p-side factor C(x-1, n-2) x^{-s} has log derivative at most
 (n-2)/(x-n+2) - s/x, so it decreases for x >= (n-1)(n-2) when s >= n-1, and
 tail terms below that point are summed directly.  The q-side factor
-decreases for every q >= 1 once s > n-2.  Both are a polynomial times a
-power, so the identity
-
-    integral_X^inf x^j (c x)^{-s} dx = c^{-s} X^(j+1-s) / (s-j-1)      (s > j+1)
-
-gives every integral; it is validated against independent numeric
-quadrature in the test suite.  All factors are nonnegative, so the 1-d lower
-and upper bounds combine directly into the two-sided bracket.
+decreases for every q >= 1 once s > n-2.  All factors are nonnegative, so
+the 1-d brackets combine directly into the two-sided tail bracket.  The
+witness brackets four power sums (k = 0) after a head of _WITNESS_HEAD
+terms, so one evaluation costs the same at any cutoff.
 
 Termwise bounds from the paper, checked by the acceptance criteria and by
 ``verify`` (valid for every p, q >= 0 resp. p >= n):
@@ -65,8 +62,8 @@ Termwise bounds from the paper, checked by the acceptance criteria and by
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -95,9 +92,9 @@ __all__ = [
 CONVERGES = "Converges"
 DIVERGES = "Diverges"
 
-# Above this many summands a 1-d power sum switches from direct summation to
-# the certified Euler-Maclaurin evaluation (see _power_sum).
-_DIRECT_LIMIT = 200_000
+# Terms each power sum of the divergence witness adds up directly before the
+# integral test of _sum_bracket takes over (see lower_bound_sum).
+_WITNESS_HEAD = 1000
 
 
 def _as_exponent(r) -> Fraction | float:
@@ -128,14 +125,24 @@ def _check_cutoff(name: str, value, least: int) -> None:
         raise ValueError(f"cutoff {name} must be an integer >= {least}, got {value!r}")
 
 
+def _times_power(num: int, base: int, r, den: int = 1) -> Fraction | float:
+    """num * base^{-r} / den: exact for integral r.  Otherwise only
+    base^(floor(r)-r), in (1/base, 1], is a float power; it meets the exact
+    num / (den base^floor(r)) once, so neither huge ints nor an underflowing
+    power spoil a representable result."""
+    whole = math.floor(r)
+    power = spectrum.power(base, whole - r)
+    value = Fraction(num, den * base**whole) * Fraction(power)
+    return value if isinstance(power, Fraction) else float(value)
+
+
 def schatten_term(n: int, r, p: int, q: int) -> Fraction | float:
     """Exact summand m_{p,q} / (2q(p+n-1))^r; Fraction for integer r."""
     spectrum._check_dimension(n)
     r = _validate_order(r)
     if q < 1 or p < 0:
         raise ValueError("requires q >= 1 and p >= 0")
-    m = spectrum.multiplicity(n, Bidegree(p, q))
-    return m * spectrum.power(2 * q * (p + n - 1), -r)
+    return _times_power(spectrum.multiplicity(n, Bidegree(p, q)), 2 * q * (p + n - 1), r)
 
 
 def upper_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
@@ -156,7 +163,7 @@ def upper_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
         num = (n + p + q - 1) * (p + n - 2) ** (n - 2) * (q + n - 2) ** (n - 2)
         den_base = 2 * p * q
         den_const = _bound_constant(n)
-    return num * spectrum.power(den_base, -r) / den_const
+    return _times_power(num, den_base, r, den_const)
 
 
 def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
@@ -166,14 +173,19 @@ def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
     if q < 1 or p < n:
         raise ValueError("requires q >= 1 and p >= n")
     num = (p + q) * p ** (n - 2) * q ** (n - 2)
-    return num * spectrum.power(4 * p * q, -r) / _bound_constant(n)
+    return _times_power(num, 4 * p * q, r, _bound_constant(n))
 
 
 def _side_terms(
-    n: int, shift: int, s: float, first: int, last: int, scale: int = 1
+    k: int, shift: int, s: float, first: int, last: int, scale: int = 1
 ) -> list[float]:
-    """The 1-d terms C(x+shift, n-2) (scale x)^{-s} for first <= x <= last."""
-    return [math.comb(x + shift, n - 2) * float(scale * x) ** -s for x in range(first, last + 1)]
+    """The 1-d terms C(x+shift, k) (scale x)^{-s} for first <= x <= last, as
+    C(x+shift, k) / b^t (an exact quotient rounded once) times b^(t-s), b = scale x.
+    t <= k is 0 unless b^{-s} would fall below 2^-1000 on the range, so a binomial
+    past the float range or a power below it never spoils a representable term."""
+    t = max(0, min(k, math.ceil(s - 1000 / math.log2(max(2, scale * last)))))
+    e = t - s
+    return [math.comb(x + shift, k) / (b := scale * x) ** t * b**e for x in range(first, last + 1)]
 
 
 def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
@@ -201,8 +213,8 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
             total += row * (M // (2 * q) ** r_int)
         return Fraction(total, L * M)
     rf = float(r)
-    a1, a2 = (math.fsum(_side_terms(n, -1, s, n - 1, P + n - 1)) for s in (rf - 1, rf))
-    b1, b2 = (math.fsum(_side_terms(n, n - 2, s, 1, Q, 2)) for s in (rf, rf - 1))
+    a1, a2 = (math.fsum(_side_terms(n - 2, -1, s, n - 1, P + n - 1)) for s in (rf - 1, rf))
+    b1, b2 = (math.fsum(_side_terms(n - 2, n - 2, s, 1, Q, 2)) for s in (rf, rf - 1))
     return (a1 * b1 + a2 * b2 / 2) / (n - 1)
 
 
@@ -213,11 +225,11 @@ def partial_sum_series(n: int, r, cutoff: int) -> list[tuple[int, float]]:
     so the whole series costs O(cutoff) terms."""
     spectrum._check_dimension(n)
     r = _validate_order(r)
-    _check_cutoff("cutoff", cutoff, 1)
+    _check_cutoff("of the series", cutoff, 0)
     rf = float(r)
-    a1, a2 = (accumulate(_side_terms(n, -1, s, n - 1, cutoff + n - 1)) for s in (rf - 1, rf))
+    a1, a2 = (accumulate(_side_terms(n - 2, -1, s, n - 1, cutoff + n - 1)) for s in (rf - 1, rf))
     # B(0) = 0 puts the sums over p <= c and q <= c at index c of every prefix list
-    b1, b2 = (accumulate(_side_terms(n, n - 2, s, 1, cutoff, 2), initial=0.0) for s in (rf, rf - 1))
+    b1, b2 = (accumulate(_side_terms(n - 2, n - 2, s, 1, cutoff, 2), initial=0.0) for s in (rf, rf - 1))
     sums = enumerate(zip(a1, a2, b1, b2))
     return [(c, (x1 * y1 + x2 * y2 / 2) / (n - 1)) for c, (x1, x2, y1, y2) in sums][1:]
 
@@ -244,8 +256,9 @@ def approx_formula(n: int, r) -> float:
     if r <= n:
         raise ValueError(f"approximation requires r > n, got r={r}, n={n}")
     rf = float(r)
-    first = rf * 0.25**rf * float(n) ** (n - rf) / (
-        (rf - n) * (rf - n + 1) * (n - 1) * _bound_constant(n)
+    first = float(
+        Fraction(rf * 0.25**rf * float(n) ** (n - rf))
+        / (Fraction((rf - n) * (rf - n + 1)) * (n - 1) * _bound_constant(n))
     )
     second = n * float(2 * n - 2) ** -rf
     return first + second
@@ -254,54 +267,66 @@ def approx_formula(n: int, r) -> float:
 def approx_pole_constant(n: int) -> float:
     """lim_{r->n+} (r-n) * approx_formula(n, r) = n / (4^n (n-1) (n-1)!(n-2)!)."""
     spectrum._check_dimension(n)
-    return n / (4.0**n * (n - 1) * _bound_constant(n))
+    return n / (4**n * (n - 1) * _bound_constant(n))
 
 
-# -- 1-d power sums with certified evaluation ---------------------------
+# -- certified 1-d sums ---------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _em_head(s: float, a: int, m: int) -> float:
-    """sum_{k=a}^{m-1} k^(-s) in descending order: the direct head of the
-    Euler-Maclaurin branch of _power_sum, memoised because the cutoff
-    doubling of the divergence witness asks for the same (s, a) every time."""
-    head = 0.0
-    for k in range(m - 1, a - 1, -1):
-        head += float(k) ** (-s)
-    return head
+def _outward(lower: float, upper: float, size: float) -> tuple[float, float]:
+    """Round a (lower, upper) bracket of a nonnegative quantity outward.
 
-
-def _power_sum(s: float, a: int, b: int) -> float:
-    """sum_{k=a}^{b} k^(-s), as a rigorous lower bound on long ranges.
-
-    Short ranges are summed directly (ascending magnitude).  Long ranges use
-    the trapezoid form of Euler-Maclaurin on [m, b],
-
-        sum_{k=m}^{b} f(k) = integral_m^b f + (f(m)+f(b))/2 + R,
-        |R| <= (s/12) (m^{-s-1} - b^{-s-1}),
-
-    after summing [a, m) directly with m ~ 1e5 (memoised, see _em_head).  The
-    bound on |R|, below 1e-10 absolute, is subtracted, making the result a
-    rigorous lower bound for the true sum.
+    size is the sum of the absolute values of the pieces behind both ends.
+    Each piece takes a few roundings and one libm pow or log1p, assumed
+    within 1 ulp as glibc documents, before math.fsum and a few additions,
+    so 8 ulps of size bound the error; the smallest normal double covers
+    pieces that underflowed, and one math.nextafter the margin's own rounding.
     """
-    if a < 1:
-        raise ValueError("power sums start at a >= 1")
-    if b - a <= _DIRECT_LIMIT:
-        total = 0.0
-        for k in range(b, a - 1, -1) if s > 0 else range(a, b + 1):
-            total += float(k) ** (-s)
-        return total
-    if s <= 0:
-        raise ValueError("huge-cutoff evaluation needs decaying terms (s > 0)")
-    m = max(a, 100_000)
-    head = _em_head(s, a, m)
-    if s == 1:
-        integral = math.log(b / m)
-    else:
-        integral = (float(m) ** (1 - s) - float(b) ** (1 - s)) / (s - 1)
-    trapezoid = integral + (float(m) ** (-s) + float(b) ** (-s)) / 2.0
-    error = (s / 12.0) * float(m) ** (-s - 1)
-    return head + (trapezoid - error)
+    margin = 8 * sys.float_info.epsilon * size + sys.float_info.min
+    return (
+        max(0.0, math.nextafter(lower - margin, -math.inf)),
+        math.nextafter(upper + margin, math.inf),
+    )
+
+
+def _sum_bracket(
+    k: int, shift: int, s: float, first: int, last, direct_to: int, scale: int = 1
+) -> tuple[float, float]:
+    """Outward-rounded (lower, upper) for sum_{x=first}^{last} C(x+shift, k) (scale x)^{-s},
+    last possibly math.inf: terms through direct_to are summed directly, the
+    rest, on which the terms must be monotone, by the integral test of the
+    module docstring.  With e = j+1-s, the term c_j x^j of the expanded
+    binomial adds c_j scale^{-s} (last^e - m^e) / e to the integral, or
+    c_j scale^{-s} log(last/m) when e = 0; counting |m^e| and |last^e| apart in
+    its size covers their cancellation and that of alternating c_j.
+    """
+    m = max(first, direct_to + 1)
+    direct = math.fsum(_side_terms(k, shift, s, first, min(last, m - 1), scale))
+    if m > last:
+        return _outward(direct, direct, direct)
+    # C(x+shift, k) = prod_{j<k} (x+shift-j) / k!: exact integer coefficients, lowest power first
+    coeffs = [1]
+    for j in range(k):
+        coeffs = [(shift - j) * c + prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
+    pieces, sizes = [], []
+    for j, c in enumerate(c / math.factorial(k) for c in coeffs):
+        e = j + 1 - s
+        if e == 0:
+            pieces.append(c * math.log1p((last - m) / m))
+            sizes.append(abs(pieces[-1]))
+        else:
+            ends = float(m) ** e, float(last) ** e
+            pieces.append(c * (ends[1] - ends[0]) / e)
+            sizes.append(abs(c * (ends[0] + ends[1]) / e))
+    scale_s = float(scale) ** -s
+    integral = math.fsum(pieces) * scale_s
+    (f_m,) = _side_terms(k, shift, s, m, m, scale)
+    f_last = 0.0 if last == math.inf else _side_terms(k, shift, s, last, last, scale)[0]
+    return _outward(
+        direct + integral + min(f_m, f_last),
+        direct + integral + max(f_m, f_last),
+        direct + math.fsum(sizes) * scale_s + f_m + f_last,
+    )
 
 
 def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
@@ -309,57 +334,25 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
 
     A rigorous lower bound for ||G||_r^r over that index range.  The summand
     separates as p^{n-1-r} q^{n-2-r} + p^{n-2-r} q^{n-1-r}, so the double sum
-    is a combination of four 1-d power sums; those are evaluated with
-    certified lower rounding (see _power_sum), which keeps the result a true
-    lower bound even at cutoffs far beyond direct summation (the r = n
-    divergence witness needs ~60 cutoff doublings).
+    combines four 1-d power sums, each the lower end of _sum_bracket; the cost
+    does not grow with the cutoffs, which the r = n divergence witness doubles
+    about 60 times.
     """
     spectrum._check_dimension(n)
     r = _validate_order(r)
     _check_cutoff("P", P, n)
     _check_cutoff("Q", Q, 1)
     rf = float(r)
-    sp1 = _power_sum(rf - n + 1, n, P)  # sum p^{n-1-r}
-    sp2 = _power_sum(rf - n + 2, n, P)  # sum p^{n-2-r}
-    sq1 = _power_sum(rf - n + 1, 1, Q)
-    sq2 = _power_sum(rf - n + 2, 1, Q)
-    return (sp1 * sq2 + sp2 * sq1) * 0.25**rf / _bound_constant(n)
+    # sp1 = sum_p p^{n-1-r}, sp2 = sum_p p^{n-2-r}, and the same over q
+    sp1, sp2, sq1, sq2 = (
+        _sum_bracket(0, 0, rf - n + j, first, last, first + _WITNESS_HEAD - 1)[0]
+        for j, first, last in ((1, n, P), (2, n, P), (1, 1, Q), (2, 1, Q))
+    )
+    value = float(Fraction((sp1 * sq2 + sp2 * sq1) * 0.25**rf) / _bound_constant(n))
+    return _outward(value, value, value)[0]
 
 
 # -- tail bracket -------------------------------------------------------
-
-
-def _integral_to_infinity(coeffs: list[float], r: float, x: float) -> float:
-    """integral_x^inf (sum_j c_j v^j) / v^r dv, requiring r > deg+1."""
-    total = 0.0
-    for j, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        if r <= j + 1:
-            raise ValueError(f"integral diverges: power {j} needs r > {j + 1}")
-        total += c * x ** (j + 1 - r) / (r - j - 1)
-    return total
-
-
-def _side_sums(
-    n: int, shift: int, s: float, first: int, last: int, decreasing_from: int, scale: int = 1
-) -> tuple[float, float, float]:
-    """For f(x) = C(x+shift, n-2) (scale x)^{-s}: the head sum over
-    first <= x <= last and a (lower, upper) bracket of the tail sum over x > last.
-
-    f must be decreasing on [decreasing_from, inf); tail terms below that
-    point are summed directly and the rest is bracketed by the integral test.
-    """
-    head = math.fsum(_side_terms(n, shift, s, first, last, scale))
-    start = max(last + 1, decreasing_from)
-    direct = math.fsum(_side_terms(n, shift, s, last + 1, start - 1, scale))
-    # C(x+shift, n-2) = prod_{j<n-2} (x+shift-j) / (n-2)!, lowest power first
-    coeffs = [1.0 / math.factorial(n - 2)]
-    for j in range(n - 2):
-        coeffs = [(shift - j) * c + prev for c, prev in zip(coeffs + [0.0], [0.0] + coeffs)]
-    integral = _integral_to_infinity(coeffs, s, float(start)) * float(scale) ** -s
-    (f_start,) = _side_terms(n, shift, s, start, start, scale)
-    return head, direct + integral, direct + integral + f_start
 
 
 def _tail_bracket(n: int, r, P: int, Q: int) -> tuple[float, float]:
@@ -374,11 +367,14 @@ def _tail_bracket(n: int, r, P: int, Q: int) -> tuple[float, float]:
     rf = float(r)
     bounds = [0.0, 0.0]
     for sa, sb, weight in ((rf - 1, rf, 1.0), (rf, rf - 1, 0.5)):
-        a_head, *a_tail = _side_sums(n, -1, sa, n - 1, P + n - 1, (n - 1) * (n - 2))
-        b_head, *b_tail = _side_sums(n, n - 2, sb, 1, Q, 1, 2)
+        a_head = _sum_bracket(n - 2, -1, sa, n - 1, P + n - 1, P + n - 1)
+        a_tail = _sum_bracket(n - 2, -1, sa, P + n, math.inf, (n - 1) * (n - 2) - 1)
+        b_head = _sum_bracket(n - 2, n - 2, sb, 1, Q, Q, 2)
+        b_tail = _sum_bracket(n - 2, n - 2, sb, Q + 1, math.inf, 0, 2)
         for i in (0, 1):
-            bounds[i] += weight * ((a_head + a_tail[i]) * b_tail[i] + a_tail[i] * b_head)
-    return bounds[0] / (n - 1), bounds[1] / (n - 1)
+            bounds[i] += weight * ((a_head[i] + a_tail[i]) * b_tail[i] + a_tail[i] * b_head[i])
+    lower, upper = (b / (n - 1) for b in bounds)
+    return _outward(lower, upper, upper)
 
 
 def tail_upper_bound(n: int, r, P: int, Q: int) -> float:

@@ -245,6 +245,40 @@ def test_huge_orders_underflow(command):
     assert obj["approx_value_float"] >= 0
 
 
+def test_positive_tail_keeps_positive_upper_bound():
+    # the true tail is below the smallest double; the outward-rounded bound is not 0
+    cp = run_cli("schatten", "--n", "2", "--r", "1100", "--cutoff-p", "3", "--cutoff-q", "3")
+    obj = json.loads(cp.stdout)
+    assert obj["tail_lower_float"] == 0.0
+    assert 0.0 < obj["tail_upper_float"] < 1e-300
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("schatten", "--n", "200", "--r", "201", "--cutoff-p", "2", "--cutoff-q", "2"),
+        ("schatten", "--n", "130", "--r", "131", "--cutoff-p", "2", "--cutoff-q", "2"),
+        ("schatten-approx", "--n", "200", "--r", "201"),
+    ],
+    ids=["schatten-n200", "schatten-n130", "schatten-approx-n200"],
+)
+def test_huge_dimensions_stay_in_float_range(command):
+    obj = json.loads(run_cli(*command).stdout)
+    floats = [v for k, v in obj.items() if k.endswith("_float") and k != "r_float"]
+    assert floats and all(0 <= v < 1 for v in floats)
+    if command[0] == "schatten":
+        assert obj["tail_lower_float"] <= obj["tail_upper_float"]
+
+
+def test_schatten_plot_with_empty_cutoff(tmp_path):
+    plot = tmp_path / "series.csv"
+    run_cli(
+        "schatten", "--n", "2", "--r", "3", "--cutoff-p", "0", "--cutoff-q", "5",
+        "--emit-plot", str(plot), "--output", str(tmp_path / "report.json"),
+    )
+    assert plot.read_text().splitlines() == ["cutoff,partial_sum_float"]
+
+
 def test_long_exact_rationals_print():
     obj = json.loads(run_cli("schatten", "--n", "2", "--r", "26").stdout)
     assert obj["partial_sum"] == fraction_to_string(partial_sum(2, 26, 200, 200))

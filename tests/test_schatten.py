@@ -1,9 +1,10 @@
 """Schatten norms: exact partial sums, certified tail bounds, verdicts.
 
-The tail bracket rests on elementary antiderivatives of power functions;
-those are validated here against independent numeric quadrature (scipy),
-and the whole bracket against brute-force summation and the zeta closed
-forms of ||G||_r^r for n = 2 and 3, before the acceptance suite leans on it.
+The tail bracket and the divergence witness rest on one integral-test
+bracket of 1-d sums; its integrals are validated here against independent
+numeric quadrature (scipy), its ends against brute-force and mpmath sums,
+and the whole tail bracket against the zeta closed forms of ||G||_r^r for
+n = 2 and 3, before the acceptance suite leans on it.
 """
 
 import math
@@ -15,13 +16,10 @@ from scipy import integrate, special
 from kohn_spectra import spectrum
 from kohn_spectra.polynomials import Bidegree
 from kohn_spectra.schatten import (
-    _DIRECT_LIMIT,
+    _WITNESS_HEAD,
     CONVERGES,
     DIVERGES,
-    _em_head,
-    _integral_to_infinity,
-    _power_sum,
-    _side_sums,
+    _sum_bracket,
     approx_formula,
     approx_pole_constant,
     lower_bound_sum,
@@ -251,41 +249,72 @@ class TestApproxFormula:
             approx_formula(2, 2)
 
 
-class TestPowerSum:
-    def test_direct_matches_bruteforce(self):
-        expected = sum(k ** -1.5 for k in range(3, 1000))
-        assert _power_sum(1.5, 3, 999) == pytest.approx(expected, rel=1e-12)
+def brute_side_sum(k, shift, s, first, last, scale=1):
+    """sum_{x=first}^{last} C(x+shift, k) (scale x)^{-s} in plain floats, term by term."""
+    return math.fsum(math.comb(x + shift, k) * float(scale * x) ** -s for x in range(first, last + 1))
 
-    def test_euler_maclaurin_matches_direct(self):
-        # range chosen just past the direct-summation threshold
+
+class TestSumBracket:
+    def test_direct_range_contains_exact_sum(self):
+        mpmath = pytest.importorskip("mpmath")
+        lower, upper = _sum_bracket(0, 0, 1.5, 3, 999, 999)
+        with mpmath.workdps(40):
+            exact = mpmath.fsum(mpmath.mpf(x) ** mpmath.mpf(-1.5) for x in range(3, 1000))
+        assert lower < exact < upper
+        assert upper - lower <= 1e-14 * exact
+
+    def test_old_euler_maclaurin_range_lies_inside(self):
+        # the range just past the former 200 000-term direct-summation limit
         a, b, s = 5, 300_007, 1.25
-        direct = 0.0
-        for k in range(b, a - 1, -1):
-            direct += float(k) ** -s
-        em = _power_sum(s, a, b)
-        assert em == pytest.approx(direct, rel=1e-10)
-        assert em <= direct + 1e-12
+        direct = brute_side_sum(0, 0, s, a, b)
+        lower, upper = _sum_bracket(0, 0, s, a, b, a + _WITNESS_HEAD - 1)
+        assert lower <= direct <= upper
+        assert upper - lower <= 1e-3 * direct
 
-    def test_memoised_head_is_bit_identical(self):
-        a, b, s = 2, 50 * _DIRECT_LIMIT, 1.25
-        # the Euler-Maclaurin branch written out, head summed in descending order
-        m = max(a, 100_000)
-        head = 0.0
-        for k in range(m - 1, a - 1, -1):
-            head += float(k) ** (-s)
-        upper = float(b) ** (1 - s)
-        end_term = float(b) ** (-s)
-        trapezoid = (float(m) ** (1 - s) - upper) / (s - 1) + (float(m) ** (-s) + end_term) / 2.0
-        error = (s / 12.0) * float(m) ** (-s - 1)
-        reference = head + (trapezoid - error)
+    @pytest.mark.parametrize(
+        "k, shift, s, first, last, direct_to, scale",
+        [
+            (0, 0, 1.25, 5, 5000, 104, 1),  # decreasing power sum
+            (0, 0, 1.0, 1, 5000, 10, 1),  # the logarithmic integral
+            (0, 0, -1.5, 1, 5000, 50, 1),  # increasing terms
+            (0, 0, -2.0, 4, 3000, 4, 1),  # increasing, no direct head
+            (2, -1, 4.5, 3, 20000, 9, 1),  # p side across the switch, n = 4
+            (1, 1, 2.5, 1, 20000, 30, 2),  # q side, n = 3
+            (1, 1, 2.5, 1, 7, 30, 2),  # range ends inside the direct head
+        ],
+    )
+    def test_finite_ranges_contain_brute_force(self, k, shift, s, first, last, direct_to, scale):
+        lower, upper = _sum_bracket(k, shift, s, first, last, direct_to, scale)
+        brute = brute_side_sum(k, shift, s, first, last, scale)
+        assert 0 < lower <= brute <= upper
+        if direct_to >= last:
+            assert upper - lower <= 1e-14 * brute
 
-        _em_head.cache_clear()
-        cold = _power_sum(s, a, b)
-        warm = _power_sum(s, a, b)
-        assert _em_head.cache_info().hits == 1
-        _em_head.cache_clear()
-        cleared = _power_sum(s, a, b)
-        assert cold == warm == cleared == reference
+    @pytest.mark.parametrize(
+        "n, shift, s, first, direct_to",
+        [
+            (2, -1, 2.5, 10, -1),  # p side, n = 2
+            (4, -1, 4.5, 4, 5),  # p side, tail starts below the threshold
+            (4, -1, 4.0, 41, 5),
+            (3, 1, 3.5, 8, 0),  # q side
+            (4, 2, 5.0, 13, 0),
+        ],
+    )
+    def test_sum_bracket_against_quadrature(self, n, shift, s, first, direct_to):
+        def f(x):
+            return special.binom(x + shift, n - 2) * x**-s
+
+        lower, upper = _sum_bracket(n - 2, shift, s, first, math.inf, direct_to)
+        start = max(first, direct_to + 1)
+        direct = sum(f(x) for x in range(first, start))
+        integral, err = integrate.quad(f, start, math.inf, epsabs=0, epsrel=1e-12, limit=200)
+        assert err < 1e-9 * integral
+        assert lower == pytest.approx(direct + integral, rel=1e-9)
+        assert upper - lower == pytest.approx(f(start), rel=1e-9)
+        # truncated at 10^5, where the rest of every tail here is far smaller
+        # than the gap f(start)/2 between the lower bound and the true tail
+        brute = sum(f(x) for x in range(first, 10**5))
+        assert lower <= brute <= upper
 
 
 class TestTermBounds:
@@ -303,6 +332,15 @@ class TestTermBounds:
             for p in range(0, n):
                 for q in range(1, 12):
                     assert schatten_term(n, n + 1, p, q) <= upper_bound_term(n, n + 1, p, q)
+
+    def test_float_order_at_huge_n(self):
+        # (n-1)!(n-2)! and the numerator both lie far beyond the float range
+        value = upper_bound_term(120, 121.5, 3, 3)
+        assert type(value) is float
+        assert 0 < value < 1
+        # the float power 1800^-121.5 underflows; the bound itself is about 3e-273
+        assert upper_bound_term(120, 121.5, 30, 30) == pytest.approx(10**-272.4978697, rel=1e-6)
+        assert type(lower_bound_term(120, 121.5, 120, 3)) is float
 
     def test_lower_term_requires_p_at_least_n(self):
         with pytest.raises(ValueError):
@@ -326,6 +364,16 @@ class TestLowerBoundSum:
         values = [lower_bound_sum(2, 2, 100 * 2**i, 100 * 2**i) for i in range(8)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_increasing_terms_on_long_ranges(self):
+        # at n = 4, r = 1 the summand is (p+q) p q / 48: every 1-d sum grows
+        P, Q = 300_000, 10
+        p1, p2 = sum(range(4, P + 1)), sum(p * p for p in range(4, P + 1))
+        q1, q2 = sum(range(1, Q + 1)), sum(q * q for q in range(1, Q + 1))
+        exact = Fraction(p2 * q1 + p1 * q2, 48)
+        value = lower_bound_sum(4, 1, P, Q)
+        assert math.isfinite(value)
+        assert (1 - 1e-3) * exact <= value <= exact
+
     def test_huge_cutoffs_evaluable(self):
         value = lower_bound_sum(2, 2, 100 * 2**60, 100 * 2**60)
         assert math.isfinite(value)
@@ -337,42 +385,6 @@ class TestLowerBoundSum:
 
 
 class TestTailBounds:
-    def test_antiderivative_against_quadrature(self):
-        coeffs = [3.0, 1.0, 2.0]
-        r, x = 5.5, 7.0
-        expected, err = integrate.quad(
-            lambda v: (coeffs[0] + coeffs[1] * v + coeffs[2] * v**2) / v**r, x, math.inf
-        )
-        assert _integral_to_infinity(coeffs, r, x) == pytest.approx(expected, rel=1e-9)
-        assert err < 1e-9
-
-    @pytest.mark.parametrize(
-        "n, shift, s, first, last, decreasing_from",
-        [
-            (2, -1, 2.5, 1, 9, 0),  # p side, n = 2
-            (4, -1, 4.5, 3, 3, 6),  # p side, tail starts below the threshold
-            (4, -1, 4.0, 3, 40, 6),
-            (3, 1, 3.5, 1, 7, 1),  # q side
-            (4, 2, 5.0, 1, 12, 1),
-        ],
-    )
-    def test_side_sums_against_quadrature(self, n, shift, s, first, last, decreasing_from):
-        def f(x):
-            return special.binom(x + shift, n - 2) * x**-s
-
-        head, lower, upper = _side_sums(n, shift, s, first, last, decreasing_from)
-        assert head == pytest.approx(sum(f(x) for x in range(first, last + 1)), rel=1e-12)
-        start = max(last + 1, decreasing_from)
-        direct = sum(f(x) for x in range(last + 1, start))
-        integral, err = integrate.quad(f, start, math.inf, epsabs=0, epsrel=1e-12, limit=200)
-        assert err < 1e-9 * integral
-        assert lower == pytest.approx(direct + integral, rel=1e-9)
-        assert upper - lower == pytest.approx(f(start), rel=1e-9)
-        # truncated at 10^5, where the rest of every tail here is far smaller
-        # than the gap f(start)/2 between the lower bound and the true tail
-        brute = sum(f(x) for x in range(last + 1, 10**5))
-        assert lower <= brute <= upper
-
     def test_infinite_at_and_below_n(self):
         assert tail_upper_bound(2, 2, 10, 10) == math.inf
         assert tail_upper_bound(3, 3, 10, 10) == math.inf
@@ -456,7 +468,9 @@ class TestReport:
     @pytest.mark.parametrize("r", [512, 1024, Fraction(2001, 2), 100000.5])
     def test_huge_orders_underflow_without_overflow(self, n, r):
         report = schatten_report(n, r, 3, 3)
-        assert 0.0 <= report.tail_lower <= report.tail_upper <= float(report.partial_sum) < 1e-150
+        assert 0.0 <= report.tail_lower <= report.tail_upper
+        assert 0.0 < report.tail_upper < 1e-150
+        assert float(report.partial_sum) < 1e-150
         assert 0.0 <= report.approx_value < 1e-150
 
     def test_huge_order_witness_underflows(self):
