@@ -20,6 +20,7 @@ from . import harmonic_spaces, operators, schatten, sobolev, spectrum
 from .polynomials import (
     Bidegree,
     FormatError,
+    _check_int,
     fraction_to_string,
     polynomial_from_dict,
     polynomial_to_dict,
@@ -227,8 +228,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 0:
-        raise CliError(f"--samples must be >= 0, got {args.samples}")
+    _check_int("--samples", args.samples)
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str) -> None:

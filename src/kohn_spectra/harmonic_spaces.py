@@ -31,11 +31,13 @@ from .polynomials import (
     ExactScalar,
     Multiindex,
     Polynomial,
+    _check_int,
     _collect,
     _diagonal_integral,
     ambient_laplacian,
     euler_z,
     euler_z_bar,
+    fraction_to_string,
     multiindices,
     sphere_inner_product,
 )
@@ -68,7 +70,7 @@ class HarmonicBasis:
 
 def bidegree_monomials(n: int, d: Bidegree) -> list[tuple[Multiindex, Multiindex]]:
     """All monomial exponent pairs of bidegree (p, q), lex-sorted."""
-    d = spectrum._check_bidegree(d)
+    d = spectrum._check_bidegree(n, d)
     return [(a, b) for a in multiindices(n, d.p) for b in multiindices(n, d.q)]
 
 
@@ -128,8 +130,7 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
     one, stored as sparse rows (each column has at most n nonzeros), and
     its kernel is extracted by exact elimination on those rows.
     """
-    spectrum._check_dimension(n)
-    d = spectrum._check_bidegree(d)
+    d = spectrum._check_bidegree(n, d)
     source = bidegree_monomials(n, d)
     if d.p == 0 or d.q == 0:
         elements = tuple(Polynomial.monomial(n, a, b) for a, b in source)
@@ -212,8 +213,6 @@ class VerificationReport:
         return self.orthogonality_ok and all(cell.ok for cell in self.cells)
 
     def to_json_dict(self) -> dict:
-        from .polynomials import fraction_to_string
-
         return {
             "n": self.n,
             "max_degree": self.max_degree,
@@ -286,9 +285,7 @@ def verify_eigen_identities(n: int, max_degree: int) -> VerificationReport:
       (:func:`_cross_cell_gram`); a nonzero pair is reported as
       ``<f, g> = value != 0``, ordered by cell pair, then by element pair.
     """
-    spectrum._check_dimension(n)
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    _check_int("max_degree", max_degree, 1)
 
     cells: list[CellVerification] = []
     failures: list[str] = []

@@ -219,7 +219,8 @@ def green_symbol(n: int, d: Bidegree) -> Fraction:
 
 def sobolev_symbol(n: int, t, d: Bidegree) -> Fraction | float:
     """(1 + k(k+2n-2))^t at total degree k = p + q; exact for integral t."""
-    return spectrum.power(1 + spectrum.laplace_beltrami_eigenvalue(n, d.total), t)
+    k = spectrum._check_bidegree(n, d).total
+    return spectrum.power(1 + spectrum.laplace_beltrami_eigenvalue(n, k), t)
 
 
 def apply_boxb(f: Polynomial) -> SphericalDecomposition:

@@ -23,6 +23,9 @@ measure (total mass 1, so <1, 1> = 1) and the closed-form monomial integral
 which makes every inner product of polynomials an exact Gaussian rational.
 The closed form is validated in the test suite against the recursion forced
 by |z|^2 = 1 on the sphere before anything downstream relies on it.
+
+Every integer argument of the library (a dimension, degree, index or
+cutoff) passes :func:`_check_int`, here in the bottom layer.
 """
 
 from __future__ import annotations
@@ -151,14 +154,24 @@ class Bidegree(NamedTuple):
         return self.p + self.q
 
 
+def _check_int(name: str, value, least: int = 0) -> int:
+    """The library's integer-argument rule: value itself when it is an int,
+    not a bool, and at least ``least``; otherwise a ValueError naming it."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _check_dimension(n: int) -> int:
+    return _check_int("ambient complex dimension", n, 2)
+
+
 def _check_multiindex(entries: Iterable[int], n: int) -> Multiindex:
     idx = tuple(entries)
-    if not all(isinstance(e, int) and not isinstance(e, bool) for e in idx):
-        raise TypeError(f"multiindex {idx!r} must hold integers")
     if len(idx) != n:
-        raise ValueError(f"multiindex {idx} has length {len(idx)}, expected {n}")
-    if any(e < 0 for e in idx):
-        raise ValueError(f"multiindex {idx} has a negative entry")
+        raise ValueError(f"multiindex {idx!r} has length {len(idx)}, expected {n}")
+    if any(type(e) is not int or e < 0 for e in idx):
+        raise ValueError(f"multiindex {idx!r} must hold nonnegative integers")
     return idx
 
 
@@ -178,9 +191,7 @@ class Polynomial:
         terms: Mapping[tuple[Multiindex, Multiindex], ScalarLike]
         | Iterable[tuple[tuple[Multiindex, Multiindex], ScalarLike]] = (),
     ) -> None:
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"ambient complex dimension must be an integer >= 2, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _check_dimension(n))
         items = terms.items() if isinstance(terms, Mapping) else terms
         canonical = _collect(
             ((_check_multiindex(alpha, n), _check_multiindex(beta, n)), as_scalar(coeff))
@@ -201,7 +212,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, value: ScalarLike) -> "Polynomial":
-        zero_idx = (0,) * n
+        zero_idx = (0,) * _check_dimension(n)
         return cls(n, {(zero_idx, zero_idx): value})
 
     @classmethod
@@ -212,7 +223,7 @@ class Polynomial:
     @classmethod
     def z_bar(cls, n: int, j: int) -> "Polynomial":
         """The conjugate coordinate zbar_j (1-based)."""
-        return cls.monomial(n, (0,) * n, _unit_index(n, j))
+        return cls.z(n, j).conjugate()
 
     @classmethod
     def monomial(
@@ -264,11 +275,9 @@ class Polynomial:
         return self.scale(other)
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
+        e = _check_int("polynomial power", exponent)
         result = Polynomial.constant(self.n, 1)
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -333,7 +342,7 @@ def _raw(n: int, terms: dict[tuple[Multiindex, Multiindex], ExactScalar]) -> Pol
 
 
 def _unit_index(n: int, j: int) -> Multiindex:
-    if not 1 <= j <= n:
+    if _check_int("coordinate index", j, 1) > _check_dimension(n):
         raise ValueError(f"coordinate index {j} out of range 1..{n}")
     return tuple(1 if i == j - 1 else 0 for i in range(n))
 
@@ -341,7 +350,7 @@ def _unit_index(n: int, j: int) -> Multiindex:
 def radius_squared(n: int) -> Polynomial:
     """|z|^2 = sum_j z_j * zbar_j, which is identically 1 on the unit sphere."""
     return Polynomial(
-        n, {(_unit_index(n, j), _unit_index(n, j)): 1 for j in range(1, n + 1)}
+        n, {(u, u): 1 for u in (_unit_index(n, j) for j in range(1, _check_dimension(n) + 1))}
     )
 
 
@@ -419,7 +428,7 @@ def monomial_sphere_integral(n: int, alpha: Iterable[int], beta: Iterable[int] |
     Vanishes unless alpha == beta; on the diagonal it equals
     (n-1)! * alpha! / (n-1+|alpha|)!.
     """
-    a = _check_multiindex(alpha, n)
+    a = _check_multiindex(alpha, _check_dimension(n))
     if beta is not None:
         b = _check_multiindex(beta, n)
         if a != b:
@@ -464,8 +473,8 @@ def l2_norm_squared(f: Polynomial) -> Fraction:
 
 def multiindices(n: int, degree: int) -> list[Multiindex]:
     """All length-n multiindices of total degree ``degree``, ascending lex."""
-    if degree < 0:
-        return []
+    _check_int("n", n, 1)
+    _check_int("degree", degree)
 
     def rec(slots: int, total: int) -> Iterator[Multiindex]:
         if slots == 1:
@@ -491,6 +500,10 @@ def random_polynomial(
     Deterministic for a given ``random.Random`` state; used by the seeded
     property checks and the CLI verification bundle.
     """
+    _check_dimension(n)
+    _check_int("max_degree", max_degree)
+    _check_int("max_terms", max_terms)
+    _check_int("coeff_bound", coeff_bound)
     terms = []
     for _ in range(max_terms):
         k = rng.randint(0, max_degree)
@@ -554,9 +567,10 @@ def polynomial_from_dict(obj: object) -> Polynomial:
     """Parse the JSON form, naming the offending term on any malformed entry."""
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise FormatError("polynomial JSON must be an object with \"n\" and \"terms\"")
-    n = obj["n"]
-    if not isinstance(n, int) or n < 2:
-        raise FormatError(f"\"n\" must be an integer >= 2, got {n!r}")
+    try:
+        n = _check_int('"n"', obj["n"], 2)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     if not isinstance(obj["terms"], list):
         raise FormatError("\"terms\" must be a list")
     terms = []

@@ -28,7 +28,7 @@ huge orders underflow towards 0 instead of overflowing; factorials and
 binomials meet floats only as exact integer quotients rounded once, so huge
 n does the same.  At non-integer r the partial sum is (A1 B1 + A2 B2 / 2) /
 (n-1) over four 1-d math.fsum sums of a_{r-1}, a_r, b_r and b_{r-1}: O(P+Q)
-terms, not (P+1)Q.
+terms, not (P+1)Q; the report rounds it down by its error bound.
 
 Certified 1-d sums.  The tail bracket and the divergence witness rest on one
 bracket (_sum_bracket) of a sum of f(x) = C(x+shift, k) (scale x)^{-s}: a
@@ -43,10 +43,11 @@ the test suite.  For each rank term the discarded region
 {q > Q} union {p > P, q <= Q} carries A B_tail + A_tail B_head, where the
 heads sum over p <= P and q <= Q and A = A_head + A_tail sums over all
 p >= 0.  The p-side factor C(x-1, n-2) x^{-s} has log derivative at most
-(n-2)/(x-n+2) - s/x, so it decreases for x >= (n-1)(n-2) when s >= n-1, and
-tail terms below that point are summed directly.  The q-side factor
-decreases for every q >= 1 once s > n-2.  All factors are nonnegative, so
-the 1-d brackets combine directly into the two-sided tail bracket.  The
+(n-2)/(x-n+2) - s/x, so once s > n-2 it decreases for x >= s(n-2)/(s-n+2)
+(at most (n-1)(n-2) when s >= n-1), and tail terms below that point are
+summed directly.  The q-side factor decreases for every q >= 1 once
+s > n-2.  All factors are nonnegative, so the 1-d brackets combine
+directly into the two-sided tail bracket.  The
 witness brackets four power sums (k = 0) after a head of _WITNESS_HEAD
 terms, so one evaluation costs the same at any cutoff.
 
@@ -69,7 +70,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import spectrum
-from .polynomials import Bidegree, fraction_to_string
+from .polynomials import Bidegree, _check_int, fraction_to_string
 
 __all__ = [
     "CONVERGES",
@@ -97,20 +98,10 @@ DIVERGES = "Diverges"
 _WITNESS_HEAD = 1000
 
 
-def _as_exponent(r) -> Fraction | float:
-    if isinstance(r, bool):
-        raise ValueError("r must be a number")
-    if isinstance(r, int):
-        return Fraction(r)
-    if isinstance(r, float) and not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r}")
-    if isinstance(r, (Fraction, float)):
-        return r
-    raise ValueError(f"r must be an int, Fraction, or float, got {type(r).__name__}")
-
-
-def _validate_order(r) -> Fraction | float:
-    r = _as_exponent(r)
+def _validate_order(n: int, r) -> Fraction | float:
+    """Check the dimension n and the Schatten order r >= 1; return r."""
+    spectrum._check_dimension(n)
+    r = spectrum._check_order("r", r)
     if r < 1:
         raise ValueError(f"Schatten order must satisfy r >= 1, got {r}")
     return r
@@ -118,11 +109,6 @@ def _validate_order(r) -> Fraction | float:
 
 def _bound_constant(n: int) -> int:
     return math.factorial(n - 1) * math.factorial(n - 2)
-
-
-def _check_cutoff(name: str, value, least: int) -> None:
-    if type(value) is not int or value < least:
-        raise ValueError(f"cutoff {name} must be an integer >= {least}, got {value!r}")
 
 
 def _times_power(num: int, base: int, r, den: int = 1) -> Fraction | float:
@@ -138,10 +124,9 @@ def _times_power(num: int, base: int, r, den: int = 1) -> Fraction | float:
 
 def schatten_term(n: int, r, p: int, q: int) -> Fraction | float:
     """Exact summand m_{p,q} / (2q(p+n-1))^r; Fraction for integer r."""
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
-    if q < 1 or p < 0:
-        raise ValueError("requires q >= 1 and p >= 0")
+    r = _validate_order(n, r)
+    _check_int("p", p)
+    _check_int("q", q, 1)
     return _times_power(spectrum.multiplicity(n, Bidegree(p, q)), 2 * q * (p + n - 1), r)
 
 
@@ -151,11 +136,9 @@ def upper_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
     Uses the single-sum bound for the p = 0 column and the 1/(2pq) eigenvalue
     bound for p >= 1.
     """
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
-    if q < 1 or p < 0:
-        raise ValueError("requires q >= 1 and p >= 0")
-    if p == 0:
+    r = _validate_order(n, r)
+    _check_int("q", q, 1)
+    if _check_int("p", p) == 0:
         num = (q + n - 1) ** (n - 1)
         den_base = 2 * q * (n - 1)
         den_const = math.factorial(n - 1)
@@ -168,10 +151,9 @@ def upper_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
 
 def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
     """The proof-side lower integrand at (p, q); valid below schatten_term for p >= n."""
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
-    if q < 1 or p < n:
-        raise ValueError("requires q >= 1 and p >= n")
+    r = _validate_order(n, r)
+    _check_int("p", p, n)
+    _check_int("q", q, 1)
     num = (p + q) * p ** (n - 2) * q ** (n - 2)
     return _times_power(num, 4 * p * q, r, _bound_constant(n))
 
@@ -196,10 +178,9 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     Otherwise a double: the rank-2 split over four 1-d sums, each
     accumulated with math.fsum (see the module docstring).
     """
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
-    _check_cutoff("P", P, 0)
-    _check_cutoff("Q", Q, 1)
+    r = _validate_order(n, r)
+    _check_int("P", P)
+    _check_int("Q", Q, 1)
     r_int = spectrum._integral_exponent(r)
     if r_int is not None:
         L = math.lcm(*range(n - 1, P + n)) ** r_int
@@ -223,9 +204,8 @@ def partial_sum_series(n: int, r, cutoff: int) -> list[tuple[int, float]]:
     partial_sum(n, float(r), c, c) up to rounding, (A1 B1 + A2 B2 / 2) / (n-1)
     over running prefix sums of the four 1-d factors of the module docstring,
     so the whole series costs O(cutoff) terms."""
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
-    _check_cutoff("of the series", cutoff, 0)
+    r = _validate_order(n, r)
+    _check_int("cutoff", cutoff)
     rf = float(r)
     a1, a2 = (accumulate(_side_terms(n - 2, -1, s, n - 1, cutoff + n - 1)) for s in (rf - 1, rf))
     # B(0) = 0 puts the sums over p <= c and q <= c at index c of every prefix list
@@ -236,8 +216,7 @@ def partial_sum_series(n: int, r, cutoff: int) -> list[tuple[int, float]]:
 
 def verdict(n: int, r) -> str:
     """Converges iff r > n (the boundary r = n diverges)."""
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
+    r = _validate_order(n, r)
     return CONVERGES if r > n else DIVERGES
 
 
@@ -251,8 +230,7 @@ def approx_formula(n: int, r) -> float:
     n/(2n-2)^r as r -> infinity, but carries no quantified error: certified
     statements must use partial_sum plus tail bounds instead.
     """
-    spectrum._check_dimension(n)
-    r = _as_exponent(r)
+    r = _validate_order(n, r)
     if r <= n:
         raise ValueError(f"approximation requires r > n, got r={r}, n={n}")
     rf = float(r)
@@ -338,10 +316,9 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     does not grow with the cutoffs, which the r = n divergence witness doubles
     about 60 times.
     """
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
-    _check_cutoff("P", P, n)
-    _check_cutoff("Q", Q, 1)
+    r = _validate_order(n, r)
+    _check_int("P", P, n)
+    _check_int("Q", Q, 1)
     rf = float(r)
     # sp1 = sum_p p^{n-1-r}, sp2 = sum_p p^{n-2-r}, and the same over q
     sp1, sp2, sq1, sq2 = (
@@ -358,17 +335,18 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
 def _tail_bracket(n: int, r, P: int, Q: int) -> tuple[float, float]:
     """(lower, upper) for the discarded mass {q > Q} union {q <= Q, p > P},
     from the rank-2 split of the module docstring; both +inf when r <= n."""
-    spectrum._check_dimension(n)
-    r = _validate_order(r)
-    _check_cutoff("P", P, 0)
-    _check_cutoff("Q", Q, 1)
+    r = _validate_order(n, r)
+    _check_int("P", P)
+    _check_int("Q", Q, 1)
     if r <= n:
         return math.inf, math.inf
     rf = float(r)
     bounds = [0.0, 0.0]
     for sa, sb, weight in ((rf - 1, rf, 1.0), (rf, rf - 1, 0.5)):
+        # first x where the p-side terms decrease, exact in the float sa so never too low
+        decreasing = math.ceil(Fraction(sa) * (n - 2) / (Fraction(sa) - n + 2))
         a_head = _sum_bracket(n - 2, -1, sa, n - 1, P + n - 1, P + n - 1)
-        a_tail = _sum_bracket(n - 2, -1, sa, P + n, math.inf, (n - 1) * (n - 2) - 1)
+        a_tail = _sum_bracket(n - 2, -1, sa, P + n, math.inf, decreasing - 1)
         b_head = _sum_bracket(n - 2, n - 2, sb, 1, Q, Q, 2)
         b_tail = _sum_bracket(n - 2, n - 2, sb, Q + 1, math.inf, 0, 2)
         for i in (0, 1):
@@ -425,16 +403,28 @@ class SchattenReport:
 
 
 def schatten_report(n: int, r, P: int, Q: int) -> SchattenReport:
-    """Assemble the full report at cutoffs (P, Q)."""
-    r = _validate_order(r)
+    """Assemble the full report at cutoffs (P, Q), certified as
+    partial_sum + tail_lower <= ||G||_r^r <= partial_sum + tail_upper.
+
+    A float partial sum (non-integer r) is rounded down by the margin of
+    _outward, and tail_upper widened by the width of that bracket.  With
+    u = eps/2, each 1-d term is within 4u (a rounded quotient, a 1-ulp pow,
+    a product), each fsum of them within 5u, each product of two within
+    11u, and their sum over n-1 within 13u < 8 eps of the exact value.
+    """
+    r = _validate_order(n, r)
     v = verdict(n, r)
     tail_lower, tail_upper = _tail_bracket(n, r, P, Q)
+    total = partial_sum(n, r, P, Q)
+    if isinstance(total, float):
+        total, high = _outward(total, total, total)
+        tail_upper = math.nextafter(tail_upper + (high - total), math.inf)
     return SchattenReport(
         n=n,
         r=r,
         cutoff_p=P,
         cutoff_q=Q,
-        partial_sum=partial_sum(n, r, P, Q),
+        partial_sum=total,
         tail_upper=tail_upper,
         tail_lower=tail_lower,
         verdict=v,

@@ -42,7 +42,7 @@ from .operators import (
     sobolev_symbol,
     weighted_norm_squared,
 )
-from .polynomials import Bidegree, Polynomial, fraction_to_string
+from .polynomials import Bidegree, Polynomial, _check_int, fraction_to_string
 
 __all__ = [
     "RatioPoint",
@@ -64,12 +64,12 @@ __all__ = [
 
 def critical_degree(n: int) -> int:
     """The critical point n^2 - 3n + 1 of the t = 1 ratio sequence."""
+    spectrum._check_dimension(n)
     return n * n - 3 * n + 1
 
 
 def argmax_degree(n: int) -> int:
     """Where the t = 1 ratio sequence attains its maximum over k >= 1."""
-    spectrum._check_dimension(n)
     return 1 if n == 2 else critical_degree(n)
 
 
@@ -93,17 +93,14 @@ class RatioPoint:
 
 
 def ratio_series(n: int, s, k_max: int) -> list[RatioPoint]:
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _check_int("k_max", k_max, 1)
     return [RatioPoint(k, ratio(n, s, k)) for k in range(1, k_max + 1)]
 
 
 def is_bounded(n: int, s) -> bool:
     """The ratio sequence is bounded in k iff s <= 1 (exact comparison)."""
     spectrum._check_dimension(n)
-    if isinstance(s, float):
-        return s <= 1.0
-    return Fraction(s) <= 1
+    return spectrum._check_order("s", s) <= 1
 
 
 def decreasing_tail_certificate(n: int) -> int:
@@ -118,14 +115,13 @@ def decreasing_tail_certificate(n: int) -> int:
     strictly decreasing on [max(k*, 1), infinity); combined with an exact
     scan up to any point past k*, the global maximum is certified.
     """
-    spectrum._check_dimension(n)
+    k_star = critical_degree(n)
     b = 2 * n - 2
     c = n - 2
     # (2k + b)(k + c) - 2(k^2 + bk + 1), expanded: quadratic, linear, constant
     quad = 2 - 2
     lin = 2 * c + b - 2 * b
     const = b * c - 2
-    k_star = critical_degree(n)
     if quad != 0 or lin != -2 or const != 2 * k_star:
         raise RuntimeError(f"derivative identity failed at n={n}; this is a bug")
     return k_star
@@ -174,7 +170,6 @@ def best_constant(n: int) -> BestConstantReport:
     The scan window extends n^2 past the critical degree, so the certified
     decreasing tail provably brackets the maximum.
     """
-    spectrum._check_dimension(n)
     scan_max = max(1, critical_degree(n)) + n * n
     k_star = decreasing_tail_certificate(n)
 

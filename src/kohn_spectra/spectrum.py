@@ -10,6 +10,10 @@ harmonic spaces, computed here in the factorial-free product form
 with arbitrary-precision integers (the division is exact).  The binomial
 forms are kept alongside as cross-checks, and the brute-force kernel oracle
 in :mod:`kohn_spectra.harmonic_spaces` validates both.
+
+The library's real orders (the Schatten r, the Sobolev s and t, spectral
+cutoffs) all pass :func:`_check_order`, as its integers pass
+:func:`kohn_spectra.polynomials._check_int`.
 """
 
 from __future__ import annotations
@@ -18,15 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Bidegree
+from .polynomials import Bidegree, _check_dimension, _check_int, fraction_to_string
 
 
-def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"ambient complex dimension must be an integer >= 2, got {n}")
-
-
-def _check_bidegree(d: Bidegree) -> Bidegree:
+def _check_bidegree(n: int, d: Bidegree) -> Bidegree:
+    """d as a Bidegree once n and d are checked; d's test is _check_int's,
+    inline because every multiplicity call runs it."""
+    _check_dimension(n)
     d = Bidegree(*d)
     if type(d.p) is not int or type(d.q) is not int:
         raise ValueError(f"bidegree entries must be integers, got {d!r}")
@@ -35,13 +37,21 @@ def _check_bidegree(d: Bidegree) -> Bidegree:
     return d
 
 
-def _integral_exponent(value) -> int | None:
-    """The int value of an exactly integral exponent (an int or an integral
-    Fraction, never a bool or a float), else None: the caller's float path."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
+def _check_order(name: str, value) -> Fraction | float:
+    """The library's order-argument rule: an int becomes a Fraction, a
+    Fraction or a finite float is returned unchanged, and anything else
+    (a bool, nan, inf, a str) is a ValueError naming it."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, Fraction) or (isinstance(value, float) and math.isfinite(value)):
         return value
+    raise ValueError(f"{name} must be an int, Fraction or finite float, got {value!r}")
+
+
+def _integral_exponent(value) -> int | None:
+    """The int value of an exactly integral order (an int or an integral
+    Fraction, never a float), else None: the caller's float path."""
+    value = _check_order("exponent", value)
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     return None
@@ -61,15 +71,13 @@ def boxb_eigenvalue(n: int, d: Bidegree) -> Fraction:
 
     Zero exactly when q = 0 (the Hardy-space kernel).
     """
-    _check_dimension(n)
-    d = _check_bidegree(d)
+    d = _check_bidegree(n, d)
     return Fraction(2 * d.q * (d.p + n - 1))
 
 
 def multiplicity(n: int, d: Bidegree) -> int:
     """dim of the bidegree-(p, q) harmonic space on S^{2n-1}, exact."""
-    _check_dimension(n)
-    d = _check_bidegree(d)
+    d = _check_bidegree(n, d)
     if d.p == 0 and d.q == 0:
         return 1
     num = n + d.p + d.q - 1
@@ -86,8 +94,7 @@ def multiplicity(n: int, d: Bidegree) -> int:
 
 def multiplicity_binomial(n: int, d: Bidegree) -> int:
     """The binomial forms of the dimension; cross-check for :func:`multiplicity`."""
-    _check_dimension(n)
-    d = _check_bidegree(d)
+    d = _check_bidegree(n, d)
     p, q = d
     if p == 0 and q == 0:
         return 1
@@ -107,8 +114,7 @@ def multiplicity_binomial(n: int, d: Bidegree) -> int:
 def laplace_beltrami_eigenvalue(n: int, k: int) -> Fraction:
     """Laplace-Beltrami eigenvalue k(k+2n-2) on degree-k spherical harmonics."""
     _check_dimension(n)
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {k}")
+    _check_int("degree k", k)
     return Fraction(k * (k + 2 * n - 2))
 
 
@@ -119,17 +125,14 @@ def lambda_min(n: int, k: int) -> Fraction:
     p = k-1 and equals 2(k+n-2).
     """
     _check_dimension(n)
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"total degree must be a positive integer, got {k}")
+    _check_int("total degree k", k, 1)
     return Fraction(2 * (k + n - 2))
 
 
 def sphere_harmonic_dim(n: int, k: int) -> int:
     """Classical dimension of degree-k spherical harmonics on S^{2n-1}."""
     _check_dimension(n)
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    if k == 0:
+    if _check_int("degree k", k) == 0:
         return 1
     return math.comb(k + 2 * n - 2, k) + math.comb(k + 2 * n - 3, k - 1)
 
@@ -157,8 +160,6 @@ class AggregatedSpectrum:
     entries: tuple[AggregatedEntry, ...]
 
     def to_json_dict(self) -> dict:
-        from .polynomials import fraction_to_string
-
         return {
             "n": self.n,
             "cutoff": fraction_to_string(self.cutoff),
@@ -180,7 +181,7 @@ def spectrum_table(n: int, cutoff: Fraction | int) -> list[SpectrumEntry]:
     p >= 0 forces 2q <= cutoff.
     """
     _check_dimension(n)
-    cutoff = Fraction(cutoff)
+    cutoff = Fraction(_check_order("cutoff", cutoff))
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     entries = []

@@ -73,6 +73,30 @@ def mp_partial_sum(mpmath, n, r, P, Q):
     return (a1 * b1 + a2 * b2 / 2) / (n - 1)
 
 
+def mp_norm(mpmath, n, r):
+    """||G||_r^r at mpmath's working precision: each factor of the rank-2
+    split is a sum of C(x+shift, n-2) x^{-s}, a polynomial in x times a
+    power, so it is a combination of Hurwitz zeta values."""
+
+    def zeta_sum(shift, s, first, scale):
+        # C(x+shift, k) = prod_{i<k} (x+shift-i) / k!, expanded lowest power first
+        coeffs = [1]
+        for i in range(n - 2):
+            coeffs = [(shift - i) * c + prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
+        terms = (c * mpmath.zeta(s - j, first) for j, c in enumerate(coeffs) if c)
+        return mpmath.fsum(terms) / math.factorial(n - 2) / mpmath.mpf(scale) ** s
+
+    r = mpmath.mpf(r)
+    a1, a2 = (zeta_sum(-1, r - j, n - 1, 1) for j in (1, 0))
+    b1, b2 = (zeta_sum(n - 2, r - j, 1, 2) for j in (0, 1))
+    return (a1 * b1 + a2 * b2 / 2) / (n - 1)
+
+
+def mp_fraction(x):
+    man, exp = x.man_exp
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
 def float_orders(n):
     return (1.0, 2.5, float(n), n + 0.5, n + 1.0, 37.25)
 
@@ -420,6 +444,26 @@ class TestTailBounds:
     def test_closed_form_n3_r4(self):
         assert zeta_closed_form(3, 4) == pytest.approx(0.04226813973530, rel=1e-12)
 
+    def test_mpmath_norm_matches_zeta_closed_form(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n in (2, 3):
+            for r in (n + 0.5, n + 1.0, 7.25):
+                assert float(mp_norm(mpmath, n, r)) == pytest.approx(zeta_closed_form(n, r), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("P", [0, 3, 7])
+    def test_bracket_contains_mpmath_tail_below_decreasing_point(self, n, P):
+        """P + n <= (n-1)(n-2) in every case, so the p-side tail starts no later
+        than where its direct head used to end: the point where its terms
+        start to decrease decides how much of it is summed directly."""
+        mpmath = pytest.importorskip("mpmath")
+        Q = 3
+        with mpmath.workdps(50):
+            for r in (n + 0.1, n + Fraction(1, 2), n + 1):
+                exact_r = mpmath.mpf(Fraction(r).numerator) / Fraction(r).denominator
+                true_tail = mp_norm(mpmath, n, exact_r) - mp_partial_sum(mpmath, n, exact_r, P, Q)
+                assert tail_lower_bound(n, r, P, Q) <= true_tail <= tail_upper_bound(n, r, P, Q)
+
     def test_bracket_width(self):
         # partial_sum only grows with the cutoffs, so dividing by the cheap
         # P = Q = 50 sum bounds the relative width at P = Q = 400 from above
@@ -476,6 +520,22 @@ class TestReport:
     def test_huge_order_witness_underflows(self):
         # 4^-600 is below the smallest double
         assert lower_bound_sum(2, 600, 5, 5) == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("r", [20.5, 37.25, 40.5, 60.5])
+    def test_float_report_brackets_mpmath_norm(self, n, r):
+        """partial_sum + tail_lower <= ||G||_r^r <= partial_sum + tail_upper,
+        summed exactly: at these orders the tail bracket is so narrow that the
+        float partial sum's own rounding decides containment."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = mp_fraction(mp_norm(mpmath, n, r))
+        for P, Q in [(7, 3), (3, 7), (20, 20), (50, 50), (400, 400)]:
+            report = schatten_report(n, r, P, Q)
+            partial = Fraction(report.partial_sum)
+            assert partial + Fraction(report.tail_lower) <= exact
+            assert exact <= partial + Fraction(report.tail_upper)
+            assert 0 < report.partial_sum <= partial_sum(n, r, P, Q)
 
     def test_float_order_report(self):
         report = schatten_report(2, 3.5, 30, 30)
