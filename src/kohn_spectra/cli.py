@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -395,9 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process; parse_args fills a fresh Namespace on every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import spectrum
 from .polynomials import (
@@ -131,6 +132,13 @@ def _component_json(comp: HarmonicComponent | FloatScaledComponent) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def _radius_power(n: int, m: int) -> Polynomial:
+    """|z|^{2m}; n comes from an already-built polynomial, so it passed
+    _check_dimension before it can key the cache."""
+    return radius_squared(n) ** m
+
+
 def _fischer_components(piece: Polynomial, d: Bidegree) -> dict[Bidegree, Polynomial]:
     """Exact Fischer decomposition of one bihomogeneous piece (see module docstring)."""
     n = piece.n
@@ -138,7 +146,6 @@ def _fischer_components(piece: Polynomial, d: Bidegree) -> dict[Bidegree, Polyno
     k = p + q
     out: dict[Bidegree, Polynomial] = {}
     residual = piece
-    r2 = radius_squared(n)
     for m in range(min(p, q), 0, -1):
         g = residual
         for _ in range(m):
@@ -149,7 +156,7 @@ def _fischer_components(piece: Polynomial, d: Bidegree) -> dict[Bidegree, Polyno
         h = g * Fraction(1, constant)
         if h:
             out[Bidegree(p - m, q - m)] = h
-            residual = residual - r2**m * h
+            residual = residual - _radius_power(n, m) * h
     if residual:
         out[Bidegree(p, q)] = residual
     for dd, h in out.items():

@@ -4,9 +4,16 @@ Coefficients are Gaussian rationals (:class:`ExactScalar`): complex numbers
 whose real and imaginary parts are arbitrary-precision rationals.  A
 polynomial is a sparse map from exponent pairs ``(alpha, beta)`` to
 coefficients, where ``alpha`` and ``beta`` are length-``n`` tuples of
-nonnegative integers and a term reads ``c * z^alpha * zbar^beta``.  Zero
-coefficients are never stored, so equality of polynomials is a structural
-comparison of term maps.
+nonnegative integers and a term reads ``c * z^alpha * zbar^beta``.
+
+Storage is Gaussian integers over one denominator: ``_num`` maps each
+``(alpha, beta)`` to a pair ``(re, im)`` of ints and ``_den`` is one positive
+int, so a term's coefficient is ``(re + im*i) / _den``.  Every operation
+drops zero pairs and divides out gcd(all parts, ``_den``) once, so the form
+is canonical and equality of polynomials is a structural comparison.  The
+arithmetic kernels work on these integers alone; an :class:`ExactScalar`
+is built only at the boundary, by :attr:`Polynomial.terms` (on first use,
+then cached) and by :func:`sphere_inner_product`.
 
 Splitting by bidegree ``(|alpha|, |beta|)`` and the ambient Laplacian
 
@@ -38,6 +45,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import add, sub
 from typing import NamedTuple, Union
 
 Multiindex = tuple[int, ...]
@@ -58,7 +66,7 @@ def _as_fraction(value: Fraction | int) -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    raise ValueError(f"coefficient must be an int or a Fraction, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +114,11 @@ class ExactScalar:
 
     def __truediv__(self, other: ScalarLike) -> "ExactScalar":
         other = as_scalar(other)
-        den = other.re * other.re + other.im * other.im
-        if not den:
+        if not other:
             raise ZeroDivisionError("division by zero ExactScalar")
+        if not other.im:
+            return ExactScalar(self.re / other.re, self.im / other.re)
+        den = other.norm_squared()
         return ExactScalar(
             (self.re * other.re + self.im * other.im) / den,
             (self.im * other.re - self.re * other.im) / den,
@@ -130,10 +140,6 @@ class ExactScalar:
         return f"({self.re}{sign}{abs(self.im)}i)"
 
     __repr__ = __str__
-
-
-ZERO = ExactScalar()
-ONE = ExactScalar(Fraction(1))
 
 
 def as_scalar(value: ScalarLike) -> ExactScalar:
@@ -178,12 +184,12 @@ def _check_multiindex(entries: Iterable[int], n: int) -> Multiindex:
 class Polynomial:
     """Sparse polynomial in z_1..z_n, zbar_1..zbar_n over Gaussian rationals.
 
-    Terms are stored canonically: zero coefficients pruned, every multiindex
-    of length ``n``.  Instances are treated as immutable; all arithmetic
+    Stored canonically as Gaussian integers over one denominator (see the
+    module docstring).  Instances are treated as immutable; all arithmetic
     returns new objects.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_num", "_den", "_terms")
 
     def __init__(
         self,
@@ -191,17 +197,25 @@ class Polynomial:
         terms: Mapping[tuple[Multiindex, Multiindex], ScalarLike]
         | Iterable[tuple[tuple[Multiindex, Multiindex], ScalarLike]] = (),
     ) -> None:
-        object.__setattr__(self, "n", _check_dimension(n))
+        _check_dimension(n)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        canonical = _collect(
+        collected = _collect(
             ((_check_multiindex(alpha, n), _check_multiindex(beta, n)), as_scalar(coeff))
             for (alpha, beta), coeff in items
         )
-        object.__setattr__(self, "_terms", canonical)
+        den = math.lcm(*(x.denominator for c in collected.values() for x in (c.re, c.im)))
+        num = {key: (_times(c.re, den), _times(c.im, den)) for key, c in collected.items()}
+        _store(self, n, num, den)
 
     @property
     def terms(self) -> dict[tuple[Multiindex, Multiindex], ExactScalar]:
-        """The canonical term map.  Do not mutate."""
+        """The term map ``{(alpha, beta): ExactScalar}``, built on first use.  Do not mutate."""
+        if self._terms is None:
+            den = self._den
+            self._terms = {
+                key: ExactScalar(Fraction(re, den), Fraction(im, den))
+                for key, (re, im) in self._num.items()
+            }
         return self._terms
 
     # -- constructors -------------------------------------------------
@@ -243,7 +257,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dimension(other)
-        return _raw(self.n, _collect(chain(self._terms.items(), other._terms.items())))
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        num = {key: (re * s, im * s) for key, (re, im) in self._num.items()}
+        for key, (re, im) in other._num.items():
+            r0, i0 = num.get(key, (0, 0))
+            num[key] = (r0 + re * t, i0 + im * t)
+        return _make(self.n, num, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -251,7 +271,7 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return _raw(self.n, {k: -c for k, c in self._terms.items()})
+        return _make(self.n, {k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     def __mul__(self, other: "Polynomial | ScalarLike") -> "Polynomial":
         if isinstance(other, (ExactScalar, Fraction, int)):
@@ -259,16 +279,18 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dimension(other)
-        return _raw(
+        return _make(
             self.n,
-            _collect(
+            _gather(
                 (
-                    (tuple(x + y for x, y in zip(a1, a2)), tuple(x + y for x, y in zip(b1, b2))),
-                    c1 * c2,
+                    (tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
+                    r1 * r2 - i1 * i2,
+                    r1 * i2 + i1 * r2,
                 )
-                for (a1, b1), c1 in self._terms.items()
-                for (a2, b2), c2 in other._terms.items()
+                for (a1, b1), (r1, i1) in self._num.items()
+                for (a2, b2), (r2, i2) in other._num.items()
             ),
+            self._den * other._den,
         )
 
     def __rmul__(self, other: ScalarLike) -> "Polynomial":
@@ -288,32 +310,36 @@ class Polynomial:
 
     def scale(self, factor: ScalarLike) -> "Polynomial":
         factor = as_scalar(factor)
-        if not factor:
-            return Polynomial.zero(self.n)
-        return _raw(self.n, {k: c * factor for k, c in self._terms.items()})
+        den = math.lcm(factor.re.denominator, factor.im.denominator)
+        fr, fi = _times(factor.re, den), _times(factor.im, den)
+        return _make(
+            self.n,
+            {k: (re * fr - im * fi, re * fi + im * fr) for k, (re, im) in self._num.items()},
+            self._den * den,
+        )
 
     def conjugate(self) -> "Polynomial":
         """Complex conjugate: swaps alpha with beta and conjugates coefficients."""
-        return _raw(self.n, {(b, a): c.conjugate() for (a, b), c in self._terms.items()})
+        return _make(self.n, {(b, a): (re, -im) for (a, b), (re, im) in self._num.items()}, self._den)
 
     # -- structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self._den == other._den and self._num == other._num
 
     def __hash__(self):
         raise TypeError("Polynomial is not hashable")
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for (alpha, beta), coeff in sorted(self._terms.items()):
+        for (alpha, beta), coeff in sorted(self.terms.items()):
             factors = [f"z{j + 1}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(alpha) if e]
             factors += [f"zb{j + 1}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(beta) if e]
             body = "*".join(factors) if factors else "1"
@@ -333,12 +359,38 @@ def _collect(pairs: Iterable[tuple]) -> dict:
     return {key: value for key, value in out.items() if value}
 
 
-def _raw(n: int, terms: dict[tuple[Multiindex, Multiindex], ExactScalar]) -> Polynomial:
-    """Build a polynomial from an already-canonical term dict (no re-validation)."""
-    poly = Polynomial.__new__(Polynomial)
-    object.__setattr__(poly, "n", n)
-    object.__setattr__(poly, "_terms", terms)
+def _gather(triples: Iterable[tuple]) -> dict:
+    """Sum the Gaussian integers (re, im) of equal keys: the integer twin of
+    :func:`_collect`; the zero sums are dropped by :func:`_make`."""
+    out = {}
+    for key, re, im in triples:
+        if key in out:
+            r0, i0 = out[key]
+            out[key] = (r0 + re, i0 + im)
+        else:
+            out[key] = (re, im)
+    return out
+
+
+def _times(value: Fraction, den: int) -> int:
+    """value * den, for a den that value's denominator divides."""
+    return value.numerator * (den // value.denominator)
+
+
+def _store(poly: Polynomial, n: int, num: dict, den: int) -> Polynomial:
+    """Give ``poly`` the canonical form of num / den: zero pairs dropped and
+    gcd(every part, den) divided out."""
+    num = {key: parts for key, parts in num.items() if parts[0] or parts[1]}
+    g = math.gcd(den, *chain.from_iterable(num.values()))
+    if g > 1:
+        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+    poly.n, poly._num, poly._den, poly._terms = n, num, den // g, None
     return poly
+
+
+def _make(n: int, num: dict, den: int) -> Polynomial:
+    """The polynomial num / den of an already-validated dimension and key set."""
+    return _store(Polynomial.__new__(Polynomial), n, num, den)
 
 
 def _unit_index(n: int, j: int) -> Multiindex:
@@ -363,28 +415,35 @@ def ambient_laplacian(f: Polynomial) -> Polynomial:
     Each monomial of bidegree (p, q) maps to bidegree (p-1, q-1) terms;
     anything with no mixed dependence (q = 0 or p = 0 in a variable) drops out.
     """
-    return _raw(
+    return _make(
         f.n,
-        _collect(
+        _gather(
             (
                 (alpha[:j] + (a - 1,) + alpha[j + 1 :], beta[:j] + (b - 1,) + beta[j + 1 :]),
-                coeff * (4 * a * b),
+                4 * a * b * re,
+                4 * a * b * im,
             )
-            for (alpha, beta), coeff in f.terms.items()
+            for (alpha, beta), (re, im) in f._num.items()
             for j, (a, b) in enumerate(zip(alpha, beta))
             if a and b
         ),
+        f._den,
     )
 
 
 def euler_z(f: Polynomial) -> Polynomial:
     """The z-degree Euler operator sum_j z_j d/dz_j (scales a bidegree-(p,q) term by p)."""
-    return _raw(f.n, {key: c * sum(key[0]) for key, c in f.terms.items() if sum(key[0])})
+    return _degree_scaled(f, 0)
 
 
 def euler_z_bar(f: Polynomial) -> Polynomial:
     """The zbar-degree Euler operator sum_j zbar_j d/dzbar_j."""
-    return _raw(f.n, {key: c * sum(key[1]) for key, c in f.terms.items() if sum(key[1])})
+    return _degree_scaled(f, 1)
+
+
+def _degree_scaled(f: Polynomial, side: int) -> Polynomial:
+    num = {key: (re * sum(key[side]), im * sum(key[side])) for key, (re, im) in f._num.items()}
+    return _make(f.n, num, f._den)
 
 
 # -- bidegree bookkeeping ---------------------------------------------
@@ -396,30 +455,26 @@ def bidegree_split(f: Polynomial) -> dict[Bidegree, Polynomial]:
     Each part is bihomogeneous of its key and the parts sum back to ``f``.
     The zero polynomial yields an empty map.
     """
-    buckets: dict[Bidegree, dict[tuple[Multiindex, Multiindex], ExactScalar]] = {}
-    for key, coeff in f.terms.items():
-        d = Bidegree(sum(key[0]), sum(key[1]))
-        buckets.setdefault(d, {})[key] = coeff
-    return {d: _raw(f.n, terms) for d, terms in sorted(buckets.items())}
-
-
-def bidegree_of(f: Polynomial) -> Bidegree | None:
-    """The bidegree of a bihomogeneous nonzero polynomial, else None."""
-    degrees = {(sum(a), sum(b)) for a, b in f.terms}
-    if len(degrees) != 1:
-        return None
-    return Bidegree(*degrees.pop())
+    buckets: dict[Bidegree, dict] = {}
+    for key, parts in f._num.items():
+        buckets.setdefault(Bidegree(sum(key[0]), sum(key[1])), {})[key] = parts
+    return {d: _make(f.n, num, f._den) for d, num in sorted(buckets.items())}
 
 
 # -- integration over the sphere --------------------------------------
 
 
 @lru_cache(maxsize=None)
+def _factorial_product(mu: Multiindex) -> int:
+    """mu! = prod_j mu_j!."""
+    return math.prod(map(math.factorial, mu))
+
+
+@lru_cache(maxsize=None)
 def _diagonal_integral(n: int, alpha: Multiindex) -> Fraction:
-    num = math.factorial(n - 1)
-    for a in alpha:
-        num *= math.factorial(a)
-    return Fraction(num, math.factorial(n - 1 + sum(alpha)))
+    return Fraction(
+        math.factorial(n - 1) * _factorial_product(alpha), math.factorial(n - 1 + sum(alpha))
+    )
 
 
 def monomial_sphere_integral(n: int, alpha: Iterable[int], beta: Iterable[int] | None = None) -> Fraction:
@@ -441,23 +496,35 @@ def sphere_inner_product(f: Polynomial, g: Polynomial) -> ExactScalar:
 
     A term pair ((alpha,beta), (gamma,delta)) contributes only when
     alpha + delta == beta + gamma, i.e. alpha - beta == gamma - delta, so
-    terms are bucketed by that difference before pairing.
+    terms are bucketed by that difference before pairing.  The pair adds
+    the integer c * conj(d) * mu! (mu = alpha + delta, numerators only) to
+    the sum for its total degree |mu|; the factor (n-1)! / (n-1+|mu|)! and
+    the two denominators are applied once, at the end.
     """
     if f.n != g.n:
         raise DimensionMismatchError(
             f"cannot pair polynomials on C^{f.n} and C^{g.n}"
         )
-    by_diff: dict[Multiindex, list[tuple[Multiindex, Multiindex, ExactScalar]]] = {}
-    for (gamma, delta), d in g.terms.items():
-        key = tuple(x - y for x, y in zip(gamma, delta))
-        by_diff.setdefault(key, []).append((gamma, delta, d))
-    total = ZERO
-    for (alpha, beta), c in f.terms.items():
-        key = tuple(x - y for x, y in zip(alpha, beta))
-        for gamma, delta, d in by_diff.get(key, ()):
-            mu = tuple(x + y for x, y in zip(alpha, delta))
-            total = total + (c * d.conjugate()) * _diagonal_integral(f.n, mu)
-    return total
+    by_diff: dict[Multiindex, list] = {}
+    for (gamma, delta), parts in g._num.items():
+        by_diff.setdefault(tuple(map(sub, gamma, delta)), []).append((delta, parts))
+    by_degree: dict[int, list[int]] = {}
+    for (alpha, beta), (cr, ci) in f._num.items():
+        for delta, (dr, di) in by_diff.get(tuple(map(sub, alpha, beta)), ()):
+            mu = tuple(map(add, alpha, delta))
+            w = _factorial_product(mu)
+            acc = by_degree.setdefault(sum(mu), [0, 0])
+            acc[0] += w * (cr * dr + ci * di)
+            acc[1] += w * (ci * dr - cr * di)
+    # over the common denominator (n-1+top)! * den(f) * den(g), one Fraction per part
+    top = f.n - 1 + max(by_degree, default=0)
+    re = im = 0
+    for s, (r, i) in by_degree.items():
+        lift = math.factorial(top) // math.factorial(f.n - 1 + s)
+        re, im = re + r * lift, im + i * lift
+    den = math.factorial(top) * f._den * g._den
+    lead = math.factorial(f.n - 1)
+    return ExactScalar(Fraction(lead * re, den), Fraction(lead * im, den))
 
 
 def l2_norm_squared(f: Polynomial) -> Fraction:

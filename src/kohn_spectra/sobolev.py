@@ -70,7 +70,7 @@ def critical_degree(n: int) -> int:
 
 def argmax_degree(n: int) -> int:
     """Where the t = 1 ratio sequence attains its maximum over k >= 1."""
-    return 1 if n == 2 else critical_degree(n)
+    return 1 if spectrum._check_dimension(n) == 2 else critical_degree(n)
 
 
 def equality_bidegree(n: int) -> Bidegree:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kohn_spectra import cli
 from kohn_spectra.polynomials import fraction_to_string
 from kohn_spectra.schatten import partial_sum
 
@@ -306,3 +307,36 @@ def test_byte_identical_reruns():
     third = run_cli("verify", "--n", "2", "--max-degree", "2")
     fourth = run_cli("verify", "--n", "2", "--max-degree", "2")
     assert third.stdout == fourth.stdout
+
+
+class TestInProcessParserReuse:
+    """``main`` builds its parser once per process; no call may see another's
+    arguments or defaults."""
+
+    def call(self, capsys, *argv):
+        status = cli.main(list(argv))
+        return status, capsys.readouterr().out
+
+    def test_apply_t_defaults_to_one_after_an_explicit_t(self, capsys, tmp_path):
+        path = tmp_path / "zbar1.json"
+        path.write_text(json.dumps(ZBAR1))
+        argv = ("apply", "--n", "2", "--input", str(path), "--operator", "sobolev")
+        status, out = self.call(capsys, *argv, "--t", "3")
+        assert status == 0 and json.loads(out)["t"] == "3/1"
+        status, out = self.call(capsys, *argv)
+        assert status == 0 and json.loads(out)["t"] == "1/1"
+
+    def test_ratio_format_defaults_to_csv_after_json(self, capsys):
+        argv = ("ratio", "--n", "2", "--s", "1", "--k-max", "5")
+        status, out = self.call(capsys, *argv, "--format", "json")
+        assert status == 0 and json.loads(out)["n"] == 2
+        status, out = self.call(capsys, *argv)
+        assert status == 0 and out == (GOLDEN / "ratio_n2_s1.csv").read_text()
+
+    def test_valid_call_after_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ratio", "--n", "2", "--k-max", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        status, out = self.call(capsys, "ratio", "--n", "2", "--s", "1", "--k-max", "3")
+        assert status == 0 and out.startswith("k,value\n")

@@ -3,19 +3,21 @@
 An integer argument (a dimension, degree, index or cutoff) is an ``int``,
 never a bool, with a stated minimum.  An order (the Schatten r, the Sobolev
 s and t, a spectral cutoff, an exponent) is an ``int``, a ``Fraction`` or a
-finite ``float``.  Anything else is a ``ValueError``: never a ``TypeError``,
-a ``RecursionError`` or a silently returned value.
+finite ``float``.  A polynomial coefficient is an ``int`` (not a bool), a
+``Fraction`` or an ``ExactScalar``.  Anything else is a ``ValueError``: never
+a ``TypeError``, a ``RecursionError`` or a silently returned value.
 """
 
 import dataclasses
 import inspect
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from kohn_spectra import harmonic_spaces, operators, polynomials, schatten, sobolev, spectrum
-from kohn_spectra.polynomials import Bidegree, Polynomial
+from kohn_spectra.polynomials import Bidegree, ExactScalar, FormatError, Polynomial
 
 MODULES = (polynomials, spectrum, harmonic_spaces, operators, schatten, sobolev)
 
@@ -153,6 +155,65 @@ def test_malformed_argument_is_a_value_error(name, param, bad):
     function, kwargs, _, _ = TABLE[name]
     with pytest.raises(ValueError):
         function(**{**kwargs, param: bad})
+
+
+INTEGER_PARAMS = [
+    pytest.param(name, param, id=f"{name}-{param}")
+    for name, (_, _, ints, _) in TABLE.items()
+    for param in ints.split()
+]
+
+
+@pytest.mark.parametrize("name, param", INTEGER_PARAMS)
+def test_integral_float_is_rejected_after_a_valid_call(name, param):
+    """2.0 == 2 and hash(2.0) == hash(2), so a cache reached before the
+    integer check would hand back the answer for 2; the valid call warms it."""
+    function, kwargs, _, _ = TABLE[name]
+    function(**kwargs)
+    with pytest.raises(ValueError):
+        function(**{**kwargs, param: float(kwargs[param])})
+
+
+ZERO2 = ((0, 0), (0, 0))
+
+# qualified name: (callable, valid keyword arguments, coefficient parameter)
+COEFFICIENTS = {
+    "polynomials.ExactScalar.re": (ExactScalar, dict(re=Fraction(1, 2)), "re"),
+    "polynomials.ExactScalar.im": (ExactScalar, dict(im=3), "im"),
+    "polynomials.Polynomial.__init__": (
+        lambda coeff: Polynomial(2, {ZERO2: coeff}), dict(coeff=ExactScalar(1, 2)), "coeff"
+    ),
+    "polynomials.Polynomial.constant": (Polynomial.constant, dict(n=2, value=1), "value"),
+    "polynomials.Polynomial.monomial": (
+        Polynomial.monomial, dict(n=2, alpha=(1, 0), beta=(0, 0), coeff=Fraction(2, 3)), "coeff"
+    ),
+    "polynomials.Polynomial.scale": (Z.scale, dict(factor=2), "factor"),
+}
+
+BAD_COEFFICIENTS = (0.5, 1.0, True, "1", None, 1j)
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENTS))
+def test_exact_coefficient_accepted(name):
+    function, kwargs, _ = COEFFICIENTS[name]
+    function(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [pytest.param(name, bad, id=f"{name}-{bad!r}") for name in COEFFICIENTS for bad in BAD_COEFFICIENTS],
+)
+def test_inexact_coefficient_is_a_value_error(name, bad):
+    function, kwargs, param = COEFFICIENTS[name]
+    with pytest.raises(ValueError, match="coefficient"):
+        function(**{**kwargs, param: bad})
+
+
+@pytest.mark.parametrize("bad", [0.5, 1, None, "0.5", "1/2.5"])
+def test_inexact_serialized_coefficient_is_a_format_error(bad):
+    obj = {"n": 2, "terms": [{"alpha": [0, 0], "beta": [0, 0], "re": "1/1", "im": bad}]}
+    with pytest.raises(FormatError, match="term 0"):
+        polynomials.polynomial_from_dict(obj)
 
 
 @pytest.mark.parametrize("entry", [True, 1.0, "1", -1, None])

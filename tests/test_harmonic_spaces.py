@@ -20,7 +20,8 @@ from kohn_spectra import (
 )
 from kohn_spectra import harmonic_spaces
 from kohn_spectra.harmonic_spaces import bidegree_monomials
-from kohn_spectra.polynomials import bidegree_of, random_polynomial
+from helpers import bidegree_of
+from kohn_spectra.polynomials import random_polynomial
 
 
 def test_antiholomorphic_cell_is_monomial_basis():

@@ -22,7 +22,8 @@ from kohn_spectra import (
     sphere_inner_product,
 )
 from kohn_spectra.operators import FloatScaledDecomposition, SphericalDecomposition
-from kohn_spectra.polynomials import bidegree_of, multiindices
+from helpers import bidegree_of
+from kohn_spectra.polynomials import multiindices
 
 
 def z(j, n=2):

@@ -1,6 +1,7 @@
 """Exact polynomial algebra: arithmetic, Laplacian, bidegree bookkeeping,
 and the sphere inner product."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -275,3 +276,142 @@ class TestSerialization:
             polynomial_from_dict({"n": 2})
         with pytest.raises(FormatError, match="term 0"):
             polynomial_from_dict({"n": 2, "terms": [{"alpha": [0, 0]}]})
+
+
+# -- differential checks against a naive reference ---------------------------
+#
+# The reference keeps one Fraction pair (re, im) per term and applies the
+# textbook formulas directly, with no shared denominator and no caching.
+
+
+def ref(f):
+    return {key: (c.re, c.im) for key, c in f.terms.items()}
+
+
+def ref_sum(*maps):
+    out = {}
+    for terms in maps:
+        for key, (re, im) in terms.items():
+            r0, i0 = out.get(key, (0, 0))
+            out[key] = (r0 + re, i0 + im)
+    return {key: c for key, c in out.items() if c[0] or c[1]}
+
+
+def ref_product(f, g):
+    return ref_sum(
+        *(
+            {(tuple(x + y for x, y in zip(a1, a2)), tuple(x + y for x, y in zip(b1, b2))):
+             (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)}
+            for (a1, b1), (r1, i1) in f.items()
+            for (a2, b2), (r2, i2) in g.items()
+        )
+    )
+
+
+def ref_scale(f, re, im):
+    return ref_sum({key: (r * re - i * im, r * im + i * re) for key, (r, i) in f.items()})
+
+
+def ref_laplacian(f):
+    return ref_sum(
+        *(
+            {(tuple(x - (i == j) for i, x in enumerate(alpha)),
+              tuple(x - (i == j) for i, x in enumerate(beta))): (4 * a * b * re, 4 * a * b * im)}
+            for (alpha, beta), (re, im) in f.items()
+            for j, (a, b) in enumerate(zip(alpha, beta))
+            if a and b
+        )
+    )
+
+
+def ref_inner(n, f, g):
+    """Every pair of terms, integrated with the closed form written out."""
+    re = im = Fraction(0)
+    for (alpha, beta), (cr, ci) in f.items():
+        for (gamma, delta), (dr, di) in g.items():
+            mu = tuple(x + y for x, y in zip(alpha, delta))
+            if mu != tuple(x + y for x, y in zip(beta, gamma)):
+                continue
+            weight = Fraction(math.factorial(n - 1) * math.prod(map(math.factorial, mu)),
+                              math.factorial(n - 1 + sum(mu)))
+            re += (cr * dr + ci * di) * weight
+            im += (ci * dr - cr * di) * weight
+    return re, im
+
+
+def ref_decompose(n, f):
+    """The Fischer peel of the operators module docstring, bidegree by bidegree."""
+    r2 = {(u, u): (Fraction(1), Fraction(0)) for u in (tuple(int(i == j) for i in range(n)) for j in range(n))}
+    pieces = {}
+    for key, c in f.items():
+        pieces.setdefault((sum(key[0]), sum(key[1])), {})[key] = c
+    out = {}
+    for (p, q), residual in pieces.items():
+        for m in range(min(p, q), 0, -1):
+            g = residual
+            for _ in range(m):
+                g = ref_laplacian(g)
+            constant = math.prod(4 * t * (n + p + q - 2 * m + t - 1) for t in range(1, m + 1))
+            h = ref_scale(g, Fraction(1, constant), Fraction(0))
+            radius = {((0,) * n, (0,) * n): (Fraction(1), Fraction(0))}
+            for _ in range(m):
+                radius = ref_product(radius, r2)
+            out[p - m, q - m] = ref_sum(out.get((p - m, q - m), {}), h)
+            residual = ref_sum(residual, ref_scale(ref_product(radius, h), Fraction(-1), Fraction(0)))
+        out[p, q] = ref_sum(out.get((p, q), {}), residual)
+    return {d: terms for d, terms in sorted(out.items()) if terms}
+
+
+def random_pairs(count=12):
+    rng = random.Random(20261018)
+    for n in (2, 3, 4):
+        for _ in range(count):
+            yield n, random_polynomial(rng, n, max_degree=5), random_polynomial(rng, n, max_degree=4)
+
+
+class TestAgainstNaiveReference:
+    def test_ring_operations(self):
+        for n, f, g in random_pairs():
+            assert ref(f + g) == ref_sum(ref(f), ref(g))
+            assert ref(f - g) == ref_sum(ref(f), ref_scale(ref(g), Fraction(-1), Fraction(0)))
+            assert ref(f * g) == ref_product(ref(f), ref(g))
+            c = ExactScalar(Fraction(-2, 3), Fraction(5, 7))
+            assert ref(f * c) == ref_scale(ref(f), c.re, c.im)
+            assert ref(f * Fraction(3, 4)) == ref_scale(ref(f), Fraction(3, 4), Fraction(0))
+
+    def test_laplacian_and_pairing(self):
+        for n, f, g in random_pairs():
+            assert ref(ambient_laplacian(f)) == ref_laplacian(ref(f))
+            value = sphere_inner_product(f, g)
+            assert (value.re, value.im) == ref_inner(n, ref(f), ref(g))
+
+    def test_decompose(self):
+        from kohn_spectra.operators import decompose
+
+        for n, f, _ in random_pairs(count=6):
+            dec = decompose(f)
+            assert {tuple(c.bidegree): ref(c.part) for c in dec.components} == ref_decompose(n, ref(f))
+
+
+class TestCanonicalForm:
+    def test_difference_with_itself_is_the_zero_polynomial(self):
+        for n, f, _ in random_pairs(count=4):
+            diff = f - f
+            assert diff == Polynomial.zero(n)
+            assert diff.terms == {} and not diff
+
+    def test_scaling_round_trip(self):
+        for n, f, _ in random_pairs(count=4):
+            for c in (ExactScalar(Fraction(6, 35), Fraction(-4, 9)), ExactScalar(Fraction(12))):
+                back = (f * c) * (ExactScalar(1) / c)
+                assert back == f
+                assert back.terms == f.terms
+
+    def test_sums_in_any_order_match_direct_construction(self):
+        for n, f, g in random_pairs(count=4):
+            h = f * g
+            direct = Polynomial(n, [*f.terms.items(), *g.terms.items(), *h.terms.items()])
+            for total in ((f + g) + h, f + (g + h), (h + f) + g, h + (g + f)):
+                assert total == direct
+                assert total.terms == direct.terms
+            assert Polynomial(n, direct.terms) == direct
