@@ -71,6 +71,8 @@ def _load_polynomial(path: str, n: int):
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise CliError(f"{path} is nested too deeply to decode as JSON")
     try:
         poly = polynomial_from_dict(obj)
     except FormatError as exc:

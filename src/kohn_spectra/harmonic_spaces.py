@@ -6,6 +6,9 @@ exact Gaussian elimination over the rationals on sparse rows, so dimensions,
 orthogonality, and the eigenvalue bookkeeping can all be checked without
 trusting any formula.  Cross-cell orthogonality is one bucketed Gram pass:
 terms pair only when they share alpha - beta, as in the sphere pairing.
+The Gram pass and Gram-Schmidt pair terms in Gaussian integers through
+:func:`polynomials._pairings`, the primitive behind
+:func:`sphere_inner_product`, and build a Fraction only for a finished value.
 
 Determinism: monomials of a fixed bidegree are ordered lexicographically on
 the concatenated exponent pair (alpha, beta) (all candidates share the same
@@ -22,6 +25,7 @@ bidegree.  This trust boundary is deliberate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,9 +35,11 @@ from .polynomials import (
     ExactScalar,
     Multiindex,
     Polynomial,
+    _bucket,
     _check_int,
-    _collect,
-    _diagonal_integral,
+    _make,
+    _pairings,
+    _times,
     ambient_laplacian,
     euler_z,
     euler_z_bar,
@@ -128,13 +134,13 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
     basis is returned directly.  Otherwise the Laplacian is written as an
     exact integer matrix from the (p, q) monomial space to the (p-1, q-1)
     one, stored as sparse rows (each column has at most n nonzeros), and
-    its kernel is extracted by exact elimination on those rows.
+    its kernel is extracted by exact elimination on those rows; each kernel
+    vector becomes one element, as integers over the lcm of its denominators.
     """
     d = spectrum._check_bidegree(n, d)
     source = bidegree_monomials(n, d)
     if d.p == 0 or d.q == 0:
-        elements = tuple(Polynomial.monomial(n, a, b) for a, b in source)
-        return HarmonicBasis(n, d, elements)
+        return HarmonicBasis(n, d, tuple(_make(n, {key: (1, 0)}, 1) for key in source))
 
     target = bidegree_monomials(n, Bidegree(d.p - 1, d.q - 1))
     target_index = {key: i for i, key in enumerate(target)}
@@ -149,11 +155,11 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
                 )
                 rows[target_index[key]][col] = Fraction(4 * a * b)
 
-    elements = tuple(
-        Polynomial(n, {source[i]: ExactScalar(vec[i]) for i in sorted(vec)})
-        for vec in _kernel(rows, len(source))
-    )
-    return HarmonicBasis(n, d, elements)
+    elements = []
+    for vec in _kernel(rows, len(source)):
+        den = math.lcm(*(x.denominator for x in vec.values()))
+        elements.append(_make(n, {source[i]: (_times(x, den), 0) for i, x in vec.items()}, den))
+    return HarmonicBasis(n, d, tuple(elements))
 
 
 def orthonormalize(basis: HarmonicBasis) -> HarmonicBasis:
@@ -161,14 +167,32 @@ def orthonormalize(basis: HarmonicBasis) -> HarmonicBasis:
 
     Returns mutually orthogonal elements with their exact squared norms;
     normalization is deferred since square roots are generally irrational.
+    The finished u_j are bucketed once each; an input element e is paired
+    with all of them in integers, and u = e - sum_j (<e, u_j> / N_j) u_j is
+    one integer combination over one lcm.  This is classical Gram-Schmidt,
+    which in exact arithmetic equals modified Gram-Schmidt (<u_k, u_j> = 0
+    for k != j), so the elements and norms are those of the modified form.
     """
     orthogonal: list[Polynomial] = []
     norms: list[Fraction] = []
+    weights: list[Fraction] = []  # <U_j, U_j> for the numerator U_j of u_j
+    buckets: dict = {}
     for element in basis.elements:
-        u = element
-        for v, nsq in zip(orthogonal, norms):
-            coeff = sphere_inner_product(u, v) / ExactScalar(nsq)
-            u = u - v * coeff
+        # with e = E / D_e and u_j = U_j / D_j: u = (E - sum_j (<E, U_j> / <U_j, U_j>) U_j) / D_e
+        sums, d = _pairings(element, buckets)
+        coeffs = {}
+        for j, (re, im) in sums.items():
+            if re or im:
+                w = weights[j]
+                coeffs[j] = (re * w.denominator, im * w.denominator, d * w.numerator)
+        lcm = math.lcm(*(cd for _, _, cd in coeffs.values()))
+        num = {key: (re * lcm, im * lcm) for key, (re, im) in element._num.items()}
+        for j, (cr, ci, cd) in coeffs.items():
+            cr, ci = cr * (lcm // cd), ci * (lcm // cd)
+            for key, (re, im) in orthogonal[j]._num.items():
+                r0, i0 = num.get(key, (0, 0))
+                num[key] = (r0 - cr * re + ci * im, i0 - cr * im - ci * re)
+        u = _make(basis.n, num, element._den * lcm)
         if not u:
             raise RuntimeError(
                 f"basis for {basis.bidegree} on C^{basis.n} is linearly dependent"
@@ -176,8 +200,10 @@ def orthonormalize(basis: HarmonicBasis) -> HarmonicBasis:
         value = sphere_inner_product(u, u)
         if value.im or value.re <= 0:
             raise RuntimeError(f"non-positive squared norm {value}; this is a bug")
+        _bucket(buckets, len(orthogonal), u)
         orthogonal.append(u)
         norms.append(value.re)
+        weights.append(value.re * u._den**2)
     return HarmonicBasis(basis.n, basis.bidegree, tuple(orthogonal), tuple(norms))
 
 
@@ -244,28 +270,27 @@ def _cross_cell_gram(
     """Every nonzero <f, g> with f = bases[i].elements[a], g = bases[j].elements[b]
     and i < j, keyed (i, j, a, b), in one pass over all terms.
 
-    Each term of each element is bucketed once by alpha - beta.  Only terms
-    in a common bucket pair, each adding c * conj(d) * integral of
-    |z^(alpha+delta)|^2 exactly as :func:`sphere_inner_product` does, so a
-    pair sharing no bucket is exactly 0 and never touched.
+    Each term of each element is bucketed once by alpha - beta, and each
+    element is paired in integers, by :func:`_pairings`, with the elements
+    of the later cells; the sums for a pair are kept per |mu| until they are
+    combined, since a non-bihomogeneous pair mixes degrees.  A pair sharing
+    no bucket is exactly 0 and never touched; an ExactScalar is built only
+    for a nonzero pair.
     """
-    buckets: dict[Multiindex, list] = {}
-    for i, basis in enumerate(bases):
-        for a, f in enumerate(basis.elements):
-            for (alpha, beta), c in f.terms.items():
-                key = tuple(x - y for x, y in zip(alpha, beta))
-                buckets.setdefault(key, []).append((i, a, alpha, beta, c))
-    # entries are appended in cell order, so a later entry of another cell has j > i
-    return _collect(
-        (
-            (i, j, a, b),
-            c * d.conjugate() * _diagonal_integral(n, tuple(x + y for x, y in zip(alpha, delta))),
-        )
-        for entries in buckets.values()
-        for x, (i, a, alpha, _, c) in enumerate(entries)
-        for j, b, _, delta, d in entries[x + 1 :]
-        if j != i
-    )
+    buckets: dict = {}
+    gram: dict[tuple[int, int, int, int], ExactScalar] = {}
+    # cells are filed last to first, so a cell pairs only with later ones
+    for i in reversed(range(len(bases))):
+        elements = bases[i].elements
+        for a, f in enumerate(elements):
+            sums, d = _pairings(f, buckets)
+            for (j, b), (re, im) in sums.items():
+                if re or im:
+                    den = d * f._den * bases[j].elements[b]._den
+                    gram[i, j, a, b] = ExactScalar(Fraction(re, den), Fraction(im, den))
+        for a, f in enumerate(elements):
+            _bucket(buckets, (i, a), f)
+    return gram
 
 
 def verify_eigen_identities(n: int, max_degree: int) -> VerificationReport:

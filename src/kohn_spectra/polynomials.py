@@ -491,40 +491,54 @@ def monomial_sphere_integral(n: int, alpha: Iterable[int], beta: Iterable[int] |
     return _diagonal_integral(n, a)
 
 
-def sphere_inner_product(f: Polynomial, g: Polynomial) -> ExactScalar:
-    """<f, g> = integral over S^{2n-1} of f * conj(g), exactly.
+def _bucket(buckets: dict, tag, g: Polynomial) -> dict:
+    """File each term (gamma, delta) of ``g`` under gamma - delta as
+    (tag, delta, re, im), for :func:`_pairings`; returns ``buckets``."""
+    for (gamma, delta), (re, im) in g._num.items():
+        buckets.setdefault(tuple(map(sub, gamma, delta)), []).append((tag, delta, re, im))
+    return buckets
+
+
+def _pairings(f: Polynomial, buckets: dict) -> tuple[dict, int]:
+    """The sphere pairing, in integers, of the numerator of ``f`` with that of
+    every tagged polynomial filed in ``buckets``: ``({tag: (re, im)}, d)``,
+    where <f, tagged> = (re + im*i) / d before the two denominators.
 
     A term pair ((alpha,beta), (gamma,delta)) contributes only when
-    alpha + delta == beta + gamma, i.e. alpha - beta == gamma - delta, so
-    terms are bucketed by that difference before pairing.  The pair adds
-    the integer c * conj(d) * mu! (mu = alpha + delta, numerators only) to
-    the sum for its total degree |mu|; the factor (n-1)! / (n-1+|mu|)! and
-    the two denominators are applied once, at the end.
+    alpha + delta == beta + gamma, i.e. alpha - beta == gamma - delta, which
+    is the bucket key.  The pair adds the integer c * conj(d) * mu!
+    (mu = alpha + delta) to the sum for (tag, |mu|); each sum is then lifted
+    by (n-1)! / (n-1+|mu|)! over d = (n-1+top)! / (n-1)!, top the largest |mu|.
     """
+    acc: dict = {}
+    for (alpha, beta), (cr, ci) in f._num.items():
+        for tag, delta, dr, di in buckets.get(tuple(map(sub, alpha, beta)), ()):
+            mu = tuple(map(add, alpha, delta))
+            w = _factorial_product(mu)
+            sums = acc.setdefault((tag, sum(mu)), [0, 0])
+            sums[0] += w * (cr * dr + ci * di)
+            sums[1] += w * (ci * dr - cr * di)
+    n = f.n
+    top = math.factorial(n - 1 + max((s for _, s in acc), default=0))
+    out: dict = {}
+    for (tag, s), (re, im) in acc.items():
+        lift = top // math.factorial(n - 1 + s)
+        r0, i0 = out.get(tag, (0, 0))
+        out[tag] = (r0 + re * lift, i0 + im * lift)
+    return out, top // math.factorial(n - 1)
+
+
+def sphere_inner_product(f: Polynomial, g: Polynomial) -> ExactScalar:
+    """<f, g> = integral over S^{2n-1} of f * conj(g), exactly: one
+    :func:`_pairings` over the numerators, one Fraction per part."""
     if f.n != g.n:
         raise DimensionMismatchError(
             f"cannot pair polynomials on C^{f.n} and C^{g.n}"
         )
-    by_diff: dict[Multiindex, list] = {}
-    for (gamma, delta), parts in g._num.items():
-        by_diff.setdefault(tuple(map(sub, gamma, delta)), []).append((delta, parts))
-    by_degree: dict[int, list[int]] = {}
-    for (alpha, beta), (cr, ci) in f._num.items():
-        for delta, (dr, di) in by_diff.get(tuple(map(sub, alpha, beta)), ()):
-            mu = tuple(map(add, alpha, delta))
-            w = _factorial_product(mu)
-            acc = by_degree.setdefault(sum(mu), [0, 0])
-            acc[0] += w * (cr * dr + ci * di)
-            acc[1] += w * (ci * dr - cr * di)
-    # over the common denominator (n-1+top)! * den(f) * den(g), one Fraction per part
-    top = f.n - 1 + max(by_degree, default=0)
-    re = im = 0
-    for s, (r, i) in by_degree.items():
-        lift = math.factorial(top) // math.factorial(f.n - 1 + s)
-        re, im = re + r * lift, im + i * lift
-    den = math.factorial(top) * f._den * g._den
-    lead = math.factorial(f.n - 1)
-    return ExactScalar(Fraction(lead * re, den), Fraction(lead * im, den))
+    sums, d = _pairings(f, _bucket({}, None, g))
+    re, im = sums.get(None, (0, 0))
+    den = d * f._den * g._den
+    return ExactScalar(Fraction(re, den), Fraction(im, den))
 
 
 def l2_norm_squared(f: Polynomial) -> Fraction:

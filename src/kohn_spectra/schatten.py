@@ -112,14 +112,16 @@ def _bound_constant(n: int) -> int:
 
 
 def _times_power(num: int, base: int, r, den: int = 1) -> Fraction | float:
-    """num * base^{-r} / den: exact for integral r.  Otherwise only
-    base^(floor(r)-r), in (1/base, 1], is a float power; it meets the exact
+    """num * base^{-r} / den: exact for integral r (see
+    :func:`spectrum._integral_exponent`).  Otherwise only base^(floor(r)-r),
+    in (1/base, 1], is a float power; it meets the exact
     num / (den base^floor(r)) once, so neither huge ints nor an underflowing
     power spoil a representable result."""
+    e = spectrum._integral_exponent(r)
+    if e is not None:
+        return Fraction(num, den * base**e)
     whole = math.floor(r)
-    power = spectrum.power(base, whole - r)
-    value = Fraction(num, den * base**whole) * Fraction(power)
-    return value if isinstance(power, Fraction) else float(value)
+    return float(Fraction(num, den * base**whole) * Fraction(spectrum.power(base, whole - r)))
 
 
 def schatten_term(n: int, r, p: int, q: int) -> Fraction | float:

@@ -294,6 +294,16 @@ def test_invalid_parameters_rejected():
     assert cp.returncode == 1
 
 
+def test_deeply_nested_input_is_a_structured_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    status = cli.main(["apply", "--n", "2", "--operator", "green", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"{path} is nested too deeply to decode as JSON"}
+
+
 def test_negative_samples_rejected():
     assert "--samples" in cli_error("verify", "--n", "2", "--max-degree", "1", "--samples", "-1")
     cp = run_cli("verify", "--n", "2", "--max-degree", "1", "--samples", "0")

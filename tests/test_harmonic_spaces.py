@@ -1,5 +1,6 @@
 """The brute-force oracle: exact kernels, Gram-Schmidt, identity checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -308,3 +309,107 @@ def test_cross_cell_gram_equals_sphere_pairing(make_cells):
                         expected[i, j, a, b] = value
     assert expected
     assert gram == expected
+
+
+# -- Gram-Schmidt against a naive reference ------------------------------------
+#
+# The reference keeps one Fraction pair (re, im) per term and runs textbook
+# modified Gram-Schmidt: u <- u - (<u, v> / <v, v>) v for each earlier v in
+# turn, with the pairing integral c * conj(d) * (n-1)! mu! / (n-1+|mu|)!
+# written out term by term.
+
+
+def _ref_terms(f):
+    return {key: (c.re, c.im) for key, c in f.terms.items()}
+
+
+def _ref_inner(n, f, g):
+    by_diff = {}
+    for (gamma, delta), d in g.items():
+        by_diff.setdefault(tuple(x - y for x, y in zip(gamma, delta)), []).append((delta, d))
+    re = im = Fraction(0)
+    for (alpha, beta), (cr, ci) in f.items():
+        for delta, (dr, di) in by_diff.get(tuple(x - y for x, y in zip(alpha, beta)), ()):
+            mu = tuple(x + y for x, y in zip(alpha, delta))
+            weight = Fraction(math.factorial(n - 1) * math.prod(map(math.factorial, mu)),
+                              math.factorial(n - 1 + sum(mu)))
+            # c * conj(d) = (cr + i ci)(dr - i di)
+            re += (cr * dr + ci * di) * weight
+            im += (ci * dr - cr * di) * weight
+    return re, im
+
+
+def _ref_gram_schmidt(n, elements):
+    orthogonal, norms = [], []
+    for element in elements:
+        u = _ref_terms(element)
+        for v, nsq in zip(orthogonal, norms):
+            re, im = _ref_inner(n, u, v)
+            cr, ci = re / nsq, im / nsq
+            for key, (vr, vi) in v.items():
+                ur, ui = u.get(key, (Fraction(0), Fraction(0)))
+                u[key] = (ur - (cr * vr - ci * vi), ui - (cr * vi + ci * vr))
+            u = {key: c for key, c in u.items() if c[0] or c[1]}
+        if not u:
+            raise RuntimeError("linearly dependent")
+        re, im = _ref_inner(n, u, u)
+        assert im == 0 and re > 0
+        orthogonal.append(u)
+        norms.append(re)
+    return orthogonal, norms
+
+
+def _assert_matches_reference(basis):
+    result = orthonormalize(basis)
+    expected, norms = _ref_gram_schmidt(basis.n, basis.elements)
+    assert len(result.elements) == len(expected)
+    for element, terms in zip(result.elements, expected):
+        assert _ref_terms(element) == terms
+        assert str(element) == str(Polynomial(basis.n, {k: ExactScalar(*c) for k, c in terms.items()}))
+    assert result.squared_norms == tuple(norms)
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(2, (1, 1)), (2, (3, 2)), (2, (4, 4)), (3, (2, 1)), (3, (2, 2)), (3, (4, 4)), (4, (1, 2)), (4, (2, 2))],
+)
+def test_orthonormalize_matches_reference_on_harmonic_bases(n, d):
+    _assert_matches_reference(harmonic_basis(n, Bidegree(*d)))
+
+
+def _random_basis(seed, n, size):
+    rng = random.Random(seed)
+    elements = tuple(random_polynomial(rng, n, 4) for _ in range(size))
+    assert any(c.im for f in elements for c in f.terms.values())
+    assert len({c.re.denominator for f in elements for c in f.terms.values()}) > 1
+    return HarmonicBasis(n, Bidegree(0, 0), elements)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orthonormalize_matches_reference_on_complex_polynomials(n):
+    _assert_matches_reference(_random_basis(67 + n, n, 6))
+
+
+def test_orthonormalize_rejects_a_dependent_basis():
+    f, g, h = _random_basis(71, 3, 3).elements
+    c = ExactScalar(Fraction(2, 3), Fraction(-5, 7))
+    basis = HarmonicBasis(3, Bidegree(0, 0), (f, g, h, f * c - g * Fraction(1, 4)))
+    with pytest.raises(RuntimeError, match="linearly dependent"):
+        orthonormalize(basis)
+    with pytest.raises(RuntimeError, match="linearly dependent"):
+        _ref_gram_schmidt(3, basis.elements)
+
+
+def test_cross_cell_gram_matches_reference():
+    # the Gram pass and sphere_inner_product share one pairing primitive, so
+    # the mixed-degree cells are also checked against the written-out pairing
+    bases = _random_cells()
+    gram = harmonic_spaces._cross_cell_gram(3, bases)
+    for i, cell_i in enumerate(bases):
+        for j in range(i + 1, len(bases)):
+            for a, f in enumerate(cell_i.elements):
+                for b, g in enumerate(bases[j].elements):
+                    re, im = _ref_inner(3, _ref_terms(f), _ref_terms(g))
+                    value = gram.get((i, j, a, b), ExactScalar())
+                    assert (value.re, value.im) == (re, im)
+    assert gram

@@ -366,6 +366,15 @@ class TestTermBounds:
         assert upper_bound_term(120, 121.5, 30, 30) == pytest.approx(10**-272.4978697, rel=1e-6)
         assert type(lower_bound_term(120, 121.5, 120, 3)) is float
 
+    def test_integral_float_order_stays_float(self):
+        # exactness follows the type of the order, not its value: 4.0 is a float
+        for term, p in ((schatten_term, 5), (upper_bound_term, 0), (upper_bound_term, 5),
+                        (lower_bound_term, 5)):
+            value = term(3, 4.0, p, 2)
+            assert type(value) is float
+            assert value == pytest.approx(float(term(3, 4, p, 2)), rel=1e-15)
+            assert type(term(3, Fraction(4), p, 2)) is Fraction
+
     def test_lower_term_requires_p_at_least_n(self):
         with pytest.raises(ValueError):
             lower_bound_term(3, 4, 2, 1)
