@@ -154,9 +154,7 @@ def cmd_apply(args) -> int:
         result = operators.apply_sobolev_power(poly, args.t)
     obj = {"operator": args.operator}
     if args.operator == "sobolev":
-        obj["t"] = (
-            fraction_to_string(args.t) if isinstance(args.t, Fraction) else args.t
-        )
+        obj["t"] = fraction_to_string(args.t)
     obj["result"] = result.to_json_dict()
     _emit(_json_text(obj), args.output)
     return 0
@@ -222,7 +220,7 @@ def cmd_ratio(args) -> int:
         text = _json_text(
             {
                 "n": args.n,
-                "s": fraction_to_string(args.s) if isinstance(args.s, Fraction) else args.s,
+                "s": fraction_to_string(args.s),
                 "points": entries,
             }
         )

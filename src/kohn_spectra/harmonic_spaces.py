@@ -7,7 +7,7 @@ orthogonality, and the eigenvalue bookkeeping can all be checked without
 trusting any formula.  Cross-cell orthogonality is one bucketed Gram pass:
 terms pair only when they share alpha - beta, as in the sphere pairing.
 The Gram pass and Gram-Schmidt pair terms in Gaussian integers through
-:func:`polynomials._pairings`, the primitive behind
+:class:`polynomials._PairingIndex`, the primitive behind
 :func:`sphere_inner_product`, and build a Fraction only for a finished value.
 
 Determinism: monomials of a fixed bidegree are ordered lexicographically on
@@ -25,7 +25,6 @@ bidegree.  This trust boundary is deliberate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,11 +34,10 @@ from .polynomials import (
     ExactScalar,
     Multiindex,
     Polynomial,
-    _bucket,
     _check_int,
-    _make,
-    _pairings,
-    _times,
+    _combine,
+    _from_terms,
+    _PairingIndex,
     ambient_laplacian,
     euler_z,
     euler_z_bar,
@@ -140,7 +138,7 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
     d = spectrum._check_bidegree(n, d)
     source = bidegree_monomials(n, d)
     if d.p == 0 or d.q == 0:
-        return HarmonicBasis(n, d, tuple(_make(n, {key: (1, 0)}, 1) for key in source))
+        return HarmonicBasis(n, d, tuple(_from_terms(n, ((key, 1),)) for key in source))
 
     target = bidegree_monomials(n, Bidegree(d.p - 1, d.q - 1))
     target_index = {key: i for i, key in enumerate(target)}
@@ -155,11 +153,9 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
                 )
                 rows[target_index[key]][col] = Fraction(4 * a * b)
 
-    elements = []
-    for vec in _kernel(rows, len(source)):
-        den = math.lcm(*(x.denominator for x in vec.values()))
-        elements.append(_make(n, {source[i]: (_times(x, den), 0) for i, x in vec.items()}, den))
-    return HarmonicBasis(n, d, tuple(elements))
+    kernel = _kernel(rows, len(source))
+    elements = tuple(_from_terms(n, ((source[i], x) for i, x in vec.items())) for vec in kernel)
+    return HarmonicBasis(n, d, elements)
 
 
 def orthonormalize(basis: HarmonicBasis) -> HarmonicBasis:
@@ -167,32 +163,22 @@ def orthonormalize(basis: HarmonicBasis) -> HarmonicBasis:
 
     Returns mutually orthogonal elements with their exact squared norms;
     normalization is deferred since square roots are generally irrational.
-    The finished u_j are bucketed once each; an input element e is paired
-    with all of them in integers, and u = e - sum_j (<e, u_j> / N_j) u_j is
-    one integer combination over one lcm.  This is classical Gram-Schmidt,
+    The finished u_j are filed once each in a :class:`_PairingIndex`; an
+    input element e is paired with all of them in integers, and
+    u = e - sum_j (<e, u_j> / N_j) u_j is one :func:`_combine` over the
+    nonzero pairings.  This is classical Gram-Schmidt,
     which in exact arithmetic equals modified Gram-Schmidt (<u_k, u_j> = 0
     for k != j), so the elements and norms are those of the modified form.
     """
     orthogonal: list[Polynomial] = []
     norms: list[Fraction] = []
-    weights: list[Fraction] = []  # <U_j, U_j> for the numerator U_j of u_j
-    buckets: dict = {}
+    index = _PairingIndex()
     for element in basis.elements:
-        # with e = E / D_e and u_j = U_j / D_j: u = (E - sum_j (<E, U_j> / <U_j, U_j>) U_j) / D_e
-        sums, d = _pairings(element, buckets)
-        coeffs = {}
-        for j, (re, im) in sums.items():
-            if re or im:
-                w = weights[j]
-                coeffs[j] = (re * w.denominator, im * w.denominator, d * w.numerator)
-        lcm = math.lcm(*(cd for _, _, cd in coeffs.values()))
-        num = {key: (re * lcm, im * lcm) for key, (re, im) in element._num.items()}
-        for j, (cr, ci, cd) in coeffs.items():
-            cr, ci = cr * (lcm // cd), ci * (lcm // cd)
-            for key, (re, im) in orthogonal[j]._num.items():
-                r0, i0 = num.get(key, (0, 0))
-                num[key] = (r0 - cr * re + ci * im, i0 - cr * im - ci * re)
-        u = _make(basis.n, num, element._den * lcm)
+        parts = [(element, 1, 0, 1)]
+        for j, (re, im, d) in index.pair(element).items():
+            w = norms[j]
+            parts.append((orthogonal[j], -re * w.denominator, -im * w.denominator, d * w.numerator))
+        u = _combine(basis.n, parts)
         if not u:
             raise RuntimeError(
                 f"basis for {basis.bidegree} on C^{basis.n} is linearly dependent"
@@ -200,10 +186,9 @@ def orthonormalize(basis: HarmonicBasis) -> HarmonicBasis:
         value = sphere_inner_product(u, u)
         if value.im or value.re <= 0:
             raise RuntimeError(f"non-positive squared norm {value}; this is a bug")
-        _bucket(buckets, len(orthogonal), u)
+        index.add(len(orthogonal), u)
         orthogonal.append(u)
         norms.append(value.re)
-        weights.append(value.re * u._den**2)
     return HarmonicBasis(basis.n, basis.bidegree, tuple(orthogonal), tuple(norms))
 
 
@@ -270,26 +255,21 @@ def _cross_cell_gram(
     """Every nonzero <f, g> with f = bases[i].elements[a], g = bases[j].elements[b]
     and i < j, keyed (i, j, a, b), in one pass over all terms.
 
-    Each term of each element is bucketed once by alpha - beta, and each
-    element is paired in integers, by :func:`_pairings`, with the elements
-    of the later cells; the sums for a pair are kept per |mu| until they are
-    combined, since a non-bihomogeneous pair mixes degrees.  A pair sharing
-    no bucket is exactly 0 and never touched; an ExactScalar is built only
-    for a nonzero pair.
+    Each element is filed once in a :class:`_PairingIndex` and paired in
+    integers with the elements of the later cells.  A pair sharing no
+    bucket is exactly 0 and never touched; an ExactScalar is built only for
+    a nonzero pair.
     """
-    buckets: dict = {}
+    index = _PairingIndex()
     gram: dict[tuple[int, int, int, int], ExactScalar] = {}
     # cells are filed last to first, so a cell pairs only with later ones
     for i in reversed(range(len(bases))):
         elements = bases[i].elements
         for a, f in enumerate(elements):
-            sums, d = _pairings(f, buckets)
-            for (j, b), (re, im) in sums.items():
-                if re or im:
-                    den = d * f._den * bases[j].elements[b]._den
-                    gram[i, j, a, b] = ExactScalar(Fraction(re, den), Fraction(im, den))
+            for (j, b), (re, im, den) in index.pair(f).items():
+                gram[i, j, a, b] = ExactScalar(Fraction(re, den), Fraction(im, den))
         for a, f in enumerate(elements):
-            _bucket(buckets, (i, a), f)
+            index.add((i, a), f)
     return gram
 
 

@@ -36,6 +36,7 @@ from . import spectrum
 from .polynomials import (
     Bidegree,
     _collect,
+    _combine,
     Polynomial,
     ambient_laplacian,
     bidegree_split,
@@ -81,7 +82,7 @@ class SphericalDecomposition:
     components: tuple[HarmonicComponent, ...]
 
     def as_polynomial(self) -> Polynomial:
-        return sum((comp.part for comp in self.components), Polynomial.zero(self.n))
+        return _combine(self.n, ((comp.part, 1, 0, 1) for comp in self.components))
 
     def component(self, d: Bidegree) -> Polynomial:
         d = Bidegree(*d)

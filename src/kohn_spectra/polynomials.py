@@ -10,10 +10,15 @@ Storage is Gaussian integers over one denominator: ``_num`` maps each
 ``(alpha, beta)`` to a pair ``(re, im)`` of ints and ``_den`` is one positive
 int, so a term's coefficient is ``(re + im*i) / _den``.  Every operation
 drops zero pairs and divides out gcd(all parts, ``_den``) once, so the form
-is canonical and equality of polynomials is a structural comparison.  The
-arithmetic kernels work on these integers alone; an :class:`ExactScalar`
-is built only at the boundary, by :attr:`Polynomial.terms` (on first use,
-then cached) and by :func:`sphere_inner_product`.
+is canonical and equality of polynomials is a structural comparison.  Only
+this module reads that storage; other modules use three primitives:
+:func:`_parts` converts a coefficient to integers (for :func:`_from_terms`
+and scaling), :func:`_combine` is every linear combination of polynomials,
+and :class:`_PairingIndex` is every sphere pairing.  An :class:`ExactScalar`
+is built only at the boundary: by :attr:`Polynomial.terms` (on first use,
+then cached), by :func:`sphere_inner_product`, for the input coefficients of
+:func:`polynomial_from_dict` and :func:`random_polynomial`, and for a
+finished pairing value.
 
 Splitting by bidegree ``(|alpha|, |beta|)`` and the ambient Laplacian
 
@@ -199,13 +204,8 @@ class Polynomial:
     ) -> None:
         _check_dimension(n)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        collected = _collect(
-            ((_check_multiindex(alpha, n), _check_multiindex(beta, n)), as_scalar(coeff))
-            for (alpha, beta), coeff in items
-        )
-        den = math.lcm(*(x.denominator for c in collected.values() for x in (c.re, c.im)))
-        num = {key: (_times(c.re, den), _times(c.im, den)) for key, c in collected.items()}
-        _store(self, n, num, den)
+        checked = (((_check_multiindex(a, n), _check_multiindex(b, n)), c) for (a, b), c in items)
+        _from_terms(n, checked, self)
 
     @property
     def terms(self) -> dict[tuple[Multiindex, Multiindex], ExactScalar]:
@@ -249,29 +249,22 @@ class Polynomial:
 
     def _require_same_dimension(self, other: "Polynomial") -> None:
         if self.n != other.n:
-            raise DimensionMismatchError(
-                f"cannot combine polynomials on C^{self.n} and C^{other.n}"
-            )
+            raise DimensionMismatchError(f"cannot combine polynomials on C^{self.n} and C^{other.n}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dimension(other)
-        den = math.lcm(self._den, other._den)
-        s, t = den // self._den, den // other._den
-        num = {key: (re * s, im * s) for key, (re, im) in self._num.items()}
-        for key, (re, im) in other._num.items():
-            r0, i0 = num.get(key, (0, 0))
-            num[key] = (r0 + re * t, i0 + im * t)
-        return _make(self.n, num, den)
+        return _combine(self.n, ((self, 1, 0, 1), (other, 1, 0, 1)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._require_same_dimension(other)
+        return _combine(self.n, ((self, 1, 0, 1), (other, -1, 0, 1)))
 
     def __neg__(self) -> "Polynomial":
-        return _make(self.n, {k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
+        return _combine(self.n, ((self, -1, 0, 1),))
 
     def __mul__(self, other: "Polynomial | ScalarLike") -> "Polynomial":
         if isinstance(other, (ExactScalar, Fraction, int)):
@@ -309,14 +302,7 @@ class Polynomial:
         return result
 
     def scale(self, factor: ScalarLike) -> "Polynomial":
-        factor = as_scalar(factor)
-        den = math.lcm(factor.re.denominator, factor.im.denominator)
-        fr, fi = _times(factor.re, den), _times(factor.im, den)
-        return _make(
-            self.n,
-            {k: (re * fr - im * fi, re * fi + im * fr) for k, (re, im) in self._num.items()},
-            self._den * den,
-        )
+        return _combine(self.n, ((self, *_parts(factor)),))
 
     def conjugate(self) -> "Polynomial":
         """Complex conjugate: swaps alpha with beta and conjugates coefficients."""
@@ -372,25 +358,60 @@ def _gather(triples: Iterable[tuple]) -> dict:
     return out
 
 
-def _times(value: Fraction, den: int) -> int:
-    """value * den, for a den that value's denominator divides."""
-    return value.numerator * (den // value.denominator)
-
-
-def _store(poly: Polynomial, n: int, num: dict, den: int) -> Polynomial:
-    """Give ``poly`` the canonical form of num / den: zero pairs dropped and
-    gcd(every part, den) divided out."""
+def _make(n: int, num: dict, den: int, poly: Polynomial | None = None) -> Polynomial:
+    """The canonical polynomial num / den (zero pairs dropped, gcd divided out) of a
+    validated dimension and key set, filled into ``poly`` when given."""
     num = {key: parts for key, parts in num.items() if parts[0] or parts[1]}
     g = math.gcd(den, *chain.from_iterable(num.values()))
     if g > 1:
         num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+    if poly is None:
+        poly = Polynomial.__new__(Polynomial)
     poly.n, poly._num, poly._den, poly._terms = n, num, den // g, None
     return poly
 
 
-def _make(n: int, num: dict, den: int) -> Polynomial:
-    """The polynomial num / den of an already-validated dimension and key set."""
-    return _store(Polynomial.__new__(Polynomial), n, num, den)
+def _parts(coeff: ScalarLike) -> tuple[int, int, int]:
+    """(re, im, den) with coeff = (re + im*i) / den, for an int, Fraction or
+    ExactScalar; it builds no ExactScalar and no Fraction."""
+    if isinstance(coeff, ExactScalar):
+        re, im = coeff.re, coeff.im
+        den = math.lcm(re.denominator, im.denominator)
+        return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+    value = coeff if isinstance(coeff, int) and not isinstance(coeff, bool) else _as_fraction(coeff)
+    return value.numerator, 0, value.denominator
+
+
+def _from_terms(n: int, items: Iterable[tuple], poly: Polynomial | None = None) -> Polynomial:
+    """sum coeff * z^alpha * zbar^beta over items ((alpha, beta), coeff) with
+    valid keys, summed in integers over the lcm of the coefficients' dens."""
+    parts = [(key, *_parts(coeff)) for key, coeff in items]
+    den = math.lcm(*(d for _, _, _, d in parts))
+    terms = ((key, re * (den // d), im * (den // d)) for key, re, im, d in parts)
+    return _make(n, _gather(terms), den, poly)
+
+
+def _combine(n: int, parts: Iterable[tuple]) -> Polynomial:
+    """sum_k f_k * (re_k + im_k*i) / den_k over parts (f_k, re_k, im_k, den_k):
+    the one Gaussian-rational linear combination of polynomials on C^n,
+    summed in integers over the lcm of every den_k * f_k's denominator."""
+    parts = tuple(parts)
+    den = math.lcm(*(d * f._den for f, _, _, d in parts))
+    num: dict = {}
+    for f, fr, fi, d in parts:
+        s = den // (d * f._den)
+        fr, fi = fr * s, fi * s
+        for key, (re, im) in f._num.items():
+            if fi:
+                re, im = re * fr - im * fi, re * fi + im * fr
+            else:  # a real factor: two products instead of four
+                re, im = re * fr, im * fr
+            if key in num:
+                r0, i0 = num[key]
+                num[key] = (r0 + re, i0 + im)
+            else:
+                num[key] = (re, im)
+    return _make(n, num, den)
 
 
 def _unit_index(n: int, j: int) -> Multiindex:
@@ -491,53 +512,58 @@ def monomial_sphere_integral(n: int, alpha: Iterable[int], beta: Iterable[int] |
     return _diagonal_integral(n, a)
 
 
-def _bucket(buckets: dict, tag, g: Polynomial) -> dict:
-    """File each term (gamma, delta) of ``g`` under gamma - delta as
-    (tag, delta, re, im), for :func:`_pairings`; returns ``buckets``."""
-    for (gamma, delta), (re, im) in g._num.items():
-        buckets.setdefault(tuple(map(sub, gamma, delta)), []).append((tag, delta, re, im))
-    return buckets
+class _PairingIndex:
+    """Exact sphere pairings <f, g> of any polynomial f with every polynomial
+    g filed under a tag, in Gaussian integers.
 
-
-def _pairings(f: Polynomial, buckets: dict) -> tuple[dict, int]:
-    """The sphere pairing, in integers, of the numerator of ``f`` with that of
-    every tagged polynomial filed in ``buckets``: ``({tag: (re, im)}, d)``,
-    where <f, tagged> = (re + im*i) / d before the two denominators.
-
-    A term pair ((alpha,beta), (gamma,delta)) contributes only when
-    alpha + delta == beta + gamma, i.e. alpha - beta == gamma - delta, which
-    is the bucket key.  The pair adds the integer c * conj(d) * mu!
+    Each term (gamma, delta) of g is filed under gamma - delta.  A term pair
+    ((alpha, beta), (gamma, delta)) contributes only when alpha + delta ==
+    beta + gamma, i.e. alpha - beta == gamma - delta, so f's terms look up
+    their own bucket only.  The pair adds the integer c * conj(d) * mu!
     (mu = alpha + delta) to the sum for (tag, |mu|); each sum is then lifted
-    by (n-1)! / (n-1+|mu|)! over d = (n-1+top)! / (n-1)!, top the largest |mu|.
+    by (n-1)! / (n-1+|mu|)! over (n-1+top)! / (n-1)!, top the largest |mu|.
     """
-    acc: dict = {}
-    for (alpha, beta), (cr, ci) in f._num.items():
-        for tag, delta, dr, di in buckets.get(tuple(map(sub, alpha, beta)), ()):
-            mu = tuple(map(add, alpha, delta))
-            w = _factorial_product(mu)
-            sums = acc.setdefault((tag, sum(mu)), [0, 0])
-            sums[0] += w * (cr * dr + ci * di)
-            sums[1] += w * (ci * dr - cr * di)
-    n = f.n
-    top = math.factorial(n - 1 + max((s for _, s in acc), default=0))
-    out: dict = {}
-    for (tag, s), (re, im) in acc.items():
-        lift = top // math.factorial(n - 1 + s)
-        r0, i0 = out.get(tag, (0, 0))
-        out[tag] = (r0 + re * lift, i0 + im * lift)
-    return out, top // math.factorial(n - 1)
+
+    def __init__(self) -> None:
+        self._buckets, self._dens = {}, {}  # {gamma - delta: [(tag, delta, re, im)]}, {tag: den}
+
+    def add(self, tag, g: Polynomial) -> None:
+        """File ``g`` under ``tag`` (a new tag for each g)."""
+        self._dens[tag] = g._den
+        for (gamma, delta), (re, im) in g._num.items():
+            self._buckets.setdefault(tuple(map(sub, gamma, delta)), []).append((tag, delta, re, im))
+
+    def pair(self, f: Polynomial) -> dict:
+        """``{tag: (re, im, den)}`` with <f, g_tag> = (re + im*i) / den, for
+        the nonzero pairings only; den includes both polynomials' denominators."""
+        acc: dict = {}
+        for (alpha, beta), (cr, ci) in f._num.items():
+            for tag, delta, dr, di in self._buckets.get(tuple(map(sub, alpha, beta)), ()):
+                mu = tuple(map(add, alpha, delta))
+                w = _factorial_product(mu)
+                sums = acc.setdefault((tag, sum(mu)), [0, 0])
+                sums[0] += w * (cr * dr + ci * di)
+                sums[1] += w * (ci * dr - cr * di)
+        n = f.n
+        top = math.factorial(n - 1 + max((s for _, s in acc), default=0))
+        out = _gather(
+            (tag, re * lift, im * lift)
+            for (tag, s), (re, im) in acc.items()
+            for lift in (top // math.factorial(n - 1 + s),)
+        )
+        d = top // math.factorial(n - 1) * f._den
+        dens = self._dens
+        return {tag: (re, im, d * dens[tag]) for tag, (re, im) in out.items() if re or im}
 
 
 def sphere_inner_product(f: Polynomial, g: Polynomial) -> ExactScalar:
     """<f, g> = integral over S^{2n-1} of f * conj(g), exactly: one
-    :func:`_pairings` over the numerators, one Fraction per part."""
+    :class:`_PairingIndex` pairing, one Fraction per part."""
     if f.n != g.n:
-        raise DimensionMismatchError(
-            f"cannot pair polynomials on C^{f.n} and C^{g.n}"
-        )
-    sums, d = _pairings(f, _bucket({}, None, g))
-    re, im = sums.get(None, (0, 0))
-    den = d * f._den * g._den
+        raise DimensionMismatchError(f"cannot pair polynomials on C^{f.n} and C^{g.n}")
+    index = _PairingIndex()
+    index.add(None, g)
+    re, im, den = index.pair(f).get(None, (0, 0, 1))
     return ExactScalar(Fraction(re, den), Fraction(im, den))
 
 
@@ -568,14 +594,7 @@ def multiindices(n: int, degree: int) -> list[Multiindex]:
     return list(rec(n, degree))
 
 
-def random_polynomial(
-    rng,
-    n: int,
-    max_degree: int,
-    max_terms: int = 6,
-    coeff_bound: int = 3,
-    complex_coeffs: bool = True,
-) -> Polynomial:
+def random_polynomial(rng, n: int, max_degree: int, max_terms: int = 6, coeff_bound: int = 3) -> Polynomial:
     """A small random polynomial with |alpha|+|beta| <= max_degree.
 
     Deterministic for a given ``random.Random`` state; used by the seeded
@@ -593,7 +612,7 @@ def random_polynomial(
         alpha = _random_composition(rng, n, p)
         beta = _random_composition(rng, n, q)
         re = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 4))
-        im = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 4)) if complex_coeffs else Fraction(0)
+        im = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 4))
         terms.append(((alpha, beta), ExactScalar(re, im)))
     return Polynomial(n, terms)
 

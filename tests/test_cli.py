@@ -1,5 +1,7 @@
 """CLI behavior: golden outputs, determinism, structured errors."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -19,12 +21,29 @@ ZBAR1 = {
 }
 
 
-def run_cli(*args, env=None, check=True):
-    cmd = [sys.executable, "-m", "kohn_spectra.cli", *args]
-    cp = subprocess.run(cmd, capture_output=True, text=True, env=env)
+def _checked(cp, check):
     if check and cp.returncode != 0:
         raise AssertionError(f"cli failed: {cp.returncode}\n{cp.stderr}")
     return cp
+
+
+def run_cli(*args, check=True):
+    """Run ``cli.main`` in this process; stdout, stderr and the exit status
+    (a ``SystemExit`` code for usage errors) come back as a CompletedProcess."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(list(args))
+        except SystemExit as exc:
+            status = exc.code
+    cmd = [sys.executable, "-m", "kohn_spectra.cli", *args]
+    return _checked(subprocess.CompletedProcess(cmd, status, out.getvalue(), err.getvalue()), check)
+
+
+def run_cli_subprocess(*args, check=True):
+    """Run ``python -m kohn_spectra.cli`` in a fresh interpreter."""
+    cmd = [sys.executable, "-m", "kohn_spectra.cli", *args]
+    return _checked(subprocess.run(cmd, capture_output=True, text=True), check)
 
 
 def test_spectrum_csv_golden():
@@ -222,7 +241,7 @@ def test_float_overflow_rejected(tmp_path, command):
         f = tmp_path / "f.json"
         f.write_text(json.dumps(ZBAR1))
         command = (*command, str(f))
-    cp = run_cli(*command, check=False)
+    cp = run_cli_subprocess(*command, check=False)
     assert cp.returncode == 1
     assert "Traceback" not in cp.stderr
     assert "overflow" in json.loads(cp.stderr)["error"]
@@ -311,11 +330,11 @@ def test_negative_samples_rejected():
 
 
 def test_byte_identical_reruns():
-    first = run_cli("spectrum", "--n", "2", "--cutoff", "12")
-    second = run_cli("spectrum", "--n", "2", "--cutoff", "12")
+    first = run_cli_subprocess("spectrum", "--n", "2", "--cutoff", "12")
+    second = run_cli_subprocess("spectrum", "--n", "2", "--cutoff", "12")
     assert first.stdout == second.stdout
-    third = run_cli("verify", "--n", "2", "--max-degree", "2")
-    fourth = run_cli("verify", "--n", "2", "--max-degree", "2")
+    third = run_cli_subprocess("verify", "--n", "2", "--max-degree", "2")
+    fourth = run_cli_subprocess("verify", "--n", "2", "--max-degree", "2")
     assert third.stdout == fourth.stdout
 
 

@@ -4,6 +4,7 @@ and the sphere inner product."""
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,8 @@ from kohn_spectra import (
     random_polynomial,
     sphere_inner_product,
 )
-from kohn_spectra.polynomials import euler_z, euler_z_bar, multiindices
+from kohn_spectra import polynomials
+from kohn_spectra.polynomials import _combine, _PairingIndex, euler_z, euler_z_bar, multiindices
 
 
 def z(j, n=2):
@@ -415,3 +417,69 @@ class TestCanonicalForm:
                 assert total == direct
                 assert total.terms == direct.terms
             assert Polynomial(n, direct.terms) == direct
+
+
+# -- the storage primitives ---------------------------------------------------
+
+
+class TestStoragePrimitives:
+    def test_linear_combinations_match_reference(self):
+        c = ExactScalar(Fraction(-2, 3), Fraction(5, 7))
+        for n, f, g in random_pairs():
+            assert ref(-f) == ref_scale(ref(f), Fraction(-1), Fraction(0))
+            assert ref(f - g) == ref_sum(ref(f), ref_scale(ref(g), Fraction(-1), Fraction(0)))
+            assert ref(f.scale(c)) == ref_scale(ref(f), c.re, c.im)
+            h = f * g
+            combined = _combine(n, ((f, 3, -1, 5), (g, 0, 2, 9), (h, -7, 0, 4)))
+            assert ref(combined) == ref_sum(
+                ref_scale(ref(f), Fraction(3, 5), Fraction(-1, 5)),
+                ref_scale(ref(g), Fraction(0), Fraction(2, 9)),
+                ref_scale(ref(h), Fraction(-7, 4), Fraction(0)),
+            )
+
+    def test_decomposition_sum_matches_pairwise_sum(self):
+        from kohn_spectra.operators import decompose
+
+        for n, f, g in random_pairs(count=4):
+            dec = decompose(f * g)
+            pairwise = sum((c.part for c in dec.components), Polynomial.zero(n))
+            assert dec.as_polynomial() == pairwise
+            assert dec.as_polynomial().terms == pairwise.terms
+
+    def test_pairing_index_matches_sphere_inner_product(self):
+        for n, f, g in random_pairs(count=4):
+            others = [g, f * g, ambient_laplacian(f), Polynomial.zero(n), z(1, n) * z(2, n)]
+            index = _PairingIndex()
+            for tag, other in enumerate(others):
+                index.add(tag, other)
+            pairs = index.pair(f)
+            for tag, other in enumerate(others):
+                value = sphere_inner_product(f, other)
+                if value:
+                    re, im, den = pairs[tag]
+                    assert ExactScalar(Fraction(re, den), Fraction(im, den)) == value
+                else:
+                    assert tag not in pairs
+            assert 3 not in pairs
+
+    def test_scalar_arithmetic_builds_no_exact_scalar(self, monkeypatch):
+        f, g = z(1) * zb(2) + zb(1) * Fraction(2, 3), z(2) - one() * 5
+        calls = []
+        original = ExactScalar.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(ExactScalar, "__post_init__", counted)
+        f * 3, f * Fraction(1, 7), f + g, f - g
+        assert calls == []
+
+    def test_only_polynomials_reads_the_storage(self):
+        src = Path(polynomials.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            if path.name == "polynomials.py":
+                continue
+            text = path.read_text()
+            for token in ("._num", "._den", "_make("):
+                assert token not in text, f"{path.name} uses {token}"
