@@ -35,7 +35,6 @@ from functools import lru_cache
 from . import spectrum
 from .polynomials import (
     Bidegree,
-    _collect,
     _combine,
     Polynomial,
     ambient_laplacian,
@@ -174,14 +173,14 @@ def decompose(f: Polynomial) -> SphericalDecomposition:
 
     Each bihomogeneous piece of f is Fischer-decomposed and the harmonic
     parts (which is all that survives restriction to the sphere, where
-    |z|^2 = 1) are merged across pieces.
+    |z|^2 = 1) are merged across pieces; a bidegree whose parts cancel is
+    dropped.
     """
-    merged = _collect(
-        pair
-        for d, piece in bidegree_split(f).items()
-        for pair in _fischer_components(piece, d).items()
-    )
-    components = tuple(HarmonicComponent(d, merged[d]) for d in sorted(merged))
+    merged: dict[Bidegree, Polynomial] = {}
+    for d, piece in bidegree_split(f).items():
+        for dd, h in _fischer_components(piece, d).items():
+            merged[dd] = merged[dd] + h if dd in merged else h
+    components = tuple(HarmonicComponent(d, merged[d]) for d in sorted(merged) if merged[d])
     return SphericalDecomposition(f.n, components)
 
 

@@ -15,8 +15,8 @@ this module reads that storage; other modules use three primitives:
 :func:`_parts` converts a coefficient to integers (for :func:`_from_terms`
 and scaling), :func:`_combine` is every linear combination of polynomials,
 and :class:`_PairingIndex` is every sphere pairing.  An :class:`ExactScalar`
-is built only at the boundary: by :attr:`Polynomial.terms` (on first use,
-then cached), by :func:`sphere_inner_product`, for the input coefficients of
+is built only at the boundary: by :attr:`Polynomial.terms`, by
+:func:`sphere_inner_product`, for the input coefficients of
 :func:`polynomial_from_dict` and :func:`random_polynomial`, and for a
 finished pairing value.
 
@@ -121,8 +121,6 @@ class ExactScalar:
         other = as_scalar(other)
         if not other:
             raise ZeroDivisionError("division by zero ExactScalar")
-        if not other.im:
-            return ExactScalar(self.re / other.re, self.im / other.re)
         den = other.norm_squared()
         return ExactScalar(
             (self.re * other.re + self.im * other.im) / den,
@@ -194,7 +192,7 @@ class Polynomial:
     returns new objects.
     """
 
-    __slots__ = ("n", "_num", "_den", "_terms")
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(
         self,
@@ -209,14 +207,12 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[tuple[Multiindex, Multiindex], ExactScalar]:
-        """The term map ``{(alpha, beta): ExactScalar}``, built on first use.  Do not mutate."""
-        if self._terms is None:
-            den = self._den
-            self._terms = {
-                key: ExactScalar(Fraction(re, den), Fraction(im, den))
-                for key, (re, im) in self._num.items()
-            }
-        return self._terms
+        """The term map ``{(alpha, beta): ExactScalar}``, built on each read."""
+        den = self._den
+        return {
+            key: ExactScalar(Fraction(re, den), Fraction(im, den))
+            for key, (re, im) in self._num.items()
+        }
 
     # -- constructors -------------------------------------------------
 
@@ -336,18 +332,9 @@ class Polynomial:
         return f"Polynomial(n={self.n}: {self})"
 
 
-def _collect(pairs: Iterable[tuple]) -> dict:
-    """Sum the values of equal keys (coefficients of equal exponent pairs,
-    or polynomials of equal bidegree), then drop the zero sums."""
-    out = {}
-    for key, value in pairs:
-        out[key] = out[key] + value if key in out else value
-    return {key: value for key, value in out.items() if value}
-
-
 def _gather(triples: Iterable[tuple]) -> dict:
-    """Sum the Gaussian integers (re, im) of equal keys: the integer twin of
-    :func:`_collect`; the zero sums are dropped by :func:`_make`."""
+    """Sum the Gaussian integers (re, im) of equal keys; the zero sums are
+    dropped by :func:`_make`."""
     out = {}
     for key, re, im in triples:
         if key in out:
@@ -367,7 +354,7 @@ def _make(n: int, num: dict, den: int, poly: Polynomial | None = None) -> Polyno
         num = {key: (re // g, im // g) for key, (re, im) in num.items()}
     if poly is None:
         poly = Polynomial.__new__(Polynomial)
-    poly.n, poly._num, poly._den, poly._terms = n, num, den // g, None
+    poly.n, poly._num, poly._den = n, num, den // g
     return poly
 
 
@@ -491,13 +478,6 @@ def _factorial_product(mu: Multiindex) -> int:
     return math.prod(map(math.factorial, mu))
 
 
-@lru_cache(maxsize=None)
-def _diagonal_integral(n: int, alpha: Multiindex) -> Fraction:
-    return Fraction(
-        math.factorial(n - 1) * _factorial_product(alpha), math.factorial(n - 1 + sum(alpha))
-    )
-
-
 def monomial_sphere_integral(n: int, alpha: Iterable[int], beta: Iterable[int] | None = None) -> Fraction:
     """Integral of z^alpha * zbar^beta over S^{2n-1}, normalized measure.
 
@@ -509,7 +489,7 @@ def monomial_sphere_integral(n: int, alpha: Iterable[int], beta: Iterable[int] |
         b = _check_multiindex(beta, n)
         if a != b:
             return Fraction(0)
-    return _diagonal_integral(n, a)
+    return Fraction(math.factorial(n - 1) * _factorial_product(a), math.factorial(n - 1 + sum(a)))
 
 
 class _PairingIndex:
@@ -594,8 +574,9 @@ def multiindices(n: int, degree: int) -> list[Multiindex]:
     return list(rec(n, degree))
 
 
-def random_polynomial(rng, n: int, max_degree: int, max_terms: int = 6, coeff_bound: int = 3) -> Polynomial:
-    """A small random polynomial with |alpha|+|beta| <= max_degree.
+def random_polynomial(rng, n: int, max_degree: int, max_terms: int = 6) -> Polynomial:
+    """A small random polynomial with |alpha|+|beta| <= max_degree and
+    coefficient parts a/b with |a| <= 3 and 1 <= b <= 4.
 
     Deterministic for a given ``random.Random`` state; used by the seeded
     property checks and the CLI verification bundle.
@@ -603,7 +584,6 @@ def random_polynomial(rng, n: int, max_degree: int, max_terms: int = 6, coeff_bo
     _check_dimension(n)
     _check_int("max_degree", max_degree)
     _check_int("max_terms", max_terms)
-    _check_int("coeff_bound", coeff_bound)
     terms = []
     for _ in range(max_terms):
         k = rng.randint(0, max_degree)
@@ -611,8 +591,8 @@ def random_polynomial(rng, n: int, max_degree: int, max_terms: int = 6, coeff_bo
         q = k - p
         alpha = _random_composition(rng, n, p)
         beta = _random_composition(rng, n, q)
-        re = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 4))
-        im = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 4))
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        im = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         terms.append(((alpha, beta), ExactScalar(re, im)))
     return Polynomial(n, terms)
 

@@ -214,18 +214,6 @@ class GainCertificate:
     equality: bool
     in_equality_locus: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "green_norm_squared": fraction_to_string(self.green_norm_squared),
-            "bound": fraction_to_string(self.bound),
-            "ratio": fraction_to_string(self.ratio) if self.ratio is not None else None,
-            "holds": self.holds,
-            "equality": self.equality,
-            "in_equality_locus": self.in_equality_locus,
-        }
-
 
 def sobolev_gain_certificate(n: int, f: Polynomial, s: int = 0) -> GainCertificate:
     """Compare || G f ||_{s+1}^2 against c^2 || f ||_s^2, both exact rationals.

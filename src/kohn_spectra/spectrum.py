@@ -3,13 +3,13 @@
 The Kohn Laplacian acts on the bidegree-(p, q) harmonic space with eigenvalue
 2q(p+n-1); the (positive) Laplace-Beltrami operator acts on degree-k spherical
 harmonics with eigenvalue k(k+2n-2).  Multiplicities are the dimensions of the
-harmonic spaces, computed here in the factorial-free product form
+harmonic spaces, computed here in the form
 
-    m_{p,q} = (n+p+q-1) * (p+1)...(p+n-2) * (q+1)...(q+n-2) / ((n-1)!(n-2)!)
+    m_{p,q} = (n+p+q-1) * C(p+n-2, n-2) * C(q+n-2, n-2) / (n-1)
 
-with arbitrary-precision integers (the division is exact).  The binomial
-forms are kept alongside as cross-checks, and the brute-force kernel oracle
-in :mod:`kohn_spectra.harmonic_spaces` validates both.
+with arbitrary-precision integers (the division is exact).  The case-wise
+binomial forms of :func:`multiplicity_binomial` are a cross-check, and the
+brute-force kernel oracle in :mod:`kohn_spectra.harmonic_spaces` checks both.
 
 The library's real orders (the Schatten r, the Sobolev s and t, spectral
 cutoffs) all pass :func:`_check_order`, as its integers pass
@@ -77,18 +77,11 @@ def boxb_eigenvalue(n: int, d: Bidegree) -> Fraction:
 
 def multiplicity(n: int, d: Bidegree) -> int:
     """dim of the bidegree-(p, q) harmonic space on S^{2n-1}, exact."""
-    d = _check_bidegree(n, d)
-    if d.p == 0 and d.q == 0:
-        return 1
-    num = n + d.p + d.q - 1
-    for j in range(1, n - 1):
-        num *= d.p + j
-    for j in range(1, n - 1):
-        num *= d.q + j
-    den = math.factorial(n - 1) * math.factorial(n - 2)
-    quotient, remainder = divmod(num, den)
+    p, q = _check_bidegree(n, d)
+    num = (n + p + q - 1) * math.comb(p + n - 2, n - 2) * math.comb(q + n - 2, n - 2)
+    quotient, remainder = divmod(num, n - 1)
     if remainder:
-        raise RuntimeError(f"multiplicity product form not divisible at n={n}, {d}")
+        raise RuntimeError(f"multiplicity not divisible by n-1 at n={n}, {d}")
     return quotient
 
 

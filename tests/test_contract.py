@@ -51,8 +51,8 @@ TABLE = {
     "polynomials.multiindices": (polynomials.multiindices, dict(n=2, degree=2), "n degree", ""),
     "polynomials.random_polynomial": (
         lambda **kw: polynomials.random_polynomial(random.Random(0), **kw),
-        dict(n=2, max_degree=3, max_terms=2, coeff_bound=2),
-        "n max_degree max_terms coeff_bound",
+        dict(n=2, max_degree=3, max_terms=2),
+        "n max_degree max_terms",
         "",
     ),
     "spectrum.power": (spectrum.power, dict(base=3, exponent=2), "", "exponent"),

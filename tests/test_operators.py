@@ -56,6 +56,18 @@ class TestDecompose:
         dec = decompose(z(1) * zb(1) + Polynomial.constant(2, 1))
         assert dec.component(Bidegree(0, 0)) == Polynomial.constant(2, Fraction(3, 2))
 
+    def test_cancelling_merge_drops_the_bidegree(self):
+        # z1 zb1 has the (0, 0) component 1/2, which the constant -1/2 cancels
+        dec = decompose(z(1) * zb(1) - Polynomial.constant(2, Fraction(1, 2)))
+        assert dec.bidegrees() == (Bidegree(1, 1),)
+        assert dec.component(Bidegree(1, 1)) == (z(1) * zb(1) - z(2) * zb(2)) * Fraction(1, 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_radius_squared_minus_one_has_no_components(self, n):
+        dec = decompose(radius_squared(n) - Polynomial.constant(n, 1))
+        assert dec.components == ()
+        assert not dec.as_polynomial()
+
     def test_components_harmonic_and_bihomogeneous(self):
         rng = random.Random(71)
         for n in (2, 3):

@@ -1,6 +1,7 @@
 """Exact polynomial algebra: arithmetic, Laplacian, bidegree bookkeeping,
 and the sphere inner product."""
 
+import ast
 import math
 import random
 from fractions import Fraction
@@ -483,3 +484,34 @@ class TestStoragePrimitives:
             text = path.read_text()
             for token in ("._num", "._den", "_make("):
                 assert token not in text, f"{path.name} uses {token}"
+
+    def test_every_private_module_name_has_a_caller(self):
+        """A module-level private name that nothing in the library reads (a
+        load of the name, or an attribute of that name) is dead code."""
+        src = Path(polynomials.__file__).parent
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+        used = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        unused = []
+        for name, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined = [t.id for t in targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.Import):
+                    defined = [alias.asname or alias.name for alias in node.names]
+                else:
+                    continue
+                unused += [
+                    f"{name}: {d}"
+                    for d in defined
+                    if d.startswith("_") and not d.startswith("__") and d not in used
+                ]
+        assert not unused, f"private names without a caller: {unused}"

@@ -1,5 +1,6 @@
 """Closed-form spectra: eigenvalues, multiplicities, aggregation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,17 @@ class TestMultiplicity:
                 for q in range(9):
                     d = Bidegree(p, q)
                     assert multiplicity(n, d) == multiplicity_binomial(n, d)
+
+    def test_matches_rising_factorial_product(self):
+        # the factorial-free reference (n+p+q-1) (p+1)...(p+n-2) (q+1)...(q+n-2) / ((n-1)!(n-2)!)
+        for n in (2, 3, 4, 10):
+            for p in range(30):
+                for q in range(30):
+                    num = (n + p + q - 1) * math.prod(range(p + 1, p + n - 1)) * math.prod(
+                        range(q + 1, q + n - 1)
+                    )
+                    expected = Fraction(num, math.factorial(n - 1) * math.factorial(n - 2))
+                    assert multiplicity(n, Bidegree(p, q)) == expected
 
     def test_conjugation_symmetry(self):
         for n in (2, 3, 4):
