@@ -13,9 +13,11 @@ import csv
 import functools
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import harmonic_spaces, operators, schatten, sobolev, spectrum
 from .polynomials import (
@@ -52,7 +54,57 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2)`` and a newline, byte for byte, for objects
+    with str keys, without the pure-Python encoder that json.dumps runs
+    whenever ``indent`` is set."""
+    chunks: list[str] = []
+    _write_json(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(obj, newline: str, write) -> None:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            write(sep)
+            _write_json(value, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            write("NaN")
+        elif obj in (math.inf, -math.inf):
+            write("Infinity" if obj > 0 else "-Infinity")
+        else:
+            write(float.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:

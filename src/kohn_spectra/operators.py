@@ -24,25 +24,28 @@ peel off top-down by exact rational division.  The constants are strictly
 positive for n >= 2, so the solve cannot be singular; every component is
 nevertheless re-checked for harmonicity and a failure aborts loudly, since
 it would mean the arithmetic itself is broken.
+
+The peel runs in ``polynomials._fischer`` on the Gaussian-integer
+numerators: lap^m of a residual R / D is taken on R alone, the component is
+lap^m R over c_m D (c_m the constant above), and the next residual is
+(c_m R - |z|^{2m} lap^m R) over c_m D, so each component is reduced to
+canonical form once, after the merge across pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import spectrum
 from .polynomials import (
     Bidegree,
     _combine,
+    _fischer,
     Polynomial,
-    ambient_laplacian,
-    bidegree_split,
     fraction_to_string,
     l2_norm_squared,
     polynomial_to_dict,
-    radius_squared,
 )
 
 __all__ = [
@@ -132,42 +135,6 @@ def _component_json(comp: HarmonicComponent | FloatScaledComponent) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
-def _radius_power(n: int, m: int) -> Polynomial:
-    """|z|^{2m}; n comes from an already-built polynomial, so it passed
-    _check_dimension before it can key the cache."""
-    return radius_squared(n) ** m
-
-
-def _fischer_components(piece: Polynomial, d: Bidegree) -> dict[Bidegree, Polynomial]:
-    """Exact Fischer decomposition of one bihomogeneous piece (see module docstring)."""
-    n = piece.n
-    p, q = d
-    k = p + q
-    out: dict[Bidegree, Polynomial] = {}
-    residual = piece
-    for m in range(min(p, q), 0, -1):
-        g = residual
-        for _ in range(m):
-            g = ambient_laplacian(g)
-        constant = 1
-        for t in range(1, m + 1):
-            constant *= 4 * t * (n + (k - 2 * m) + t - 1)
-        h = g * Fraction(1, constant)
-        if h:
-            out[Bidegree(p - m, q - m)] = h
-            residual = residual - _radius_power(n, m) * h
-    if residual:
-        out[Bidegree(p, q)] = residual
-    for dd, h in out.items():
-        if ambient_laplacian(h):
-            raise RuntimeError(
-                f"Fischer component {dd} of a bidegree-{Bidegree(p, q)} piece is not "
-                "harmonic; exact arithmetic is broken"
-            )
-    return out
-
-
 def decompose(f: Polynomial) -> SphericalDecomposition:
     """Spherical decomposition of f: harmonic components merged by bidegree.
 
@@ -176,12 +143,7 @@ def decompose(f: Polynomial) -> SphericalDecomposition:
     |z|^2 = 1) are merged across pieces; a bidegree whose parts cancel is
     dropped.
     """
-    merged: dict[Bidegree, Polynomial] = {}
-    for d, piece in bidegree_split(f).items():
-        for dd, h in _fischer_components(piece, d).items():
-            merged[dd] = merged[dd] + h if dd in merged else h
-    components = tuple(HarmonicComponent(d, merged[d]) for d in sorted(merged) if merged[d])
-    return SphericalDecomposition(f.n, components)
+    return SphericalDecomposition(f.n, tuple(HarmonicComponent(d, h) for d, h in _fischer(f)))
 
 
 def apply(

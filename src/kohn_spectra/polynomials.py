@@ -11,20 +11,28 @@ Storage is Gaussian integers over one denominator: ``_num`` maps each
 int, so a term's coefficient is ``(re + im*i) / _den``.  Every operation
 drops zero pairs and divides out gcd(all parts, ``_den``) once, so the form
 is canonical and equality of polynomials is a structural comparison.  Only
-this module reads that storage; other modules use three primitives:
+this module reads that storage; other modules use four primitives:
 :func:`_parts` converts a coefficient to integers (for :func:`_from_terms`
 and scaling), :func:`_combine` is every linear combination of polynomials,
-and :class:`_PairingIndex` is every sphere pairing.  An :class:`ExactScalar`
-is built only at the boundary: by :attr:`Polynomial.terms`, by
-:func:`sphere_inner_product`, for the input coefficients of
-:func:`polynomial_from_dict` and :func:`random_polynomial`, and for a
-finished pairing value.
+:class:`_PairingIndex` is every sphere pairing, and :func:`_fischer` is the
+spherical decomposition.  An :class:`ExactScalar` is built only at the
+boundary: by :attr:`Polynomial.terms`, by :func:`sphere_inner_product`, for
+the input coefficients of :func:`polynomial_from_dict` and
+:func:`random_polynomial`, and for a finished pairing value.  Keys are
+checked once, where they enter: ``Polynomial(n, terms)`` and
+:func:`polynomial_from_dict` validate each multi-index and then build
+through :func:`_from_terms`; :func:`polynomial_to_dict` writes each part in
+lowest terms straight from the integers.
 
 Splitting by bidegree ``(|alpha|, |beta|)`` and the ambient Laplacian
 
     lap f = 4 * sum_j d^2 f / (dz_j dzbar_j)
 
-are the two structural operations everything else builds on.
+are the two structural operations everything else builds on.  The Laplacian
+(:func:`_laplacian`) and the product (:func:`_product`) each have one copy,
+on numerator maps over an unchanged denominator: ``ambient_laplacian`` and
+``*`` wrap them in one :func:`_make`, and :func:`_fischer` chains them
+without a gcd pass between steps.
 
 The L^2 pairing on the unit sphere S^{2n-1} uses the normalized surface
 measure (total mass 1, so <1, 1> = 1) and the closed-form monomial integral
@@ -268,19 +276,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dimension(other)
-        return _make(
-            self.n,
-            _gather(
-                (
-                    (tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
-                    r1 * r2 - i1 * i2,
-                    r1 * i2 + i1 * r2,
-                )
-                for (a1, b1), (r1, i1) in self._num.items()
-                for (a2, b2), (r2, i2) in other._num.items()
-            ),
-            self._den * other._den,
-        )
+        return _make(self.n, _gather(_product(self._num, other._num)), self._den * other._den)
 
     def __rmul__(self, other: ScalarLike) -> "Polynomial":
         return self.scale(other)
@@ -423,19 +419,34 @@ def ambient_laplacian(f: Polynomial) -> Polynomial:
     Each monomial of bidegree (p, q) maps to bidegree (p-1, q-1) terms;
     anything with no mixed dependence (q = 0 or p = 0 in a variable) drops out.
     """
-    return _make(
-        f.n,
-        _gather(
-            (
-                (alpha[:j] + (a - 1,) + alpha[j + 1 :], beta[:j] + (b - 1,) + beta[j + 1 :]),
-                4 * a * b * re,
-                4 * a * b * im,
-            )
-            for (alpha, beta), (re, im) in f._num.items()
-            for j, (a, b) in enumerate(zip(alpha, beta))
-            if a and b
-        ),
-        f._den,
+    return _make(f.n, _laplacian(f._num), f._den)
+
+
+def _laplacian(num: dict) -> dict:
+    """The ambient Laplacian of the Gaussian-integer numerators ``num`` over an
+    unchanged denominator, gathered; zero sums are kept."""
+    out: dict = {}
+    for (alpha, beta), (re, im) in num.items():
+        for j, a in enumerate(alpha):
+            b = beta[j]
+            if a and b:
+                w = 4 * a * b
+                key = (alpha[:j] + (a - 1,) + alpha[j + 1 :], beta[:j] + (b - 1,) + beta[j + 1 :])
+                if key in out:
+                    r0, i0 = out[key]
+                    out[key] = (r0 + w * re, i0 + w * im)
+                else:
+                    out[key] = (w * re, w * im)
+    return out
+
+
+def _product(num1: dict, num2: dict) -> Iterator[tuple]:
+    """The product of two Gaussian-integer numerator maps, as ungathered
+    (key, re, im) triples over the product of their denominators."""
+    return (
+        ((tuple(map(add, a1, a2)), tuple(map(add, b1, b2))), r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+        for (a1, b1), (r1, i1) in num1.items()
+        for (a2, b2), (r2, i2) in num2.items()
     )
 
 
@@ -467,6 +478,82 @@ def bidegree_split(f: Polynomial) -> dict[Bidegree, Polynomial]:
     for key, parts in f._num.items():
         buckets.setdefault(Bidegree(sum(key[0]), sum(key[1])), {})[key] = parts
     return {d: _make(f.n, num, f._den) for d, num in sorted(buckets.items())}
+
+
+def _peel_constant(n: int, deg_h: int, m: int) -> int:
+    """lap^m(|z|^{2m} h) / h for a harmonic h of degree deg_h on C^n:
+    prod_{t=1..m} 4t(n + deg_h + t - 1), positive for n >= 2."""
+    c = 1
+    for t in range(1, m + 1):
+        c *= 4 * t * (n + deg_h + t - 1)
+    return c
+
+
+def _fischer(f: Polynomial) -> list[tuple[Bidegree, Polynomial]]:
+    """The nonzero harmonic components (d, h_d) of f's spherical decomposition
+    by ascending bidegree: the Fischer peel of :mod:`kohn_spectra.operators`,
+    in Gaussian integers.
+
+    Each bidegree-(p, q) bucket of f is a residual R / D.  For m = min(p, q)
+    down to 1, G = lap^m R (numerators only, D unchanged) gives the component
+    h_m = G / (c_m D), and the residual becomes (c_m R - |z|^{2m} G) / (c_m D);
+    what is left is the (p, q) component.  Each component must have a zero
+    Laplacian, else a RuntimeError.  Components of equal bidegree are summed
+    over one lcm, and a zero sum is dropped.
+    """
+    n = f.n
+    buckets: dict = {}
+    for key, parts in f._num.items():
+        buckets.setdefault((sum(key[0]), sum(key[1])), {})[key] = parts
+    units = ((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
+    radius = [{(u, u): (1, 0) for u in units}]  # the numerators of |z|^{2m} at m - 1
+    found: dict = {}  # {bidegree: [(num, den)]}
+
+    def emit(d: tuple, num: dict, den: int, piece: tuple) -> None:
+        if any(re or im for re, im in _laplacian(num).values()):
+            raise RuntimeError(
+                f"Fischer component {Bidegree(*d)} of a bidegree-{Bidegree(*piece)} piece is not "
+                "harmonic; exact arithmetic is broken"
+            )
+        found.setdefault(d, []).append((num, den))
+
+    for (p, q), residual in sorted(buckets.items()):
+        den = f._den
+        for m in range(min(p, q), 0, -1):
+            g = residual
+            for _ in range(m):
+                g = _laplacian(g)
+            g = {key: parts for key, parts in g.items() if parts[0] or parts[1]}
+            if not g:
+                continue
+            c = _peel_constant(n, p + q - 2 * m, m)
+            emit((p - m, q - m), g, c * den, (p, q))
+            while len(radius) < m:
+                radius.append(_gather(_product(radius[-1], radius[0])))
+            residual = {key: (c * re, c * im) for key, (re, im) in residual.items()}
+            for key, re, im in _product(radius[m - 1], g):
+                r0, i0 = residual.get(key, (0, 0))
+                residual[key] = (r0 - re, i0 - im)
+            residual = {key: parts for key, parts in residual.items() if parts[0] or parts[1]}
+            den *= c
+        if residual:
+            emit((p, q), residual, den, (p, q))
+    out = []
+    for d, parts in sorted(found.items()):
+        if len(parts) == 1:
+            h = _make(n, *parts[0])
+        else:
+            lcm = math.lcm(*(den for _, den in parts))
+            terms = (
+                (key, re * s, im * s)
+                for num, den in parts
+                for s in (lcm // den,)
+                for key, (re, im) in num.items()
+            )
+            h = _make(n, _gather(terms), lcm)
+        if h:
+            out.append((Bidegree(*d), h))
+    return out
 
 
 # -- integration over the sphere --------------------------------------
@@ -615,7 +702,11 @@ def fraction_to_string(value: Fraction) -> str:
     The digits come from Decimal, which prints an int of any length; str(int)
     refuses more than sys.get_int_max_str_digits() digits.
     """
-    return f"{Decimal(value.numerator)!s}/{Decimal(value.denominator)!s}"
+    return _ratio_text(value.numerator, value.denominator)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    return f"{Decimal(num)!s}/{Decimal(den)!s}"
 
 
 def fraction_from_string(text: str) -> Fraction:
@@ -628,17 +719,20 @@ def fraction_from_string(text: str) -> Fraction:
 
 
 def polynomial_to_dict(f: Polynomial) -> dict:
-    """JSON-ready form: {"n": ..., "terms": [{"alpha", "beta", "re", "im"}, ...]}."""
+    """JSON-ready form: {"n": ..., "terms": [{"alpha", "beta", "re", "im"}, ...]}.
+
+    Each part is written in lowest terms straight from the integer storage."""
+    den = f._den
+
+    def text(part: int) -> str:
+        g = math.gcd(part, den)
+        return _ratio_text(part // g, den // g)
+
     return {
         "n": f.n,
         "terms": [
-            {
-                "alpha": list(alpha),
-                "beta": list(beta),
-                "re": fraction_to_string(coeff.re),
-                "im": fraction_to_string(coeff.im),
-            }
-            for (alpha, beta), coeff in sorted(f.terms.items())
+            {"alpha": list(alpha), "beta": list(beta), "re": text(re), "im": text(im)}
+            for (alpha, beta), (re, im) in sorted(f._num.items())
         ],
     }
 
@@ -669,4 +763,4 @@ def polynomial_from_dict(obj: object) -> Polynomial:
         except (KeyError, ValueError, TypeError) as exc:
             raise FormatError(f"term {i}: {exc}") from exc
         terms.append((key, coeff))
-    return Polynomial(n, terms)
+    return _from_terms(n, terms)

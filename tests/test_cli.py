@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -369,3 +370,69 @@ class TestInProcessParserReuse:
         capsys.readouterr()
         status, out = self.call(capsys, "ratio", "--n", "2", "--s", "1", "--k-max", "3")
         assert status == 0 and out.startswith("k,value\n")
+
+
+class TestJsonText:
+    """``cli._json_text`` writes ``json.dumps(obj, indent=2)`` and a newline
+    without the json module's encoder."""
+
+    STRINGS = ["", "plain", "café", "中文", "\U0001F600", '"\\/', "\n\r\t\b\f", "\x00\x07\x1f\x7f"]
+    FLOATS = [0.0, -0.0, 1e-300, 5e-324, 1e308, -2.5, float("inf"), float("-inf"), float("nan")]
+
+    @staticmethod
+    def dumps(obj):
+        return json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", ["green_solve_zbar1.json", "sobolev_constant_n3.json"])
+    def test_golden_objects(self, name):
+        text = (GOLDEN / name).read_text()
+        obj = json.loads(text)
+        assert cli._json_text(obj) == self.dumps(obj) == text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--n", "3", "--cutoff", "6"),
+            ("schatten", "--n", "2", "--r", "2", "--cutoff-p", "5", "--cutoff-q", "5"),
+            ("schatten", "--n", "3", "--r", "7/2", "--cutoff-p", "4", "--cutoff-q", "4"),
+            ("ratio", "--n", "2", "--s", "1/2", "--k-max", "4", "--format", "json"),
+            ("verify", "--n", "2", "--max-degree", "2", "--samples", "2"),
+        ],
+    )
+    def test_command_outputs(self, argv):
+        out = run_cli(*argv).stdout
+        assert out == self.dumps(json.loads(out))
+
+    def test_error_objects(self):
+        messages = ["", 'bad "quote" \\ path/ü.json', "line\nbreak\ttab \x00\x1f", "  \U0001F600"]
+        for message in messages:
+            obj = {"error": message}
+            assert cli._json_text(obj) == self.dumps(obj)
+
+    def random_tree(self, rng, depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(
+                [
+                    rng.choice(self.STRINGS),
+                    rng.choice(self.FLOATS),
+                    rng.uniform(-1e6, 1e6),
+                    rng.choice([0, -1, 7, 2**70, -(3**50)]),
+                    rng.choice([True, False, None]),
+                ]
+            )
+        size = rng.randrange(4)
+        if rng.random() < 0.5:
+            items = [self.random_tree(rng, depth - 1) for _ in range(size)]
+            return tuple(items) if rng.random() < 0.2 else items
+        keys = [rng.choice(self.STRINGS) if rng.random() < 0.3 else f"key{i}" for i in range(size)]
+        return {key: self.random_tree(rng, depth - 1) for key in keys}
+
+    def test_random_trees(self):
+        rng = random.Random(2026)
+        for _ in range(400):
+            obj = self.random_tree(rng, 5)
+            assert cli._json_text(obj) == self.dumps(obj)
+
+    def test_unserializable_value(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text({"x": [object()]})

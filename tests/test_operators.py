@@ -12,6 +12,7 @@ from kohn_spectra import (
     apply_boxb,
     apply_green,
     apply_sobolev_power,
+    bidegree_split,
     decompose,
     hardy_projection,
     l2_norm_squared,
@@ -109,6 +110,72 @@ class TestDecompose:
                         coeff = sphere_inner_product(f, u) / ExactScalar(nsq)
                         projection = projection + u * coeff
                     assert projection == dec.component(d), (d, f)
+
+
+def _object_level_decompose(f):
+    """The Fischer peel on Polynomial objects: lap^m of each bihomogeneous
+    residual from scratch, pieces merged with + (the pre-integer-kernel loop)."""
+    n = f.n
+    merged = {}
+    for (p, q), piece in bidegree_split(f).items():
+        residual = piece
+        for m in range(min(p, q), 0, -1):
+            g = residual
+            for _ in range(m):
+                g = ambient_laplacian(g)
+            constant = 1
+            for t in range(1, m + 1):
+                constant *= 4 * t * (n + (p + q - 2 * m) + t - 1)
+            h = g * Fraction(1, constant)
+            if h:
+                d = Bidegree(p - m, q - m)
+                merged[d] = merged[d] + h if d in merged else h
+                residual = residual - radius_squared(n) ** m * h
+        if residual:
+            d = Bidegree(p, q)
+            merged[d] = merged[d] + residual if d in merged else residual
+    return [(d, merged[d]) for d in sorted(merged) if merged[d]]
+
+
+class TestIntegerFischerKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_object_level_peel(self, n):
+        rng = random.Random(1000 + n)
+        for max_degree in range(10):
+            for _ in range(3 if n < 5 else 1):
+                f = random_polynomial(rng, n, max_degree, max_terms=4 if n == 5 else 6)
+                got = [(c.bidegree, c.part) for c in decompose(f).components]
+                expected = _object_level_decompose(f)
+                assert [d for d, _ in got] == [d for d, _ in expected]
+                for (_, h), (_, e) in zip(got, expected):
+                    assert h == e
+                    assert h.terms == e.terms
+
+    def test_reaches_four_peel_steps(self):
+        # bidegree (4, 5): min(p, q) = 4, so lap^4 is applied to the numerators
+        f = (z(1, 3) * zb(2, 3)) ** 2 * (z(2, 3) * zb(1, 3)) ** 2 * zb(3, 3) + z(3, 3) ** 2
+        got = [(c.bidegree, c.part) for c in decompose(f).components]
+        assert got == _object_level_decompose(f)
+        assert Bidegree(0, 1) in [d for d, _ in got]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cancelling_merges(self, n):
+        # |z|^{2m} h lands on h's bidegree, where -h cancels it on the sphere
+        rng = random.Random(50 + n)
+        for _ in range(4):
+            h = random_polynomial(rng, n, max_degree=4)
+            g = random_polynomial(rng, n, max_degree=3)
+            f = radius_squared(n) ** 2 * h - h + g
+            got = [(c.bidegree, c.part) for c in decompose(f).components]
+            assert got == _object_level_decompose(f) == _object_level_decompose(g)
+
+    def test_wrong_peel_constant_fails_the_harmonicity_check(self, monkeypatch):
+        from kohn_spectra import polynomials
+
+        right = polynomials._peel_constant
+        monkeypatch.setattr(polynomials, "_peel_constant", lambda n, k, m: right(n, k, m) + 1)
+        with pytest.raises(RuntimeError, match="not harmonic; exact arithmetic is broken"):
+            decompose(z(1) * zb(1))
 
 
 def test_decompose_exact_at_degree_limit():

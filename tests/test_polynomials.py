@@ -256,6 +256,50 @@ class TestSerialization:
             f = random_polynomial(rng, 3, max_degree=5)
             assert polynomial_from_dict(polynomial_to_dict(f)) == f
 
+    @staticmethod
+    def _terms_based_dict(f):
+        """polynomial_to_dict written over the ExactScalar term map."""
+        return {
+            "n": f.n,
+            "terms": [
+                {
+                    "alpha": list(alpha),
+                    "beta": list(beta),
+                    "re": fraction_to_string(c.re),
+                    "im": fraction_to_string(c.im),
+                }
+                for (alpha, beta), c in sorted(f.terms.items())
+            ],
+        }
+
+    def test_matches_the_terms_based_form(self):
+        rng = random.Random(43)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                f = random_polynomial(rng, n, max_degree=6) * random_polynomial(rng, n, max_degree=2)
+                for g in (f, f * Fraction(7, 30), Polynomial.zero(n)):
+                    assert polynomial_to_dict(g) == self._terms_based_dict(g)
+        coeff = ExactScalar(Fraction(10**5000 + 1, 6), Fraction(-5, 9))
+        big = Polynomial.monomial(2, (1, 0), (0, 2), coeff) + z(2) * Fraction(1, 4)
+        obj = polynomial_to_dict(big)
+        assert obj == self._terms_based_dict(big)
+        assert len(obj["terms"][1]["re"].split("/")[0]) == 5001
+
+    def test_parsing_checks_each_multiindex_once(self, monkeypatch):
+        calls = []
+        check = polynomials._check_multiindex
+
+        def counted(entries, n):
+            calls.append(entries)
+            return check(entries, n)
+
+        monkeypatch.setattr(polynomials, "_check_multiindex", counted)
+        f = random_polynomial(random.Random(47), 3, max_degree=4, max_terms=5)
+        obj = polynomial_to_dict(f)
+        calls.clear()
+        assert polynomial_from_dict(obj) == f
+        assert len(calls) == 2 * len(obj["terms"])
+
     def test_documented_shape(self):
         obj = polynomial_to_dict(z(1))
         assert obj == {
