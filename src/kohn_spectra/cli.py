@@ -1,9 +1,18 @@
 """Command-line front end: spectrum tables, operator application, Schatten
 and Sobolev reports, and the bundled verification suite.
 
-All exact rationals serialize as "numerator/denominator" strings; float
-fields carry an explicit ``_float`` suffix.  Outputs are byte-identical for
-identical inputs (stable orderings everywhere).
+The wire format is decided here alone; the library's reports are plain
+dataclasses.  JSON is indented by 2, keys in a fixed order, with a final
+newline.  An exact rational is "numerator/denominator", always with the
+slash (``fraction_to_string``), and a polynomial is the ``--input`` form
+``{"n", "terms": [{"alpha", "beta", "re", "im"}]}`` (``polynomial_to_dict``).
+A bidegree is ``{"p", "q"}``.  A float field's key ends in ``_float``; an
+infinite Schatten tail is "inf" and a missing approximation null.  CSV has
+a header row and Unix line ends; a spectrum eigenvalue fills
+``eigenvalue_num`` and ``eigenvalue_den``, its contributors "(p,q);(p,q)".
+A failure is one ``{"error": message}`` object on stderr, exit status 1.
+Outputs are byte-identical for identical inputs (stable orderings
+everywhere).
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .polynomials import (
     FormatError,
     _check_int,
     fraction_to_string,
+    l2_norm_squared,
     polynomial_from_dict,
     polynomial_to_dict,
     random_polynomial,
@@ -134,8 +144,80 @@ def _load_polynomial(path: str, n: int):
     return poly
 
 
-def _bidegree_str(d: Bidegree) -> str:
-    return f"({d.p},{d.q})"
+# -- report shapes ---------------------------------------------------------
+
+
+def _bidegree(d: Bidegree) -> dict:
+    return {"p": d.p, "q": d.q}
+
+
+def _spectrum_csv_row(entry: dict) -> list[str]:
+    """A spectrum entry's CSV cells in its key order: the eigenvalue as
+    numerator and denominator, the contributors as "(p,q);(p,q)"."""
+    cells = []
+    for key, value in entry.items():
+        if key == "eigenvalue":
+            cells += value.split("/")
+        elif key == "contributors":
+            cells.append(";".join(f"({d['p']},{d['q']})" for d in value))
+        else:
+            cells.append(str(value))
+    return cells
+
+
+def _decomposition(dec) -> dict:
+    """A spherical decomposition, with each component's float factor when
+    the multiplier was irrational."""
+    components = []
+    for c in dec.components:
+        component = {
+            **_bidegree(c.bidegree),
+            "polynomial": polynomial_to_dict(c.part),
+            "norm_squared": fraction_to_string(l2_norm_squared(c.part)),
+        }
+        if isinstance(c, operators.FloatScaledComponent):
+            component["factor_float"] = c.factor
+        components.append(component)
+    return {"n": dec.n, "components": components}
+
+
+def _schatten_report(report: schatten.SchattenReport) -> dict:
+    exact = isinstance(report.partial_sum, Fraction)
+    return {
+        "n": report.n,
+        "r": fraction_to_string(report.r),
+        "cutoff_p": report.cutoff_p,
+        "cutoff_q": report.cutoff_q,
+        **({"partial_sum": fraction_to_string(report.partial_sum)} if exact else {}),
+        "partial_sum_float": float(report.partial_sum),
+        "tail_upper_float": "inf" if math.isinf(report.tail_upper) else report.tail_upper,
+        "tail_lower_float": "inf" if math.isinf(report.tail_lower) else report.tail_lower,
+        "verdict": report.verdict,
+        "approx_value_float": report.approx_value,
+    }
+
+
+def _oracle_report(report: harmonic_spaces.VerificationReport) -> dict:
+    return {
+        "n": report.n,
+        "max_degree": report.max_degree,
+        "passed": report.passed,
+        "orthogonality_ok": report.orthogonality_ok,
+        "cells": [
+            {
+                **_bidegree(c.bidegree),
+                "dimension": c.dimension,
+                "formula_dimension": c.formula_dimension,
+                "harmonic_ok": c.harmonic_ok,
+                "bidegree_ok": c.bidegree_ok,
+                "boxb_eigenvalue": fraction_to_string(c.boxb_eigenvalue),
+                "laplace_beltrami_eigenvalue": fraction_to_string(c.laplace_beltrami_eigenvalue),
+                "ok": c.ok,
+            }
+            for c in report.cells
+        ],
+        "failures": list(report.failures),
+    }
 
 
 # -- subcommands ---------------------------------------------------------
@@ -143,53 +225,30 @@ def _bidegree_str(d: Bidegree) -> str:
 
 def cmd_spectrum(args) -> int:
     if args.per_bidegree:
-        table = spectrum.spectrum_table(args.n, args.cutoff)
-        if args.format == "csv":
-            rows = [
-                [
-                    str(e.bidegree.p),
-                    str(e.bidegree.q),
-                    str(e.eigenvalue.numerator),
-                    str(e.eigenvalue.denominator),
-                    str(e.multiplicity),
-                ]
-                for e in table
-            ]
-            text = _csv_text(
-                ["p", "q", "eigenvalue_num", "eigenvalue_den", "multiplicity"], rows
-            )
-        else:
-            obj = {
-                "n": args.n,
-                "cutoff": fraction_to_string(Fraction(args.cutoff)),
-                "entries": [
-                    {
-                        "p": e.bidegree.p,
-                        "q": e.bidegree.q,
-                        "eigenvalue": fraction_to_string(e.eigenvalue),
-                        "multiplicity": e.multiplicity,
-                    }
-                    for e in table
-                ],
+        header = ["p", "q", "eigenvalue_num", "eigenvalue_den", "multiplicity"]
+        entries = [
+            {
+                **_bidegree(e.bidegree),
+                "eigenvalue": fraction_to_string(e.eigenvalue),
+                "multiplicity": e.multiplicity,
             }
-            text = _json_text(obj)
+            for e in spectrum.spectrum_table(args.n, args.cutoff)
+        ]
     else:
-        aggregated = spectrum.aggregate_spectrum(args.n, args.cutoff)
-        if args.format == "csv":
-            rows = [
-                [
-                    str(e.eigenvalue.numerator),
-                    str(e.eigenvalue.denominator),
-                    str(e.multiplicity),
-                    ";".join(_bidegree_str(d) for d in e.contributors),
-                ]
-                for e in aggregated.entries
-            ]
-            text = _csv_text(
-                ["eigenvalue_num", "eigenvalue_den", "multiplicity", "contributors"], rows
-            )
-        else:
-            text = _json_text(aggregated.to_json_dict())
+        header = ["eigenvalue_num", "eigenvalue_den", "multiplicity", "contributors"]
+        entries = [
+            {
+                "eigenvalue": fraction_to_string(e.eigenvalue),
+                "multiplicity": e.multiplicity,
+                "contributors": [_bidegree(d) for d in e.contributors],
+            }
+            for e in spectrum.aggregate_spectrum(args.n, args.cutoff).entries
+        ]
+    if args.format == "csv":
+        text = _csv_text(header, [_spectrum_csv_row(e) for e in entries])
+    else:
+        obj = {"n": args.n, "cutoff": fraction_to_string(args.cutoff), "entries": entries}
+        text = _json_text(obj)
     _emit(text, args.output)
     return 0
 
@@ -207,7 +266,7 @@ def cmd_apply(args) -> int:
     obj = {"operator": args.operator}
     if args.operator == "sobolev":
         obj["t"] = fraction_to_string(args.t)
-    obj["result"] = result.to_json_dict()
+    obj["result"] = _decomposition(result)
     _emit(_json_text(obj), args.output)
     return 0
 
@@ -235,7 +294,7 @@ def cmd_schatten(args) -> int:
         )
         rows = [[str(c), repr(v)] for c, v in series]
         _emit(_csv_text(["cutoff", "partial_sum_float"], rows), args.emit_plot)
-    _emit(_json_text(report.to_json_dict()), args.output)
+    _emit(_json_text(_schatten_report(report)), args.output)
     return 0
 
 
@@ -248,34 +307,29 @@ def cmd_schatten_approx(args) -> int:
 
 def cmd_sobolev_constant(args) -> int:
     report = sobolev.best_constant(args.n)
-    _emit(_json_text(report.to_json_dict()), args.output)
+    obj = {
+        "n": report.n,
+        "c_squared": fraction_to_string(report.c_squared),
+        "argmax_k": report.argmax_k,
+        "equality_bidegrees": [_bidegree(d) for d in report.equality_bidegrees],
+        "matches_theorem_display": report.matches_theorem_display,
+        "matches_proof_display": report.matches_proof_display,
+    }
+    _emit(_json_text(obj), args.output)
     return 0
 
 
 def cmd_ratio(args) -> int:
     points = sobolev.ratio_series(args.n, args.s, args.k_max)
-    exact = isinstance(points[0].value, Fraction)
-    if args.format == "csv":
-        if exact:
-            rows = [[str(pt.k), fraction_to_string(pt.value)] for pt in points]
-            text = _csv_text(["k", "value"], rows)
-        else:
-            rows = [[str(pt.k), repr(pt.value)] for pt in points]
-            text = _csv_text(["k", "value_float"], rows)
+    if isinstance(points[0].value, Fraction):
+        key, json_value, csv_value = "value", fraction_to_string, fraction_to_string
     else:
-        entries = [
-            {"k": pt.k, "value": fraction_to_string(pt.value)}
-            if exact
-            else {"k": pt.k, "value_float": pt.value}
-            for pt in points
-        ]
-        text = _json_text(
-            {
-                "n": args.n,
-                "s": fraction_to_string(args.s),
-                "points": entries,
-            }
-        )
+        key, json_value, csv_value = "value_float", float, repr
+    if args.format == "csv":
+        text = _csv_text(["k", key], [[str(pt.k), csv_value(pt.value)] for pt in points])
+    else:
+        entries = [{"k": pt.k, key: json_value(pt.value)} for pt in points]
+        text = _json_text({"n": args.n, "s": fraction_to_string(args.s), "points": entries})
     _emit(text, args.output)
     return 0
 
@@ -361,7 +415,7 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "passed": passed,
         "checks": checks,
-        "oracle_report": report.to_json_dict(),
+        "oracle_report": _oracle_report(report),
     }
     _emit(_json_text(obj), args.output)
     return 0 if passed else 1

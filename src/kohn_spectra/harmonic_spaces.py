@@ -41,7 +41,6 @@ from .polynomials import (
     ambient_laplacian,
     euler_z,
     euler_z_bar,
-    fraction_to_string,
     multiindices,
     sphere_inner_product,
 )
@@ -222,31 +221,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.orthogonality_ok and all(cell.ok for cell in self.cells)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max_degree": self.max_degree,
-            "passed": self.passed,
-            "orthogonality_ok": self.orthogonality_ok,
-            "cells": [
-                {
-                    "p": c.bidegree.p,
-                    "q": c.bidegree.q,
-                    "dimension": c.dimension,
-                    "formula_dimension": c.formula_dimension,
-                    "harmonic_ok": c.harmonic_ok,
-                    "bidegree_ok": c.bidegree_ok,
-                    "boxb_eigenvalue": fraction_to_string(c.boxb_eigenvalue),
-                    "laplace_beltrami_eigenvalue": fraction_to_string(
-                        c.laplace_beltrami_eigenvalue
-                    ),
-                    "ok": c.ok,
-                }
-                for c in self.cells
-            ],
-            "failures": list(self.failures),
-        }
 
 
 def _cross_cell_gram(

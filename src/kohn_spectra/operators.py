@@ -21,9 +21,9 @@ Laplacian, the commutation identity
 makes the system triangular: lap^m kills every |z|^{2j} h_j with j < m and
 sends |z|^{2m} h_m to a known positive multiple of h_m, so the components
 peel off top-down by exact rational division.  The constants are strictly
-positive for n >= 2, so the solve cannot be singular; every component is
-nevertheless re-checked for harmonicity and a failure aborts loudly, since
-it would mean the arithmetic itself is broken.
+positive for n >= 2, so the solve cannot be singular; every component with
+p, q >= 1 (the others are harmonic by structure) is nevertheless re-checked
+and a failure aborts loudly, since it would mean the arithmetic is broken.
 
 The peel runs in ``polynomials._fischer`` on the Gaussian-integer
 numerators: lap^m of a residual R / D is taken on R alone, the component is
@@ -43,9 +43,7 @@ from .polynomials import (
     _combine,
     _fischer,
     Polynomial,
-    fraction_to_string,
     l2_norm_squared,
-    polynomial_to_dict,
 )
 
 __all__ = [
@@ -96,9 +94,6 @@ class SphericalDecomposition:
     def bidegrees(self) -> tuple[Bidegree, ...]:
         return tuple(comp.bidegree for comp in self.components)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "components": [_component_json(c) for c in self.components]}
-
 
 @dataclass(frozen=True)
 class FloatScaledComponent:
@@ -116,23 +111,6 @@ class FloatScaledDecomposition:
 
     n: int
     components: tuple[FloatScaledComponent, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "components": [
-                {**_component_json(c), "factor_float": c.factor} for c in self.components
-            ],
-        }
-
-
-def _component_json(comp: HarmonicComponent | FloatScaledComponent) -> dict:
-    return {
-        "p": comp.bidegree.p,
-        "q": comp.bidegree.q,
-        "polynomial": polynomial_to_dict(comp.part),
-        "norm_squared": fraction_to_string(l2_norm_squared(comp.part)),
-    }
 
 
 def decompose(f: Polynomial) -> SphericalDecomposition:

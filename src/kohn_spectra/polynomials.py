@@ -497,9 +497,10 @@ def _fischer(f: Polynomial) -> list[tuple[Bidegree, Polynomial]]:
     Each bidegree-(p, q) bucket of f is a residual R / D.  For m = min(p, q)
     down to 1, G = lap^m R (numerators only, D unchanged) gives the component
     h_m = G / (c_m D), and the residual becomes (c_m R - |z|^{2m} G) / (c_m D);
-    what is left is the (p, q) component.  Each component must have a zero
-    Laplacian, else a RuntimeError.  Components of equal bidegree are summed
-    over one lcm, and a zero sum is dropped.
+    what is left is the (p, q) component.  A component with p, q >= 1 must
+    have a zero Laplacian, else a RuntimeError; one with p = 0 or q = 0 has
+    no mixed term, so its Laplacian is zero by structure.  Components of
+    equal bidegree are summed over one lcm, and a zero sum is dropped.
     """
     n = f.n
     buckets: dict = {}
@@ -510,7 +511,7 @@ def _fischer(f: Polynomial) -> list[tuple[Bidegree, Polynomial]]:
     found: dict = {}  # {bidegree: [(num, den)]}
 
     def emit(d: tuple, num: dict, den: int, piece: tuple) -> None:
-        if any(re or im for re, im in _laplacian(num).values()):
+        if d[0] and d[1] and any(re or im for re, im in _laplacian(num).values()):
             raise RuntimeError(
                 f"Fischer component {Bidegree(*d)} of a bidegree-{Bidegree(*piece)} piece is not "
                 "harmonic; exact arithmetic is broken"

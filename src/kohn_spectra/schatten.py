@@ -70,7 +70,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import spectrum
-from .polynomials import Bidegree, _check_int, fraction_to_string
+from .polynomials import Bidegree, _check_int
 
 __all__ = [
     "CONVERGES",
@@ -385,23 +385,6 @@ class SchattenReport:
     tail_lower: float
     verdict: str
     approx_value: float | None
-
-    def to_json_dict(self) -> dict:
-        exact = isinstance(self.partial_sum, Fraction)
-        out: dict = {
-            "n": self.n,
-            "r": fraction_to_string(self.r) if isinstance(self.r, Fraction) else self.r,
-            "cutoff_p": self.cutoff_p,
-            "cutoff_q": self.cutoff_q,
-        }
-        if exact:
-            out["partial_sum"] = fraction_to_string(self.partial_sum)
-        out["partial_sum_float"] = float(self.partial_sum)
-        out["tail_upper_float"] = "inf" if math.isinf(self.tail_upper) else self.tail_upper
-        out["tail_lower_float"] = "inf" if math.isinf(self.tail_lower) else self.tail_lower
-        out["verdict"] = self.verdict
-        out["approx_value_float"] = self.approx_value
-        return out
 
 
 def schatten_report(n: int, r, P: int, Q: int) -> SchattenReport:

@@ -38,11 +38,10 @@ from .operators import (
     apply,
     decompose,
     green_symbol,
-    sobolev_norm_squared,
     sobolev_symbol,
     weighted_norm_squared,
 )
-from .polynomials import Bidegree, Polynomial, _check_int, fraction_to_string
+from .polynomials import Bidegree, Polynomial, _check_int
 
 __all__ = [
     "RatioPoint",
@@ -152,16 +151,6 @@ class BestConstantReport:
     matches_theorem_display: bool
     matches_proof_display: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c_squared": fraction_to_string(self.c_squared),
-            "argmax_k": self.argmax_k,
-            "equality_bidegrees": [{"p": d.p, "q": d.q} for d in self.equality_bidegrees],
-            "matches_theorem_display": self.matches_theorem_display,
-            "matches_proof_display": self.matches_proof_display,
-        }
-
 
 def best_constant(n: int) -> BestConstantReport:
     """Exact maximum of the t = 1 ratio sequence, with equality locus and
@@ -232,8 +221,8 @@ def sobolev_gain_certificate(n: int, f: Polynomial, s: int = 0) -> GainCertifica
 
     c_squared = best_constant(n).c_squared
     dec = decompose(f)
-    green_f = apply(dec, lambda d: green_symbol(n, d)).as_polynomial()
-    lhs = sobolev_norm_squared(green_f, s_int + 1)
+    green_f = apply(dec, lambda d: green_symbol(n, d))
+    lhs = weighted_norm_squared(green_f, lambda d: sobolev_symbol(n, s_int + 1, d))
     rhs = c_squared * weighted_norm_squared(dec, lambda d: sobolev_symbol(n, s_int, d))
     if lhs > rhs:
         raise RuntimeError(

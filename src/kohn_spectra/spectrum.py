@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Bidegree, _check_dimension, _check_int, fraction_to_string
+from .polynomials import Bidegree, _check_dimension, _check_int
 
 
 def _check_bidegree(n: int, d: Bidegree) -> Bidegree:
@@ -151,20 +151,6 @@ class AggregatedSpectrum:
     n: int
     cutoff: Fraction
     entries: tuple[AggregatedEntry, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "cutoff": fraction_to_string(self.cutoff),
-            "entries": [
-                {
-                    "eigenvalue": fraction_to_string(e.eigenvalue),
-                    "multiplicity": e.multiplicity,
-                    "contributors": [{"p": d.p, "q": d.q} for d in e.contributors],
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def spectrum_table(n: int, cutoff: Fraction | int) -> list[SpectrumEntry]:

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
-from kohn_spectra import Bidegree, Polynomial
+import json
+
+from kohn_spectra import Bidegree, Polynomial, cli
 
 
 def bidegree_of(f: Polynomial) -> Bidegree | None:
@@ -9,3 +11,10 @@ def bidegree_of(f: Polynomial) -> Bidegree | None:
     if len(degrees) != 1:
         return None
     return Bidegree(*degrees.pop())
+
+
+def cli_json(capsys, *argv):
+    """The JSON object that ``cli.main(argv)`` prints, run in this process."""
+    capsys.readouterr()
+    assert cli.main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)

@@ -21,6 +21,18 @@ ZBAR1 = {
     "terms": [{"alpha": [0, 0], "beta": [1, 0], "re": "1/1", "im": "0/1"}],
 }
 
+# one term in each of the bidegrees (0,0), (1,0), (1,1), (0,2) and (2,1)
+MIXED = {
+    "n": 2,
+    "terms": [
+        {"alpha": [0, 0], "beta": [0, 0], "re": "1/1", "im": "0/1"},
+        {"alpha": [0, 1], "beta": [0, 0], "re": "-1/3", "im": "0/1"},
+        {"alpha": [1, 0], "beta": [1, 0], "re": "3/2", "im": "1/2"},
+        {"alpha": [0, 0], "beta": [1, 1], "re": "2/1", "im": "-1/1"},
+        {"alpha": [1, 1], "beta": [0, 1], "re": "5/4", "im": "0/1"},
+    ],
+}
+
 
 def _checked(cp, check):
     if check and cp.returncode != 0:
@@ -74,6 +86,31 @@ def test_spectrum_json():
             "contributors": [{"p": 0, "q": 1}],
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("spectrum", "--n", "2", "--cutoff", "4"), "spectrum_n2_cutoff4.json"),
+        (
+            ("spectrum", "--n", "2", "--cutoff", "4", "--per-bidegree"),
+            "spectrum_n2_cutoff4_per_bidegree.json",
+        ),
+        (("ratio", "--n", "2", "--s", "1", "--k-max", "5", "--format", "json"), "ratio_n2_s1.json"),
+        (("verify", "--n", "2", "--max-degree", "2", "--samples", "3"), "verify_n2_degree2.json"),
+    ],
+    ids=["spectrum", "spectrum-per-bidegree", "ratio", "verify"],
+)
+def test_json_golden(argv, golden):
+    assert run_cli(*argv).stdout == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("operator", ["boxb", "green", "hardy"])
+def test_apply_golden(tmp_path, operator):
+    f = tmp_path / "mixed.json"
+    f.write_text(json.dumps(MIXED))
+    cp = run_cli("apply", "--n", "2", "--input", str(f), "--operator", operator)
+    assert cp.stdout == (GOLDEN / f"apply_{operator}_mixed.json").read_text()
 
 
 def test_green_solve_golden(tmp_path):
@@ -176,16 +213,37 @@ def test_verify_passes():
     assert all(c["passed"] for c in obj["checks"])
 
 
-def test_malformed_polynomial_names_term(tmp_path):
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (
+            {"n": 2, "terms": [{"alpha": [1, 0, 0], "beta": [0, 0], "re": "1/1", "im": "0/1"}]},
+            "term 0: multiindex",
+        ),
+        (None, "cannot read"),
+        ("{not json", "is not valid JSON"),
+        ({"n": 1, "terms": []}, '"n" must be an integer >= 2'),
+        ({"n": 2, "terms": {}}, '"terms" must be a list'),
+        ({"n": 2, "terms": [ZBAR1["terms"][0], 7]}, "term 1: not an object"),
+        (
+            {"n": 2, "terms": [dict(ZBAR1["terms"][0], beta="10")]},
+            'term 0: "alpha" and "beta" must be lists',
+        ),
+    ],
+    ids=["multiindex", "unreadable", "invalid-json", "bad-n", "terms-not-list",
+         "term-not-object", "beta-not-list"],
+)
+def test_malformed_polynomial_names_term(tmp_path, content, fragment):
     f = tmp_path / "bad.json"
-    f.write_text(json.dumps({
-        "n": 2,
-        "terms": [{"alpha": [1, 0, 0], "beta": [0, 0], "re": "1/1", "im": "0/1"}],
-    }))
+    if content is not None:
+        f.write_text(content if isinstance(content, str) else json.dumps(content))
     cp = run_cli("green-solve", "--n", "2", "--input", str(f), check=False)
     assert cp.returncode == 1
+    assert cp.stdout == ""
     err = json.loads(cp.stderr)
-    assert "term 0" in err["error"]
+    assert list(err) == ["error"]
+    assert str(f) in err["error"]
+    assert fragment in err["error"]
 
 
 def test_dimension_flag_mismatch(tmp_path):

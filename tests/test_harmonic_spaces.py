@@ -21,7 +21,7 @@ from kohn_spectra import (
 )
 from kohn_spectra import harmonic_spaces
 from kohn_spectra.harmonic_spaces import bidegree_monomials
-from helpers import bidegree_of
+from helpers import bidegree_of, cli_json
 from kohn_spectra.polynomials import random_polynomial
 
 
@@ -222,8 +222,9 @@ class TestVerifyEigenIdentities:
         assert by_bidegree[Bidegree(1, 1)].boxb_eigenvalue == 4
         assert by_bidegree[Bidegree(1, 1)].laplace_beltrami_eigenvalue == 8
 
-    def test_json_shape(self):
-        obj = verify_eigen_identities(2, 1).to_json_dict()
+    def test_json_shape(self, capsys):
+        argv = ("verify", "--n", "2", "--max-degree", "1", "--samples", "0")
+        obj = cli_json(capsys, *argv)["oracle_report"]
         assert obj["passed"] is True
         assert obj["n"] == 2
         assert {c["p"] for c in obj["cells"]} == {0, 1}

@@ -529,6 +529,28 @@ class TestStoragePrimitives:
             for token in ("._num", "._den", "_make("):
                 assert token not in text, f"{path.name} uses {token}"
 
+    def test_only_cli_writes_the_report_format(self):
+        """No module defines a ``to_json_dict``, and outside the CLI only
+        polynomials.py (which defines them) and the package's re-export
+        touch the two text-form writers."""
+        src = Path(polynomials.__file__).parent
+        writers = {"fraction_to_string", "polynomial_to_dict"}
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef):
+                    assert node.name != "to_json_dict", f"{path.name} defines to_json_dict"
+                if path.name in ("cli.py", "polynomials.py", "__init__.py"):
+                    continue
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                assert not names & writers, f"{path.name} uses {names & writers}"
+
     def test_every_private_module_name_has_a_caller(self):
         """A module-level private name that nothing in the library reads (a
         load of the name, or an attribute of that name) is dead code."""

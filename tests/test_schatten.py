@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from scipy import integrate, special
 
+from helpers import cli_json
 from kohn_spectra import spectrum
 from kohn_spectra.polynomials import Bidegree
 from kohn_spectra.schatten import (
@@ -486,23 +487,25 @@ class TestTailBounds:
 
 
 class TestReport:
-    def test_convergent_bracket(self):
+    def test_convergent_bracket(self, capsys):
         report = schatten_report(2, 3, 100, 100)
         assert report.verdict == CONVERGES
         assert isinstance(report.partial_sum, Fraction)
         assert math.isfinite(report.tail_upper)
         assert 0 < report.tail_lower <= report.tail_upper
         assert report.approx_value == pytest.approx(approx_formula(2, 3))
-        obj = report.to_json_dict()
+        argv = ("schatten", "--n", "2", "--r", "3", "--cutoff-p", "100", "--cutoff-q", "100")
+        obj = cli_json(capsys, *argv)
         assert obj["partial_sum"] == f"{report.partial_sum.numerator}/{report.partial_sum.denominator}"
         assert obj["verdict"] == CONVERGES
 
-    def test_divergent_report(self):
+    def test_divergent_report(self, capsys):
         report = schatten_report(2, 2, 20, 20)
         assert report.verdict == DIVERGES
         assert report.tail_upper == math.inf
         assert report.approx_value is None
-        obj = report.to_json_dict()
+        argv = ("schatten", "--n", "2", "--r", "2", "--cutoff-p", "20", "--cutoff-q", "20")
+        obj = cli_json(capsys, *argv)
         assert obj["tail_upper_float"] == "inf"
 
     def test_bracket_contains_larger_partial_sums(self):
@@ -546,10 +549,11 @@ class TestReport:
             assert exact <= partial + Fraction(report.tail_upper)
             assert 0 < report.partial_sum <= partial_sum(n, r, P, Q)
 
-    def test_float_order_report(self):
+    def test_float_order_report(self, capsys):
         report = schatten_report(2, 3.5, 30, 30)
         assert report.verdict == CONVERGES
         assert isinstance(report.partial_sum, float)
-        obj = report.to_json_dict()
+        argv = ("schatten", "--n", "2", "--r", "7/2", "--cutoff-p", "30", "--cutoff-q", "30")
+        obj = cli_json(capsys, *argv)
         assert "partial_sum" not in obj
         assert obj["partial_sum_float"] == pytest.approx(report.partial_sum)
