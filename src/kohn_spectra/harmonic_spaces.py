@@ -2,19 +2,22 @@
 
 This module is the independent oracle for the closed-form spectral data: it
 computes kernels of the ambient Laplacian on bidegree monomial spaces by
-exact Gaussian elimination over the rationals on sparse rows, so dimensions,
-orthogonality, and the eigenvalue bookkeeping can all be checked without
-trusting any formula.  Cross-cell orthogonality is one bucketed Gram pass:
-terms pair only when they share alpha - beta, as in the sphere pairing.
+exact fraction-free elimination, one torus-weight block at a time, so
+dimensions, orthogonality, and the eigenvalue bookkeeping can all be checked
+without trusting any formula.  Cross-cell orthogonality is one bucketed Gram
+pass: terms pair only when they share alpha - beta, as in the sphere pairing.
 The Gram pass and Gram-Schmidt pair terms in Gaussian integers through
 :class:`polynomials._PairingIndex`, the primitive behind
 :func:`sphere_inner_product`, and build a Fraction only for a finished value.
 
 Determinism: monomials of a fixed bidegree are ordered lexicographically on
 the concatenated exponent pair (alpha, beta) (all candidates share the same
-grade, so graded-lex reduces to lex), and elimination scans columns in order,
-pivoting on the first remaining row with a nonzero entry in that column.  The
-reduced row echelon form is unique, so bases are reproducible bit for bit.
+grade, so graded-lex reduces to lex), and the basis is one kernel vector per
+free column of the unique reduced row echelon form, in column order, as dense
+rational elimination gives it.  The Laplacian keeps the torus weight
+alpha - beta, so its matrix is block diagonal after a permutation and its
+form is the union of the blocks'; scaling a row by an integer keeps its
+zeros, so every pivot is the dense one.  Bases are reproducible bit for bit.
 
 The Kohn-Laplacian eigenvalue itself is not re-derived (that would need the
 tangential Cauchy-Riemann operators on forms); the oracle verifies the two
@@ -25,8 +28,10 @@ bidegree.  This trust boundary is deliberate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from . import spectrum
 from .polynomials import (
@@ -77,49 +82,53 @@ def bidegree_monomials(n: int, d: Bidegree) -> list[tuple[Multiindex, Multiindex
     return [(a, b) for a in multiindices(n, d.p) for b in multiindices(n, d.q)]
 
 
-def _kernel(rows: list[dict[int, Fraction]], cols: int) -> list[dict[int, Fraction]]:
-    """Standard kernel basis of a sparse matrix, one vector per free column.
+def _kernel(rows: list[dict[int, int]], cols: list[int]) -> list[dict[int, Fraction | int]]:
+    """Standard kernel basis of the sparse integer ``rows``, one vector per
+    free column of ``cols`` (ascending, every column a row stores), in order.
 
-    ``rows`` holds only nonzero entries and is reduced in place to RREF.
-    Columns are scanned in order and each pivots on the first row at or
-    below the current one that stores it, so the RREF (unique) and the
-    returned vectors are those of dense elimination.  Row operations touch
-    stored entries only, and every zero they produce is deleted.
+    Rows store only nonzero entries and are reduced in place with the dense
+    pivot rule, in integers: a row with entry f at the pivot column becomes
+    (pv/g) row - (f/g) pivot_row, pv the pivot and g = gcd(pv, f), then has its
+    gcd divided out, so it stays a multiple of its RREF row; only a kernel entry
+    is a Fraction.
     """
+    if not rows:
+        return [{c: 1} for c in cols]
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
+    for c in cols:
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        if pivot != 1:
-            rows[r] = {k: x / pivot for k, x in rows[r].items()}
         row_r = rows[r]
+        pv = row_r[c]
         for i, row in enumerate(rows):
             if i == r or c not in row:
                 continue
-            factor = row[c]
+            g = math.gcd(pv, row[c])
+            a, b = pv // g, row[c] // g
+            row = {k: a * x for k, x in row.items()}
             for k, x in row_r.items():
-                value = row.get(k, 0) - factor * x
+                value = row.get(k, 0) - b * x
                 if value:
                     row[k] = value
                 else:
                     del row[k]
+            g = math.gcd(*row.values())
+            rows[i] = {k: x // g for k, x in row.items()} if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if r + 1 == len(rows):
             break
     pivot_set = set(pivots)
     basis = []
-    for free in range(cols):
+    for free in cols:
         if free in pivot_set:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for row, pc in zip(rows, pivots):
             if free in row:
-                vec[pc] = -row[free]
+                vec[pc] = Fraction(-row[free], row[pc])
         basis.append(vec)
     return basis
 
@@ -127,22 +136,22 @@ def _kernel(rows: list[dict[int, Fraction]], cols: int) -> list[dict[int, Fracti
 def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
     """Basis of ker(ambient Laplacian) on the bidegree-(p, q) monomial space.
 
-    For p = 0 or q = 0 every monomial is already harmonic and the monomial
-    basis is returned directly.  Otherwise the Laplacian is written as an
-    exact integer matrix from the (p, q) monomial space to the (p-1, q-1)
-    one, stored as sparse rows (each column has at most n nonzeros), and
-    its kernel is extracted by exact elimination on those rows; each kernel
-    vector becomes one element, as integers over the lcm of its denominators.
+    For p = 0 or q = 0 every monomial is already harmonic and the monomial basis
+    is returned directly.  Otherwise the Laplacian's integer matrix (entries
+    4ab, at most n per column) to the (p-1, q-1) monomial space is built as one
+    block of sparse rows per torus weight alpha - beta of the columns;
+    :func:`_kernel` reduces each block, and its vectors, merged by free column
+    (see the module docstring), become the elements.
     """
     d = spectrum._check_bidegree(n, d)
     source = bidegree_monomials(n, d)
     if d.p == 0 or d.q == 0:
         return HarmonicBasis(n, d, tuple(_from_terms(n, ((key, 1),)) for key in source))
 
-    target = bidegree_monomials(n, Bidegree(d.p - 1, d.q - 1))
-    target_index = {key: i for i, key in enumerate(target)}
-    rows: list[dict[int, Fraction]] = [{} for _ in target]
+    blocks: dict = {}  # {alpha - beta: (source columns, {target key: row})}
     for col, (alpha, beta) in enumerate(source):
+        cols, rows = blocks.setdefault(tuple(map(sub, alpha, beta)), ([], {}))
+        cols.append(col)
         for j in range(n):
             a, b = alpha[j], beta[j]
             if a and b:
@@ -150,9 +159,10 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
                     alpha[:j] + (a - 1,) + alpha[j + 1 :],
                     beta[:j] + (b - 1,) + beta[j + 1 :],
                 )
-                rows[target_index[key]][col] = Fraction(4 * a * b)
+                rows.setdefault(key, {})[col] = 4 * a * b
 
-    kernel = _kernel(rows, len(source))
+    kernel = [vec for cols, rows in blocks.values() for vec in _kernel(list(rows.values()), cols)]
+    kernel.sort(key=max)  # a vector's free column is its largest index
     elements = tuple(_from_terms(n, ((source[i], x) for i, x in vec.items())) for vec in kernel)
     return HarmonicBasis(n, d, elements)
 

@@ -132,30 +132,35 @@ def apply(
 
     A rational symbol scales the parts exactly and drops those it sends to
     zero.  A float symbol keeps every part exact and unscaled beside its
-    factor.  The kind is read off symbol at (0, 0), so the zero polynomial
-    gets the same result type as any other input.
+    factor.  symbol is called once per component; see :func:`_is_float` for
+    how the kind is read.
     """
-    factors = [(comp, symbol(comp.bidegree)) for comp in dec.components]
-    if _is_float(symbol):
+    factors = [symbol(comp.bidegree) for comp in dec.components]
+    pairs = zip(dec.components, factors)
+    if _is_float(symbol, factors):
         return FloatScaledDecomposition(
-            dec.n, tuple(FloatScaledComponent(c.bidegree, c.part, x) for c, x in factors)
+            dec.n, tuple(FloatScaledComponent(c.bidegree, c.part, x) for c, x in pairs)
         )
     return SphericalDecomposition(
-        dec.n, tuple(HarmonicComponent(c.bidegree, c.part * x) for c, x in factors if x)
+        dec.n, tuple(HarmonicComponent(c.bidegree, c.part * x) for c, x in pairs if x)
     )
 
 
 def weighted_norm_squared(dec: SphericalDecomposition, symbol) -> Fraction | float:
     """sum over the components of symbol(bidegree) <h, h>; a float for a
     float symbol (see :func:`apply`), else an exact rational."""
-    total = 0.0 if _is_float(symbol) else Fraction(0)
-    for comp in dec.components:
-        total += symbol(comp.bidegree) * l2_norm_squared(comp.part)
+    factors = [symbol(comp.bidegree) for comp in dec.components]
+    total = 0.0 if _is_float(symbol, factors) else Fraction(0)
+    for comp, x in zip(dec.components, factors):
+        total += x * l2_norm_squared(comp.part)
     return total
 
 
-def _is_float(symbol) -> bool:
-    return isinstance(symbol(Bidegree(0, 0)), float)
+def _is_float(symbol, factors: list) -> bool:
+    """Whether symbol is a float symbol, read off the first of its values
+    already computed; only with no components is it called, at (0, 0), so
+    the zero polynomial gets the same result type as any other input."""
+    return isinstance(factors[0] if factors else symbol(Bidegree(0, 0)), float)
 
 
 def green_symbol(n: int, d: Bidegree) -> Fraction:

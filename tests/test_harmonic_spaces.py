@@ -138,16 +138,52 @@ def _dense_harmonic_elements(n, d):
     ]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sparse_kernel_matches_dense_rref(n):
-    cells = [Bidegree(p, k - p) for k in range(6) for p in range(k + 1)]
-    if n > 2:
+    # n = 5 has the most torus-weight blocks per cell; p + q <= 4 keeps the
+    # dense reference small
+    cells = [Bidegree(p, k - p) for k in range(6 if n < 5 else 5) for p in range(k + 1)]
+    if 2 < n < 5:
         cells.append(Bidegree(4, 4))
     for d in cells:
         sparse = harmonic_basis(n, d).elements
         dense = _dense_harmonic_elements(n, d)
         assert list(sparse) == dense, d
         assert [str(e) for e in sparse] == [str(e) for e in dense], d
+
+
+def test_integer_kernel_matches_dense_nullspace():
+    """_kernel on its own, on random sparse integer matrices with no block
+    structure: negative entries, and for every other seed a zero row, a
+    duplicate row and a combination of two rows, shuffled in."""
+    ranks = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+        matrix = [
+            [rng.randint(-9, 9) if rng.random() < 0.4 else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if seed % 2:
+            first, second = matrix[0], matrix[-1]
+            matrix += [[0] * cols, list(first), [3 * a - 2 * b for a, b in zip(first, second)]]
+            rng.shuffle(matrix)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+        kernel = harmonic_spaces._kernel(sparse, list(range(cols)))
+        dense = _dense_nullspace([[Fraction(x) for x in row] for row in matrix], cols)
+        assert kernel == [{j: x for j, x in enumerate(vec) if x} for vec in dense], seed
+        rank = cols - len(dense)
+        ranks.add("full" if rank == min(rows, cols) else "deficient")
+    assert ranks == {"full", "deficient"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_element_lies_in_one_torus_weight(n):
+    for k in range(7):
+        for p in range(k + 1):
+            for element in harmonic_basis(n, Bidegree(p, k - p)).elements:
+                weights = {tuple(a - b for a, b in zip(alpha, beta)) for alpha, beta in element.terms}
+                assert len(weights) == 1, element
 
 
 def test_bases_are_reproducible():

@@ -22,7 +22,13 @@ from kohn_spectra import (
     sobolev_norm_squared,
     sphere_inner_product,
 )
-from kohn_spectra.operators import FloatScaledDecomposition, SphericalDecomposition
+from kohn_spectra.operators import (
+    FloatScaledDecomposition,
+    SphericalDecomposition,
+    apply,
+    sobolev_symbol,
+    weighted_norm_squared,
+)
 from helpers import bidegree_of
 from kohn_spectra.polynomials import multiindices
 
@@ -259,6 +265,42 @@ class TestGreenBoxbIdentity:
         for _ in range(20):
             f = random_polynomial(rng, 2, max_degree=5)
             assert residual_check(f) == 0
+
+
+def _counting(symbol):
+    """symbol, recording the bidegree of every call."""
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return symbol(d)
+
+    return counted, calls
+
+
+class TestSymbolCalls:
+    @pytest.mark.parametrize("t", [2, Fraction(1, 2)])
+    def test_one_call_per_component(self, t):
+        f = z(1) * zb(1) * zb(2) + zb(2) + z(2) * 3 + Polynomial.constant(2, 5)
+        dec = decompose(f)
+        assert len(dec.components) > 1
+        for multiplier in (apply, weighted_norm_squared):
+            symbol, calls = _counting(lambda d: sobolev_symbol(2, t, d))
+            multiplier(dec, symbol)
+            assert calls == list(dec.bidegrees())
+
+    @pytest.mark.parametrize("t, kind, zero", [
+        (2, SphericalDecomposition, Fraction(0)),
+        (Fraction(1, 2), FloatScaledDecomposition, 0.0),
+    ])
+    def test_zero_polynomial_asks_the_symbol_its_kind_once(self, t, kind, zero):
+        dec = decompose(Polynomial.zero(3))
+        symbol, calls = _counting(lambda d: sobolev_symbol(3, t, d))
+        result = apply(dec, symbol)
+        assert type(result) is kind and result.components == ()
+        value = weighted_norm_squared(dec, symbol)
+        assert type(value) is type(zero) and value == zero
+        assert calls == [Bidegree(0, 0)] * 2
 
 
 class TestSobolevPower:
