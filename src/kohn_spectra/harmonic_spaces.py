@@ -6,7 +6,8 @@ exact fraction-free elimination, one torus-weight block at a time, so
 dimensions, orthogonality, and the eigenvalue bookkeeping can all be checked
 without trusting any formula.  Cross-cell orthogonality is one bucketed Gram
 pass: terms pair only when they share alpha - beta, as in the sphere pairing.
-The Gram pass and Gram-Schmidt pair terms in Gaussian integers through
+Kernel entries go to :func:`polynomials._from_terms` as integers.  The Gram
+pass and Gram-Schmidt pair terms in Gaussian integers through
 :class:`polynomials._PairingIndex`, the primitive behind
 :func:`sphere_inner_product`, and build a Fraction only for a finished value.
 
@@ -46,8 +47,8 @@ from .polynomials import (
     ambient_laplacian,
     euler_z,
     euler_z_bar,
+    l2_norm_squared,
     multiindices,
-    sphere_inner_product,
 )
 
 __all__ = [
@@ -82,18 +83,18 @@ def bidegree_monomials(n: int, d: Bidegree) -> list[tuple[Multiindex, Multiindex
     return [(a, b) for a in multiindices(n, d.p) for b in multiindices(n, d.q)]
 
 
-def _kernel(rows: list[dict[int, int]], cols: list[int]) -> list[dict[int, Fraction | int]]:
+def _kernel(rows: list[dict[int, int]], cols: list[int]) -> list[dict[int, tuple[int, int]]]:
     """Standard kernel basis of the sparse integer ``rows``, one vector per
     free column of ``cols`` (ascending, every column a row stores), in order.
 
     Rows store only nonzero entries and are reduced in place with the dense
     pivot rule, in integers: a row with entry f at the pivot column becomes
     (pv/g) row - (f/g) pivot_row, pv the pivot and g = gcd(pv, f), then has its
-    gcd divided out, so it stays a multiple of its RREF row; only a kernel entry
-    is a Fraction.
+    gcd divided out, so it stays a multiple of its RREF row.  Each entry is an
+    int pair (numerator, denominator > 0); the free entry is (1, 1).
     """
     if not rows:
-        return [{c: 1} for c in cols]
+        return [{c: (1, 1)} for c in cols]
     pivots: list[int] = []
     for c in cols:
         r = len(pivots)
@@ -125,10 +126,10 @@ def _kernel(rows: list[dict[int, int]], cols: list[int]) -> list[dict[int, Fract
     for free in cols:
         if free in pivot_set:
             continue
-        vec = {free: 1}
+        vec = {free: (1, 1)}
         for row, pc in zip(rows, pivots):
             if free in row:
-                vec[pc] = Fraction(-row[free], row[pc])
+                vec[pc] = (-row[free], row[pc]) if row[pc] > 0 else (row[free], -row[pc])
         basis.append(vec)
     return basis
 
@@ -146,7 +147,7 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
     d = spectrum._check_bidegree(n, d)
     source = bidegree_monomials(n, d)
     if d.p == 0 or d.q == 0:
-        return HarmonicBasis(n, d, tuple(_from_terms(n, ((key, 1),)) for key in source))
+        return HarmonicBasis(n, d, tuple(_from_terms(n, ((key, 1, 0, 1),)) for key in source))
 
     blocks: dict = {}  # {alpha - beta: (source columns, {target key: row})}
     for col, (alpha, beta) in enumerate(source):
@@ -163,8 +164,8 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
 
     kernel = [vec for cols, rows in blocks.values() for vec in _kernel(list(rows.values()), cols)]
     kernel.sort(key=max)  # a vector's free column is its largest index
-    elements = tuple(_from_terms(n, ((source[i], x) for i, x in vec.items())) for vec in kernel)
-    return HarmonicBasis(n, d, elements)
+    terms = (((source[i], re, 0, den) for i, (re, den) in vec.items()) for vec in kernel)
+    return HarmonicBasis(n, d, tuple(_from_terms(n, items) for items in terms))
 
 
 def orthonormalize(basis: HarmonicBasis) -> HarmonicBasis:
@@ -192,12 +193,12 @@ def orthonormalize(basis: HarmonicBasis) -> HarmonicBasis:
             raise RuntimeError(
                 f"basis for {basis.bidegree} on C^{basis.n} is linearly dependent"
             )
-        value = sphere_inner_product(u, u)
-        if value.im or value.re <= 0:
-            raise RuntimeError(f"non-positive squared norm {value}; this is a bug")
+        norm = l2_norm_squared(u)
+        if norm <= 0:
+            raise RuntimeError(f"non-positive squared norm {norm}; this is a bug")
         index.add(len(orthogonal), u)
         orthogonal.append(u)
-        norms.append(value.re)
+        norms.append(norm)
     return HarmonicBasis(basis.n, basis.bidegree, tuple(orthogonal), tuple(norms))
 
 

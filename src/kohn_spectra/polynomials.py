@@ -12,15 +12,16 @@ int, so a term's coefficient is ``(re + im*i) / _den``.  Every operation
 drops zero pairs and divides out gcd(all parts, ``_den``) once, so the form
 is canonical and equality of polynomials is a structural comparison.  Only
 this module reads that storage; other modules use four primitives:
-:func:`_parts` converts a coefficient to integers (for :func:`_from_terms`
-and scaling), :func:`_combine` is every linear combination of polynomials,
+:func:`_from_terms` builds from integer terms ((alpha, beta), re, im, den),
+:func:`_combine` is every linear combination of polynomials,
 :class:`_PairingIndex` is every sphere pairing, and :func:`_fischer` is the
-spherical decomposition.  An :class:`ExactScalar` is built only at the
-boundary: by :attr:`Polynomial.terms`, by :func:`sphere_inner_product`, for
-the input coefficients of :func:`polynomial_from_dict` and
-:func:`random_polynomial`, and for a finished pairing value.  Keys are
-checked once, where they enter: ``Polynomial(n, terms)`` and
-:func:`polynomial_from_dict` validate each multi-index and then build
+spherical decomposition.  :func:`_parts` converts an outside coefficient to
+integers where it enters, in ``Polynomial(n, terms)`` and scaling.  An
+:class:`ExactScalar` is built only at the boundary: by :attr:`Polynomial.terms`,
+:func:`sphere_inner_product`, :func:`as_scalar` and its own arithmetic, and
+for a finished pairing value.  Keys are checked once, where they enter:
+``Polynomial(n, terms)`` and :func:`polynomial_from_dict` validate each
+multi-index (:func:`random_polynomial` makes valid ones) and then build
 through :func:`_from_terms`; :func:`polynomial_to_dict` writes each part in
 lowest terms straight from the integers.
 
@@ -210,7 +211,9 @@ class Polynomial:
     ) -> None:
         _check_dimension(n)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        checked = (((_check_multiindex(a, n), _check_multiindex(b, n)), c) for (a, b), c in items)
+        checked = (
+            ((_check_multiindex(a, n), _check_multiindex(b, n)), *_parts(c)) for (a, b), c in items
+        )
         _from_terms(n, checked, self)
 
     @property
@@ -366,11 +369,11 @@ def _parts(coeff: ScalarLike) -> tuple[int, int, int]:
 
 
 def _from_terms(n: int, items: Iterable[tuple], poly: Polynomial | None = None) -> Polynomial:
-    """sum coeff * z^alpha * zbar^beta over items ((alpha, beta), coeff) with
-    valid keys, summed in integers over the lcm of the coefficients' dens."""
-    parts = [(key, *_parts(coeff)) for key, coeff in items]
-    den = math.lcm(*(d for _, _, _, d in parts))
-    terms = ((key, re * (den // d), im * (den // d)) for key, re, im, d in parts)
+    """sum (re + im*i) / den * z^alpha * zbar^beta over the integer items ((alpha,
+    beta), re, im, den) with valid keys and den > 0, summed over the dens' lcm."""
+    items = tuple(items)
+    den = math.lcm(*(d for _, _, _, d in items))
+    terms = ((key, re * (den // d), im * (den // d)) for key, re, im, d in items)
     return _make(n, _gather(terms), den, poly)
 
 
@@ -544,14 +547,9 @@ def _fischer(f: Polynomial) -> list[tuple[Bidegree, Polynomial]]:
         if len(parts) == 1:
             h = _make(n, *parts[0])
         else:
-            lcm = math.lcm(*(den for _, den in parts))
-            terms = (
-                (key, re * s, im * s)
-                for num, den in parts
-                for s in (lcm // den,)
-                for key, (re, im) in num.items()
+            h = _from_terms(
+                n, ((key, re, im, den) for num, den in parts for key, (re, im) in num.items())
             )
-            h = _make(n, _gather(terms), lcm)
         if h:
             out.append((Bidegree(*d), h))
     return out
@@ -679,10 +677,10 @@ def random_polynomial(rng, n: int, max_degree: int, max_terms: int = 6) -> Polyn
         q = k - p
         alpha = _random_composition(rng, n, p)
         beta = _random_composition(rng, n, q)
-        re = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        im = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        terms.append(((alpha, beta), ExactScalar(re, im)))
-    return Polynomial(n, terms)
+        re, re_den = rng.randint(-3, 3), rng.randint(1, 4)
+        im, im_den = rng.randint(-3, 3), rng.randint(1, 4)
+        terms += [((alpha, beta), re, 0, re_den), ((alpha, beta), 0, im, im_den)]
+    return _from_terms(n, terms)
 
 
 def _random_composition(rng, n: int, total: int) -> Multiindex:
@@ -757,11 +755,10 @@ def polynomial_from_dict(obj: object) -> Polynomial:
             beta = entry["beta"]
             if not isinstance(alpha, list) or not isinstance(beta, list):
                 raise FormatError("\"alpha\" and \"beta\" must be lists")
-            coeff = ExactScalar(
-                fraction_from_string(entry["re"]), fraction_from_string(entry["im"])
-            )
+            re = fraction_from_string(entry["re"])
+            im = fraction_from_string(entry["im"])
             key = (_check_multiindex(alpha, n), _check_multiindex(beta, n))
         except (KeyError, ValueError, TypeError) as exc:
             raise FormatError(f"term {i}: {exc}") from exc
-        terms.append((key, coeff))
+        terms += [(key, re.numerator, 0, re.denominator), (key, 0, im.numerator, im.denominator)]
     return _from_terms(n, terms)

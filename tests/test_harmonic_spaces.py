@@ -155,7 +155,8 @@ def test_sparse_kernel_matches_dense_rref(n):
 def test_integer_kernel_matches_dense_nullspace():
     """_kernel on its own, on random sparse integer matrices with no block
     structure: negative entries, and for every other seed a zero row, a
-    duplicate row and a combination of two rows, shuffled in."""
+    duplicate row and a combination of two rows, shuffled in.  Each entry is
+    an int pair (numerator, denominator > 0), read as one Fraction."""
     ranks = set()
     for seed in range(60):
         rng = random.Random(seed)
@@ -171,7 +172,11 @@ def test_integer_kernel_matches_dense_nullspace():
         sparse = [{j: x for j, x in enumerate(row) if x} for row in matrix]
         kernel = harmonic_spaces._kernel(sparse, list(range(cols)))
         dense = _dense_nullspace([[Fraction(x) for x in row] for row in matrix], cols)
-        assert kernel == [{j: x for j, x in enumerate(vec) if x} for vec in dense], seed
+        for entry in (entry for vec in kernel for entry in vec.values()):
+            assert type(entry) is tuple and len(entry) == 2, seed
+            assert type(entry[0]) is int and type(entry[1]) is int and entry[1] > 0, seed
+        values = [{j: Fraction(*entry) for j, entry in vec.items()} for vec in kernel]
+        assert values == [{j: x for j, x in enumerate(vec) if x} for vec in dense], seed
         rank = cols - len(dense)
         ranks.add("full" if rank == min(rows, cols) else "deficient")
     assert ranks == {"full", "deficient"}

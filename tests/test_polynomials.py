@@ -28,7 +28,14 @@ from kohn_spectra import (
     sphere_inner_product,
 )
 from kohn_spectra import polynomials
-from kohn_spectra.polynomials import _combine, _PairingIndex, euler_z, euler_z_bar, multiindices
+from kohn_spectra.polynomials import (
+    _combine,
+    _from_terms,
+    _PairingIndex,
+    euler_z,
+    euler_z_bar,
+    multiindices,
+)
 
 
 def z(j, n=2):
@@ -482,6 +489,63 @@ class TestStoragePrimitives:
                 ref_scale(ref(h), Fraction(-7, 4), Fraction(0)),
             )
 
+    def test_from_terms_matches_reference(self):
+        """_from_terms against one Fraction pair per term: mixed and negative
+        numerators, repeated keys, dens that differ, and sums that cancel."""
+        rng = random.Random(20261019)
+        for n in (2, 3, 4):
+            keys = [(a, b) for a in multiindices(n, 1) for b in multiindices(n, 2)][:5]
+            for _ in range(20):
+                items = [
+                    (rng.choice(keys), rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 12))
+                    for _ in range(rng.randint(0, 12))
+                ]
+                expected = ref_sum(
+                    *({key: (Fraction(re, den), Fraction(im, den))} for key, re, im, den in items)
+                )
+                assert ref(_from_terms(n, iter(items))) == expected
+                cancelled = items + [(key, -re, -im, den) for key, re, im, den in items[1:]]
+                assert ref(_from_terms(n, cancelled)) == ref_sum(*[
+                    {key: (Fraction(re, den), Fraction(im, den))} for key, re, im, den in items[:1]
+                ])
+            key, other = keys[0], keys[1]
+            zero = _from_terms(
+                n, [(key, 1, -2, 3), (key, -2, 4, 6), (other, 5, 0, 4), (other, -15, 0, 12)]
+            )
+            assert zero == Polynomial.zero(n) and ref(zero) == {}
+            assert _from_terms(n, []) == Polynomial.zero(n)
+            one = _from_terms(
+                n, [(key, 1, 1, 2), (key, 1, -1, 2), (other, 0, 3, 7), (other, 0, -3, 7)]
+            )
+            assert one == Polynomial(n, {key: 1})
+
+    def test_random_polynomial_replays_its_draws(self):
+        """random_polynomial equals the same draws built one ExactScalar per term."""
+
+        def composition(rng, n, total):
+            out = [0] * n
+            for _ in range(total):
+                out[rng.randrange(n)] += 1
+            return tuple(out)
+
+        def reference(rng, n, max_degree, max_terms=6):
+            terms = []
+            for _ in range(max_terms):
+                k = rng.randint(0, max_degree)
+                p = rng.randint(0, k)
+                alpha, beta = composition(rng, n, p), composition(rng, n, k - p)
+                re = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                im = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                terms.append(((alpha, beta), ExactScalar(re, im)))
+            return Polynomial(n, terms)
+
+        for seed in range(50):
+            for n in (2, 3, 4):
+                degree = seed % 6
+                rng, replay = random.Random(seed), random.Random(seed)
+                assert random_polynomial(rng, n, degree) == reference(replay, n, degree)
+                assert rng.getstate() == replay.getstate()
+
     def test_decomposition_sum_matches_pairwise_sum(self):
         from kohn_spectra.operators import decompose
 
@@ -516,8 +580,10 @@ class TestStoragePrimitives:
             calls.append(self)
             original(self)
 
+        obj = polynomial_to_dict(f * g * Fraction(-3, 4))
         monkeypatch.setattr(ExactScalar, "__post_init__", counted)
         f * 3, f * Fraction(1, 7), f + g, f - g
+        polynomial_from_dict(obj), random_polynomial(random.Random(5), 3, 5)
         assert calls == []
 
     def test_only_polynomials_reads_the_storage(self):
@@ -528,6 +594,39 @@ class TestStoragePrimitives:
             text = path.read_text()
             for token in ("._num", "._den", "_make("):
                 assert token not in text, f"{path.name} uses {token}"
+
+    def test_only_the_boundary_builds_an_exact_scalar(self):
+        """ExactScalar(...) is called only inside the class itself, as_scalar,
+        Polynomial.terms, sphere_inner_product and the oracle's Gram pass;
+        every other construction works on the integer parts."""
+        allowed = {
+            "polynomials.py": (
+                "ExactScalar", "as_scalar", "Polynomial.terms", "sphere_inner_product"
+            ),
+            "harmonic_spaces.py": ("_cross_cell_gram",),
+        }
+        src = Path(polynomials.__file__).parent
+        sites = []
+
+        def visit(node, scope, name):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if "ExactScalar" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    sites.append((name, scope))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope, name)
+
+        for path in sorted(src.glob("*.py")):
+            visit(ast.parse(path.read_text()), "", path.name)
+        assert ("polynomials.py", "Polynomial.terms") in sites
+        outside = [
+            f"{name}: {scope or '<module>'}"
+            for name, scope in sites
+            if not any(scope == a or scope.startswith(a + ".") for a in allowed.get(name, ()))
+        ]
+        assert not outside, f"ExactScalar built outside the boundary: {outside}"
 
     def test_only_cli_writes_the_report_format(self):
         """No module defines a ``to_json_dict``, and outside the CLI only
