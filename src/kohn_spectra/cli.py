@@ -10,7 +10,8 @@ A bidegree is ``{"p", "q"}``.  A float field's key ends in ``_float``; an
 infinite Schatten tail is "inf" and a missing approximation null.  CSV has
 a header row and Unix line ends; a spectrum eigenvalue fills
 ``eigenvalue_num`` and ``eigenvalue_den``, its contributors "(p,q);(p,q)".
-A failure is one ``{"error": message}`` object on stderr, exit status 1.
+A failure, a usage error included, is one ``{"error": message}`` object on
+stderr, exit status 1; only ``--help`` exits 0 without running a subcommand.
 Outputs are byte-identical for identical inputs (stable orderings
 everywhere).
 """
@@ -43,6 +44,15 @@ from .polynomials import (
 
 class CliError(Exception):
     """Structured CLI failure, reported as a JSON error with exit status 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (a bad value, a missing flag, an
+    unknown subcommand) raise CliError instead of printing usage and exiting 2;
+    its subparsers are of the same class."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -436,7 +446,7 @@ def _add_common(parser: argparse.ArgumentParser, *, with_format: bool = False,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kohn-spectra",
         description="Exact spectral calculus for the Kohn Laplacian and complex "
         "Green operator on the unit sphere in C^n",
@@ -507,8 +517,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as exc:
         sys.stderr.write(_json_text({"error": str(exc)}))

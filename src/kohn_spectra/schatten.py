@@ -51,6 +51,12 @@ directly into the two-sided tail bracket.  The
 witness brackets four power sums (k = 0) after a head of _WITNESS_HEAD
 terms, so one evaluation costs the same at any cutoff.
 
+Every directly summed 1-d sum -- a bracket's head and the four factors of
+the float partial sum -- is one call of the memoised _direct_sum.  Past a
+cutoff of _WITNESS_HEAD + n the witness's four heads no longer change, so
+the doubling pays for them once per process; a float report's partial sum
+reads the same four sums as the heads of its tail bracket.
+
 Termwise bounds from the paper, checked by the acceptance criteria and by
 ``verify`` (valid for every p, q >= 0 resp. p >= n):
 
@@ -63,6 +69,7 @@ Termwise bounds from the paper, checked by the acceptance criteria and by
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -172,13 +179,23 @@ def _side_terms(
     return [math.comb(x + shift, k) / (b := scale * x) ** t * b**e for x in range(first, last + 1)]
 
 
+@functools.lru_cache(maxsize=256)
+def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int) -> float:
+    """math.fsum of _side_terms(k, shift, s, first, last, scale), memoised (see
+    the module docstring).  Callers pass all six arguments positionally, so
+    that equal sums share one key, and validate them before reaching the cache."""
+    return math.fsum(_side_terms(k, shift, s, first, last, scale))
+
+
 def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     """sum_{q=1}^{Q} sum_{p=0}^{P} m_{p,q} / (2q(p+n-1))^r.
 
     Exact rational for positive integer r, accumulated as one integer over
     the shared denominator of the module docstring and normalised once.
     Otherwise a double: the rank-2 split over four 1-d sums, each
-    accumulated with math.fsum (see the module docstring).
+    accumulated with math.fsum by _direct_sum (see the module docstring);
+    they are the heads of the tail bracket at the same (n, r, P, Q), so a
+    report computes them once.
     """
     r = _validate_order(n, r)
     _check_int("P", P)
@@ -196,8 +213,8 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
             total += row * (M // (2 * q) ** r_int)
         return Fraction(total, L * M)
     rf = float(r)
-    a1, a2 = (math.fsum(_side_terms(n - 2, -1, s, n - 1, P + n - 1)) for s in (rf - 1, rf))
-    b1, b2 = (math.fsum(_side_terms(n - 2, n - 2, s, 1, Q, 2)) for s in (rf, rf - 1))
+    a1, a2 = (_direct_sum(n - 2, -1, s, n - 1, P + n - 1, 1) for s in (rf - 1, rf))
+    b1, b2 = (_direct_sum(n - 2, n - 2, s, 1, Q, 2) for s in (rf, rf - 1))
     return (a1 * b1 + a2 * b2 / 2) / (n - 1)
 
 
@@ -281,7 +298,7 @@ def _sum_bracket(
     its size covers their cancellation and that of alternating c_j.
     """
     m = max(first, direct_to + 1)
-    direct = math.fsum(_side_terms(k, shift, s, first, min(last, m - 1), scale))
+    direct = _direct_sum(k, shift, s, first, min(last, m - 1), scale)
     if m > last:
         return _outward(direct, direct, direct)
     # C(x+shift, k) = prod_{j<k} (x+shift-j) / k!: exact integer coefficients, lowest power first
@@ -316,7 +333,8 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     separates as p^{n-1-r} q^{n-2-r} + p^{n-2-r} q^{n-1-r}, so the double sum
     combines four 1-d power sums, each the lower end of _sum_bracket; the cost
     does not grow with the cutoffs, which the r = n divergence witness doubles
-    about 60 times.
+    about 60 times.  From P, Q >= _WITNESS_HEAD + n the four direct heads are
+    the same sums at every cutoff, and _direct_sum computes them once.
     """
     r = _validate_order(n, r)
     _check_int("P", P, n)

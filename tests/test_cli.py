@@ -42,7 +42,7 @@ def _checked(cp, check):
 
 def run_cli(*args, check=True):
     """Run ``cli.main`` in this process; stdout, stderr and the exit status
-    (a ``SystemExit`` code for usage errors) come back as a CompletedProcess."""
+    (a ``SystemExit`` code for ``--help``) come back as a CompletedProcess."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -422,12 +422,39 @@ class TestInProcessParserReuse:
         assert status == 0 and out == (GOLDEN / "ratio_n2_s1.csv").read_text()
 
     def test_valid_call_after_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["ratio", "--n", "2", "--k-max", "3"])
-        assert exc.value.code == 2
+        assert cli.main(["ratio", "--n", "2", "--k-max", "3"]) == 1
         capsys.readouterr()
         status, out = self.call(capsys, "ratio", "--n", "2", "--s", "1", "--k-max", "3")
         assert status == 0 and out.startswith("k,value\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("apply", "--n", "2", "--input", "f.json", "--operator", "sobolev", "--t", "nan"), "--t"),
+        (("apply", "--n", "2", "--input", "f.json", "--operator", "sobolev", "--t", "1/0"), "--t"),
+        (("schatten", "--n", "2", "--r", "abc"), "--r"),
+        (("schatten", "--n", "two", "--r", "3"), "--n"),
+        (("bogus",), "bogus"),
+        ((), "command"),
+        (("ratio", "--n", "2", "--k-max", "3"), "--s"),
+        (("spectrum", "--n", "2", "--cutoff", "4", "--bogus"), "--bogus"),
+    ],
+    ids=["t-nan", "t-zero-den", "r-abc", "n-word", "unknown-subcommand", "no-subcommand",
+         "missing-flag", "unknown-flag"],
+)
+def test_usage_error_is_a_json_error(argv, message):
+    cp = run_cli(*argv, check=False)
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    error = json.loads(cp.stderr)
+    assert list(error) == ["error"] and message in error["error"]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("schatten", "--help")])
+def test_help_exits_zero(argv):
+    cp = run_cli(*argv)
+    assert cp.returncode == 0 and "usage:" in cp.stdout and cp.stderr == ""
 
 
 class TestJsonText:

@@ -33,7 +33,8 @@ BAD_ORDERS = (True, math.nan, math.inf, "1")
 Z = Polynomial.z_bar(2, 1)
 D = Bidegree(1, 1)
 
-# qualified name: (callable, valid keyword arguments, integer parameters, order parameters)
+# qualified name, or name:variant for a further row of one function:
+# (callable, valid keyword arguments, integer parameters, order parameters)
 TABLE = {
     "polynomials.Polynomial.__init__": (Polynomial, dict(n=2), "n", ""),
     "polynomials.Polynomial.__pow__": (lambda exponent: Z**exponent, dict(exponent=2), "exponent", ""),
@@ -84,6 +85,19 @@ TABLE = {
     ),
     "schatten.tail_upper_bound": (schatten.tail_upper_bound, dict(n=2, r=3, P=2, Q=2), "n P Q", "r"),
     "schatten.tail_lower_bound": (schatten.tail_lower_bound, dict(n=2, r=3, P=2, Q=2), "n P Q", "r"),
+    # the float branches read memoised 1-d sums: a valid call warms that cache too
+    "schatten.partial_sum:float": (
+        schatten.partial_sum, dict(n=2, r=Fraction(5, 2), P=2, Q=2), "n P Q", "r"
+    ),
+    "schatten.tail_upper_bound:float": (
+        schatten.tail_upper_bound, dict(n=2, r=Fraction(5, 2), P=2, Q=2), "n P Q", "r"
+    ),
+    "schatten.tail_lower_bound:float": (
+        schatten.tail_lower_bound, dict(n=2, r=Fraction(5, 2), P=2, Q=2), "n P Q", "r"
+    ),
+    "schatten.schatten_report:float": (
+        schatten.schatten_report, dict(n=2, r=Fraction(5, 2), P=2, Q=2), "n P Q", "r"
+    ),
     "schatten.lower_bound_sum": (schatten.lower_bound_sum, dict(n=2, r=2, P=2, Q=2), "n P Q", "r"),
     "schatten.verdict": (schatten.verdict, dict(n=2, r=3), "n", "r"),
     "schatten.approx_formula": (schatten.approx_formula, dict(n=2, r=3), "n", "r"),

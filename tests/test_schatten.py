@@ -8,13 +8,14 @@ n = 2 and 3, before the acceptance suite leans on it.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from scipy import integrate, special
 
 from helpers import cli_json
-from kohn_spectra import spectrum
+from kohn_spectra import schatten, spectrum
 from kohn_spectra.polynomials import Bidegree
 from kohn_spectra.schatten import (
     _WITNESS_HEAD,
@@ -416,6 +417,71 @@ class TestLowerBoundSum:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             lower_bound_sum(3, 3, 2, 10)
+
+
+def memo_grid(seed):
+    """Seeded (function, arguments) cases over n, r and cutoffs: the witness
+    up to 2^40, and the float partial sum and tail bracket, which sum their
+    heads term by term, at cutoffs up to 2000."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(16):
+        n = rng.randint(2, 6)
+        r = n + Fraction(rng.choice((1, 3, 5, 7)), 4)
+        P, Q = rng.randint(0, 2000), rng.randint(1, 2000)
+        big_p, big_q = rng.randint(n, 2**40), rng.randint(1, 2**40)
+        cases += [
+            (lower_bound_sum, (n, n, big_p, big_q)),
+            (lower_bound_sum, (n, r, max(n, P), Q)),
+            (schatten._tail_bracket, (n, r, P, Q)),
+            (partial_sum, (n, r, P, Q)),
+        ]
+    return cases
+
+
+class TestDirectSumMemo:
+    """Every directly summed 1-d sum goes through the memoised _direct_sum."""
+
+    def test_cold_and_warm_match_unmemoised_sums(self, monkeypatch):
+        cases = memo_grid(19)
+
+        def evaluate():
+            return [repr(function(*args)) for function, args in cases]
+
+        monkeypatch.setattr(schatten, "_direct_sum", lambda *key: math.fsum(schatten._side_terms(*key)))
+        reference = evaluate()
+        monkeypatch.undo()
+        schatten._direct_sum.cache_clear()
+        cold = evaluate()
+        warm = evaluate()
+        assert cold == reference
+        assert warm == reference
+        assert schatten._direct_sum.cache_info().hits > 0
+
+    @pytest.mark.parametrize("n, doublings", [(2, 58), (3, 52), (4, 47)])
+    def test_witness_sums_its_heads_once(self, n, doublings):
+        # criterion 5's doubling from cutoff 100: once the cutoff passes the
+        # head of _WITNESS_HEAD terms, every doubling reuses the same four sums
+        schatten._direct_sum.cache_clear()
+        base = lower_bound_sum(n, n, 100, 100)
+        cutoff, count, value = 100, 0, base
+        while value <= 10 * base:
+            assert count < 80
+            cutoff *= 2
+            count += 1
+            value = lower_bound_sum(n, n, cutoff, cutoff)
+        assert count == doublings
+        info = schatten._direct_sum.cache_info()
+        assert info.misses <= 20
+        assert info.hits + info.misses == 4 * (doublings + 1)
+
+    def test_float_report_shares_its_partial_sum_factors(self):
+        schatten._direct_sum.cache_clear()
+        schatten_report(3, Fraction(7, 2), 50, 40)
+        assert schatten._direct_sum.cache_info().hits >= 4
+
+    def test_memo_is_bounded(self):
+        assert schatten._direct_sum.cache_info().maxsize is not None
 
 
 class TestTailBounds:
