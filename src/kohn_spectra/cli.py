@@ -387,19 +387,11 @@ def cmd_verify(args) -> int:
     # termwise Schatten sandwich on a grid, integer orders n+1 and n+2
     sandwich_ok = True
     for r in (args.n + 1, args.n + 2):
-        for p in range(args.n, 21):
+        for p in range(21):
             for q in range(1, 21):
                 exact = schatten.schatten_term(args.n, r, p, q)
-                if not (
-                    schatten.lower_bound_term(args.n, r, p, q)
-                    <= exact
-                    <= schatten.upper_bound_term(args.n, r, p, q)
-                ):
-                    sandwich_ok = False
-        for q in range(1, 21):
-            for p in range(0, args.n):
-                if schatten.schatten_term(args.n, r, p, q) > schatten.upper_bound_term(
-                    args.n, r, p, q
+                if exact > schatten.upper_bound_term(args.n, r, p, q) or (
+                    p >= args.n and schatten.lower_bound_term(args.n, r, p, q) > exact
                 ):
                     sandwich_ok = False
     record("schatten_sandwich", sandwich_ok, "termwise bounds on the grid p,q <= 20")

@@ -93,8 +93,6 @@ def _kernel(rows: list[dict[int, int]], cols: list[int]) -> list[dict[int, tuple
     gcd divided out, so it stays a multiple of its RREF row.  Each entry is an
     int pair (numerator, denominator > 0); the free entry is (1, 1).
     """
-    if not rows:
-        return [{c: (1, 1)} for c in cols]
     pivots: list[int] = []
     for c in cols:
         r = len(pivots)

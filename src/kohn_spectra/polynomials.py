@@ -42,8 +42,8 @@ measure (total mass 1, so <1, 1> = 1) and the closed-form monomial integral
                                      =  (n-1)! alpha! / (n-1+|alpha|)! if alpha == beta
 
 which makes every inner product of polynomials an exact Gaussian rational.
-The closed form is validated in the test suite against the recursion forced
-by |z|^2 = 1 on the sphere before anything downstream relies on it.
+Its one copy is in :class:`_PairingIndex`, which :func:`monomial_sphere_integral`
+reads, and the test suite checks it against the recursion forced by |z|^2 = 1.
 
 Every integer argument of the library (a dimension, degree, index or
 cutoff) passes :func:`_check_int`, here in the bottom layer.
@@ -565,17 +565,11 @@ def _factorial_product(mu: Multiindex) -> int:
 
 
 def monomial_sphere_integral(n: int, alpha: Iterable[int], beta: Iterable[int] | None = None) -> Fraction:
-    """Integral of z^alpha * zbar^beta over S^{2n-1}, normalized measure.
-
-    Vanishes unless alpha == beta; on the diagonal it equals
-    (n-1)! * alpha! / (n-1+|alpha|)!.
-    """
-    a = _check_multiindex(alpha, _check_dimension(n))
-    if beta is not None:
-        b = _check_multiindex(beta, n)
-        if a != b:
-            return Fraction(0)
-    return Fraction(math.factorial(n - 1) * _factorial_product(a), math.factorial(n - 1 + sum(a)))
+    """Integral of z^alpha * zbar^beta (beta defaults to alpha) over S^{2n-1},
+    normalized measure: the sphere pairing <z^alpha zbar^beta, 1>."""
+    alpha = tuple(alpha)
+    f = Polynomial.monomial(n, alpha, alpha if beta is None else beta)
+    return sphere_inner_product(f, Polynomial.constant(n, 1)).re
 
 
 class _PairingIndex:

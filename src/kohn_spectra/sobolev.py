@@ -73,9 +73,9 @@ def argmax_degree(n: int) -> int:
 
 
 def equality_bidegree(n: int) -> Bidegree:
-    """The unique bidegree whose eigenspace realizes the best constant."""
-    spectrum._check_dimension(n)
-    return Bidegree(0, 1) if n == 2 else Bidegree(n * n - 3 * n, 1)
+    """The unique bidegree whose eigenspace realizes the best constant:
+    (k - 1, 1) at the argmax degree k, the one with eigenvalue lambda_min(k)."""
+    return Bidegree(argmax_degree(n) - 1, 1)
 
 
 def ratio(n: int, s, k: int) -> Fraction | float:
@@ -159,8 +159,9 @@ def best_constant(n: int) -> BestConstantReport:
     The scan window extends n^2 past the critical degree, so the certified
     decreasing tail provably brackets the maximum.
     """
-    scan_max = max(1, critical_degree(n)) + n * n
-    k_star = decreasing_tail_certificate(n)
+    k_max = argmax_degree(n)
+    scan_max = k_max + n * n
+    decreasing_tail_certificate(n)
 
     best_k = 1
     best_value = ratio(n, 1, 1)
@@ -172,11 +173,11 @@ def best_constant(n: int) -> BestConstantReport:
             best_k, best_value = k, value
     if best_k >= scan_max:
         raise RuntimeError("maximum at the scan boundary; scan_max margin violated")
-    # the certified tail decreases beyond k_star, so the windowed scan is global
-    if best_k != max(k_star, 1):
+    # the certified tail decreases beyond max(k*, 1), so the windowed scan is global
+    if best_k != k_max:
         raise RuntimeError(
             f"scan argmax {best_k} disagrees with the certified critical degree "
-            f"{max(k_star, 1)} at n={n}"
+            f"{k_max} at n={n}"
         )
 
     c_squared = best_value
@@ -192,7 +193,7 @@ def best_constant(n: int) -> BestConstantReport:
 
 @dataclass(frozen=True)
 class GainCertificate:
-    """Exact record of || G f ||_{s+1}^2 <= c^2 || f ||_s^2 for one input."""
+    """Exact record of || G f ||_{s+1}^2 <= c^2 || f ||_s^2 for one input, and its verdict."""
 
     n: int
     s: int
@@ -207,10 +208,10 @@ class GainCertificate:
 def sobolev_gain_certificate(n: int, f: Polynomial, s: int = 0) -> GainCertificate:
     """Compare || G f ||_{s+1}^2 against c^2 || f ||_s^2, both exact rationals.
 
-    The inequality is a theorem, so a violation raises rather than being
-    reported.  Equality holds exactly when every surviving component of f
-    sits in the equality eigenspace (single bidegree (n^2-3n, 1), or (0, 1)
-    for n = 2); membership is decided through the exact decomposition.
+    ``holds`` is lhs <= rhs: False means a wrong constant or norm.  Equality
+    holds exactly when every surviving component of f sits in the equality
+    eigenspace (single bidegree (n^2-3n, 1), or (0, 1) for n = 2);
+    membership is decided through the exact decomposition.
     """
     spectrum._check_dimension(n)
     if f.n != n:
@@ -224,10 +225,6 @@ def sobolev_gain_certificate(n: int, f: Polynomial, s: int = 0) -> GainCertifica
     green_f = apply(dec, lambda d: green_symbol(n, d))
     lhs = weighted_norm_squared(green_f, lambda d: sobolev_symbol(n, s_int + 1, d))
     rhs = c_squared * weighted_norm_squared(dec, lambda d: sobolev_symbol(n, s_int, d))
-    if lhs > rhs:
-        raise RuntimeError(
-            f"gain inequality violated ({lhs} > {rhs}); exact arithmetic is broken"
-        )
     locus = equality_bidegree(n)
     return GainCertificate(
         n=n,
@@ -235,7 +232,7 @@ def sobolev_gain_certificate(n: int, f: Polynomial, s: int = 0) -> GainCertifica
         green_norm_squared=lhs,
         bound=rhs,
         ratio=lhs / rhs if rhs else None,
-        holds=True,
+        holds=lhs <= rhs,
         equality=lhs == rhs,
         in_equality_locus=dec.bidegrees() == (locus,),
     )

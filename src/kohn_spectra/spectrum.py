@@ -156,23 +156,18 @@ class AggregatedSpectrum:
 def spectrum_table(n: int, cutoff: Fraction | int) -> list[SpectrumEntry]:
     """All bidegrees with nonzero eigenvalue <= cutoff, sorted by (eigenvalue, p, q).
 
-    The search is provably complete: q >= 1 forces 2(p+n-1) <= cutoff, and
-    p >= 0 forces 2q <= cutoff.
+    The search is complete: 2q(p+n-1) <= cutoff exactly when q <= cutoff/2
+    and p <= cutoff/(2q) - (n-1), the bounds of the two loops.
     """
     _check_dimension(n)
     cutoff = Fraction(_check_order("cutoff", cutoff))
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     entries = []
-    q_max = int(cutoff / 2)
-    for q in range(1, q_max + 1):
-        p = 0
-        while True:
-            ev = Fraction(2 * q * (p + n - 1))
-            if ev > cutoff:
-                break
-            entries.append(SpectrumEntry(Bidegree(p, q), ev, multiplicity(n, Bidegree(p, q))))
-            p += 1
+    for q in range(1, int(cutoff / 2) + 1):
+        for p in range(int(cutoff / (2 * q)) - n + 2):
+            d = Bidegree(p, q)
+            entries.append(SpectrumEntry(d, boxb_eigenvalue(n, d), multiplicity(n, d)))
     entries.sort(key=lambda e: (e.eigenvalue, e.bidegree))
     return entries
 

@@ -1,17 +1,19 @@
 """CLI behavior: golden outputs, determinism, structured errors."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kohn_spectra import cli
-from kohn_spectra.polynomials import fraction_to_string
+from kohn_spectra import cli, harmonic_spaces, operators, schatten, sobolev
+from kohn_spectra.polynomials import ExactScalar, fraction_to_string
 from kohn_spectra.schatten import partial_sum
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -211,6 +213,61 @@ def test_verify_passes():
         "sobolev_gain",
     }
     assert all(c["passed"] for c in obj["checks"])
+
+
+def _drop_last_element(harmonic_basis):
+    def patched(n, d):
+        basis = harmonic_basis(n, d)
+        return dataclasses.replace(basis, elements=basis.elements[:-1])
+
+    return patched
+
+
+def _halve_c_squared(best_constant):
+    def patched(n):
+        report = best_constant(n)
+        return dataclasses.replace(report, c_squared=report.c_squared / 2)
+
+    return patched
+
+
+# check name (with a suffix where one check has two faults), then (module,
+# attribute, the attribute's broken replacement built from the original);
+# each breaks exactly one of verify's checks
+VERIFY_FAULTS = {
+    "dimension_oracle": (harmonic_spaces, "harmonic_basis", _drop_last_element),
+    "eigen_identities": (harmonic_spaces, "euler_z", lambda euler_z: lambda f: euler_z(f) + f),
+    "orthogonality": (
+        harmonic_spaces,
+        "_cross_cell_gram",
+        lambda gram: lambda n, bases: {(0, 1, 0, 0): ExactScalar(Fraction(1))},
+    ),
+    "green_roundtrip": (operators, "residual_check", lambda check: lambda f: Fraction(1)),
+    "schatten_sandwich-upper": (
+        schatten,
+        "upper_bound_term",
+        lambda upper: lambda n, r, p, q: upper(n, r, p, q) if p >= n else 0,
+    ),
+    "schatten_sandwich-lower": (
+        schatten,
+        "lower_bound_term",
+        lambda lower: lambda n, r, p, q: schatten.schatten_term(n, r, p, q) + 1,
+    ),
+    "sobolev_gain": (sobolev, "best_constant", _halve_c_squared),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_FAULTS)
+def test_verify_reports_a_failed_check(monkeypatch, case):
+    module, name, breaking = VERIFY_FAULTS[case]
+    monkeypatch.setattr(module, name, breaking(getattr(module, name)))
+    cp = run_cli("verify", "--n", "2", "--max-degree", "2", "--samples", "3", check=False)
+    assert cp.returncode == 1
+    assert cp.stderr == ""
+    obj = json.loads(cp.stdout)  # exactly one JSON object
+    assert obj["passed"] is False
+    failed = [c["name"] for c in obj["checks"] if not c["passed"]]
+    assert failed == [case.split("-")[0]]
 
 
 @pytest.mark.parametrize(

@@ -232,6 +232,21 @@ class TestMonomialIntegral:
         # n=2, alpha=(1,0): 1! * 1 / 2! = 1/2
         assert monomial_sphere_integral(2, (1, 0)) == Fraction(1, 2)
 
+    def test_reads_the_pairing_closed_form(self, monkeypatch):
+        # the recursion tests above check the copy every inner product uses
+        calls = []
+        pair = _PairingIndex.pair
+
+        def counting(self, f):
+            calls.append(f)
+            return pair(self, f)
+
+        monkeypatch.setattr(_PairingIndex, "pair", counting)
+        # n=3, alpha=(1,2,0): 2! * 1! 2! / 5! = 1/30
+        assert monomial_sphere_integral(3, (1, 2, 0)) == Fraction(1, 30)
+        assert monomial_sphere_integral(3, (1, 2, 0), (2, 1, 0)) == 0
+        assert len(calls) >= 1
+
 
 def test_exactness_warranty_at_degree_limit():
     # the exact path is warranted up to p+q = 12, n = 6

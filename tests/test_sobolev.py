@@ -1,5 +1,6 @@
 """Sobolev ratio sequence, best constants, and gain certificates."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -171,6 +172,20 @@ class TestGainCertificate:
                 assert cert.holds
                 if not cert.in_equality_locus and cert.bound:
                     assert cert.green_norm_squared < cert.bound
+
+    def test_violation_is_reported_not_raised(self, monkeypatch):
+        best = sobolev.best_constant
+
+        def too_small(n):
+            report = best(n)
+            return dataclasses.replace(report, c_squared=report.c_squared / 2)
+
+        monkeypatch.setattr(sobolev, "best_constant", too_small)
+        cert = sobolev_gain_certificate(2, Polynomial.z_bar(2, 1), 0)
+        assert cert.holds is False
+        assert cert.green_norm_squared == Fraction(1, 2)
+        assert cert.bound == Fraction(1, 4)
+        assert not cert.equality
 
     def test_requires_integer_order(self):
         with pytest.raises(ValueError):

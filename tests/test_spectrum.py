@@ -169,17 +169,20 @@ class TestAggregation:
             e.multiplicity for e in table
         )
 
-    def test_table_sorted_and_complete(self):
-        table = spectrum_table(3, 12)
-        assert all(e.eigenvalue == boxb_eigenvalue(3, e.bidegree) for e in table)
-        assert all(e.eigenvalue <= 12 for e in table)
+    @pytest.mark.parametrize("cutoff", ["1/2", "7/2", "12", "41/3"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_table_sorted_and_complete(self, n, cutoff):
+        cutoff = Fraction(cutoff)
+        table = spectrum_table(n, cutoff)
+        assert all(e.eigenvalue == boxb_eigenvalue(n, e.bidegree) for e in table)
+        assert all(e.eigenvalue <= cutoff for e in table)
         keys = [(e.eigenvalue, e.bidegree) for e in table]
         assert keys == sorted(keys)
         # completeness: every (p, q) with eigenvalue under the cutoff appears
         expected = {
             (p, q)
-            for p in range(12)
-            for q in range(1, 12)
-            if 2 * q * (p + 2) <= 12
+            for p in range(int(cutoff) + 1)
+            for q in range(1, int(cutoff) + 1)
+            if 2 * q * (p + n - 1) <= cutoff
         }
         assert {tuple(e.bidegree) for e in table} == expected
