@@ -6,8 +6,8 @@ The squared constant is the maximum of the exact sequence
 
 which peaks at the integer critical degree k* = n^2 - 3n + 1 for n >= 3
 (and at k = 1 for n = 2, where C = 1).  Two closed forms for C_n^2
-circulate; they disagree for every n >= 3, and the exact scan decides:
-it confirms n(n-2)/(4(n^2-2n-1)) and refutes n(n-2)/(4(n-1)^2).
+circulate; they disagree for every n >= 3, and the certified maximum
+decides: it confirms n(n-2)/(4(n^2-2n-1)) and refutes n(n-2)/(4(n-1)^2).
 """
 
 from kohn_spectra import Polynomial, best_constant, harmonic_basis, sobolev_gain_certificate
@@ -18,8 +18,8 @@ for k in (1, 2, 3, 5, 10, 100):
     print(f"  k = {k:>3}:  {ratio(3, 1, k)}")
 print("  -> decreasing from k* = 1 toward the limit 1/4\n")
 
-print("best constants (exact scan; both display candidates flagged):")
-print(f"  {'n':>2} {'c^2 (scan)':>12} {'argmax k':>9} {'n(n-2)/(4(n^2-2n-1))':>21} {'n(n-2)/(4(n-1)^2)':>18}")
+print("best constants (certified maximum; both display candidates flagged):")
+print(f"  {'n':>2} {'c^2':>12} {'argmax k':>9} {'n(n-2)/(4(n^2-2n-1))':>21} {'n(n-2)/(4(n-1)^2)':>18}")
 for n in range(2, 9):
     rep = best_constant(n)
     print(

@@ -692,8 +692,9 @@ _FRACTION_RE = _re.compile(r"^-?\d+(/\d+)?$")
 def fraction_to_string(value: Fraction) -> str:
     """Serialize as "numerator/denominator", always with the slash.
 
-    The digits come from Decimal, which prints an int of any length; str(int)
-    refuses more than sys.get_int_max_str_digits() digits.
+    The digits come from Decimal, which prints and (in fraction_from_string)
+    reads an int of any length; str(int) and int(str) refuse more than
+    sys.get_int_max_str_digits() digits.
     """
     return _ratio_text(value.numerator, value.denominator)
 
@@ -705,8 +706,9 @@ def _ratio_text(num: int, den: int) -> str:
 def fraction_from_string(text: str) -> Fraction:
     if not isinstance(text, str) or not _FRACTION_RE.match(text.strip()):
         raise FormatError(f"malformed rational {text!r}; expected \"numerator/denominator\"")
+    num, _, den = text.strip().partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
     except ZeroDivisionError as exc:
         raise FormatError(f"rational {text!r} has a zero denominator") from exc
 

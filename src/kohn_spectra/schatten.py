@@ -26,9 +26,9 @@ This is the module's one scaling convention: the 2 of the eigenvalue sits
 inside the q-side power.  No float power in this module grows with r, so
 huge orders underflow towards 0 instead of overflowing; factorials and
 binomials meet floats only as exact integer quotients rounded once, so huge
-n does the same.  At non-integer r the partial sum is (A1 B1 + A2 B2 / 2) /
-(n-1) over four 1-d math.fsum sums of a_{r-1}, a_r, b_r and b_{r-1}: O(P+Q)
-terms, not (P+1)Q; the report rounds it down by its error bound.
+n does the same.  _rank_terms states the split once, _combine its float
+evaluation order; the plotting series, the tail bracket and the float partial
+sum read both, the last over four 1-d math.fsum sums: O(P+Q) terms, not (P+1)Q.
 
 Certified 1-d sums.  The tail bracket and the divergence witness rest on one
 bracket (_sum_bracket) of a sum of f(x) = C(x+shift, k) (scale x)^{-s}: a
@@ -42,12 +42,12 @@ integral from powers of x; it is validated against numeric quadrature in
 the test suite.  For each rank term the discarded region
 {q > Q} union {p > P, q <= Q} carries A B_tail + A_tail B_head, where the
 heads sum over p <= P and q <= Q and A = A_head + A_tail sums over all
-p >= 0.  The p-side factor C(x-1, n-2) x^{-s} has log derivative at most
-(n-2)/(x-n+2) - s/x, so once s > n-2 it decreases for x >= s(n-2)/(s-n+2)
-(at most (n-1)(n-2) when s >= n-1), and tail terms below that point are
-summed directly.  The q-side factor decreases for every q >= 1 once
-s > n-2.  All factors are nonnegative, so the 1-d brackets combine
-directly into the two-sided tail bracket.  The
+p >= 0.  A side's terms have log derivative at most k/(x+shift-k+1) - s/x,
+so once s > k they decrease for x >= s(k-shift-1)/(s-k), and tail terms
+below that point are summed directly: on the p side (C(x-1, n-2) x^{-s})
+that point is at most (n-1)(n-2) when s >= n-1, and the q side
+(shift = k) decreases for every q >= 1.  All factors are nonnegative, so
+the 1-d brackets combine directly into the two-sided tail bracket.  The
 witness brackets four power sums (k = 0) after a head of _WITNESS_HEAD
 terms, so one evaluation costs the same at any cutoff.
 
@@ -187,15 +187,27 @@ def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int)
     return math.fsum(_side_terms(k, shift, s, first, last, scale))
 
 
+def _rank_terms(n: int, r: float, P: int, Q: int) -> list[tuple]:
+    """The rank-2 split at cutoffs (P, Q), stated once: (weight, p side, q side)
+    per term, a side being the _direct_sum arguments of its 1-d factor."""
+    return [
+        (weight, (n - 2, -1, sa, n - 1, P + n - 1, 1), (n - 2, n - 2, sb, 1, Q, 2))
+        for weight, sa, sb in ((1.0, r - 1, r), (0.5, r, r - 1))
+    ]
+
+
+def _combine(n: int, terms, product) -> float:
+    """sum(weight * product(p side, q side)) / (n-1) over the rank terms, in this one order."""
+    return sum(weight * product(a, b) for weight, a, b in terms) / (n - 1)
+
+
 def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     """sum_{q=1}^{Q} sum_{p=0}^{P} m_{p,q} / (2q(p+n-1))^r.
 
     Exact rational for positive integer r, accumulated as one integer over
     the shared denominator of the module docstring and normalised once.
-    Otherwise a double: the rank-2 split over four 1-d sums, each
-    accumulated with math.fsum by _direct_sum (see the module docstring);
-    they are the heads of the tail bracket at the same (n, r, P, Q), so a
-    report computes them once.
+    Otherwise a double: the rank-2 split over its four 1-d sums, memoised
+    heads that a report shares with its tail bracket (module docstring).
     """
     r = _validate_order(n, r)
     _check_int("P", P)
@@ -212,25 +224,21 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
                 row += spectrum.multiplicity(n, Bidegree(p, q)) * w
             total += row * (M // (2 * q) ** r_int)
         return Fraction(total, L * M)
-    rf = float(r)
-    a1, a2 = (_direct_sum(n - 2, -1, s, n - 1, P + n - 1, 1) for s in (rf - 1, rf))
-    b1, b2 = (_direct_sum(n - 2, n - 2, s, 1, Q, 2) for s in (rf, rf - 1))
-    return (a1 * b1 + a2 * b2 / 2) / (n - 1)
+    return _combine(n, _rank_terms(n, float(r), P, Q), lambda a, b: _direct_sum(*a) * _direct_sum(*b))
 
 
 def partial_sum_series(n: int, r, cutoff: int) -> list[tuple[int, float]]:
     """Running square-cutoff partial sums for plotting: entry c is
-    partial_sum(n, float(r), c, c) up to rounding, (A1 B1 + A2 B2 / 2) / (n-1)
-    over running prefix sums of the four 1-d factors of the module docstring,
-    so the whole series costs O(cutoff) terms."""
+    partial_sum(n, float(r), c, c) up to rounding, the rank-2 split over
+    running prefix sums of its four 1-d factors: O(cutoff) terms in all."""
     r = _validate_order(n, r)
     _check_int("cutoff", cutoff)
-    rf = float(r)
-    a1, a2 = (accumulate(_side_terms(n - 2, -1, s, n - 1, cutoff + n - 1)) for s in (rf - 1, rf))
-    # B(0) = 0 puts the sums over p <= c and q <= c at index c of every prefix list
-    b1, b2 = (accumulate(_side_terms(n - 2, n - 2, s, 1, cutoff, 2), initial=0.0) for s in (rf, rf - 1))
-    sums = enumerate(zip(a1, a2, b1, b2))
-    return [(c, (x1 * y1 + x2 * y2 / 2) / (n - 1)) for c, (x1, x2, y1, y2) in sums][1:]
+    # after a leading 0, the last cutoff + 1 prefix sums of a side put its sum up to cutoff c at index c
+    prefix = [
+        (w, *(list(accumulate(_side_terms(*side), initial=0.0))[-cutoff - 1 :] for side in sides))
+        for w, *sides in _rank_terms(n, float(r), cutoff, cutoff)
+    ]
+    return [(c, _combine(n, prefix, lambda a, b: a[c] * b[c])) for c in range(1, cutoff + 1)]
 
 
 def verdict(n: int, r) -> str:
@@ -360,18 +368,21 @@ def _tail_bracket(n: int, r, P: int, Q: int) -> tuple[float, float]:
     _check_int("Q", Q, 1)
     if r <= n:
         return math.inf, math.inf
-    rf = float(r)
-    bounds = [0.0, 0.0]
-    for sa, sb, weight in ((rf - 1, rf, 1.0), (rf, rf - 1, 0.5)):
-        # first x where the p-side terms decrease, exact in the float sa so never too low
-        decreasing = math.ceil(Fraction(sa) * (n - 2) / (Fraction(sa) - n + 2))
-        a_head = _sum_bracket(n - 2, -1, sa, n - 1, P + n - 1, P + n - 1)
-        a_tail = _sum_bracket(n - 2, -1, sa, P + n, math.inf, decreasing - 1)
-        b_head = _sum_bracket(n - 2, n - 2, sb, 1, Q, Q, 2)
-        b_tail = _sum_bracket(n - 2, n - 2, sb, Q + 1, math.inf, 0, 2)
-        for i in (0, 1):
-            bounds[i] += weight * ((a_head[i] + a_tail[i]) * b_tail[i] + a_tail[i] * b_head[i])
-    lower, upper = (b / (n - 1) for b in bounds)
+
+    def ends(k, shift, s, first, last, scale):
+        # (head, tail) brackets of one side; the tail is summed directly up to the first x
+        # where its terms decrease, ceil(s(k-shift-1)/(s-k)), exact in s = num/den
+        num, den = s.as_integer_ratio()
+        decreasing = -(-num * (k - shift - 1) // (num - k * den))
+        head = _sum_bracket(k, shift, s, first, last, last, scale)
+        return head, _sum_bracket(k, shift, s, last + 1, math.inf, decreasing - 1, scale)
+
+    brackets = [(w, ends(*a), ends(*b)) for w, a, b in _rank_terms(n, float(r), P, Q)]
+    # A B_tail + A_tail B_head of the module docstring, at each end i of the brackets
+    lower, upper = (
+        _combine(n, brackets, lambda a, b: (a[0][i] + a[1][i]) * b[1][i] + a[1][i] * b[0][i])
+        for i in (0, 1)
+    )
     return _outward(lower, upper, upper)
 
 

@@ -14,9 +14,10 @@ best constant's candidate values; writing f(k) for it,
 
 so f increases up to the integer critical degree k* = n^2-3n+1 and strictly
 decreases afterwards (for n = 2, k* = -1 and the sequence is decreasing from
-k = 1 on).  The exact scan over k therefore certifiably brackets the global
-maximum, and the closed form of the maximum follows from the integer
-identity (n^2-3n+1)(n^2-n-1) + 1 = n(n-2)(n^2-2n-1):
+k = 1 on).  This certificate places the global maximum over k >= 1 at
+max(k*, 1), where the exact ratio and its neighbours cross-check it, and
+the closed form of the maximum follows from the integer identity
+(n^2-3n+1)(n^2-n-1) + 1 = n(n-2)(n^2-2n-1):
 
     c^2 = 1                        (n = 2, at k = 1)
     c^2 = n(n-2) / (4(n^2-2n-1))   (n >= 3, at k = k*).
@@ -24,8 +25,8 @@ identity (n^2-3n+1)(n^2-n-1) + 1 = n(n-2)(n^2-2n-1):
 Two closed-form candidates for the best constant circulate: the value above
 and n(n-2)/(4(n-1)^2) (the square of sqrt(n(n-2))/(2(n-1))).  They disagree
 for every n >= 3 (e.g. 3/8 vs 3/16 at n = 3).  Rather than choosing, the
-report carries a boolean flag per candidate with the exact scan as the
-source of truth; the scan confirms the first display.
+report carries a boolean flag per candidate with the certified maximum as
+the source of truth; it confirms the first display.
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ def decreasing_tail_certificate(n: int) -> int:
         b = 2n-2, c = n-2,
 
     coefficient by coefficient in exact integers.  Returns the critical
-    degree.  Since the numerator is linear with slope -2, the ratio is
-    strictly decreasing on [max(k*, 1), infinity); combined with an exact
-    scan up to any point past k*, the global maximum is certified.
+    degree.  Since the numerator is linear with slope -2, over the positive
+    (k + c)^3, the ratio strictly increases on [1, k*] and strictly
+    decreases on [max(k*, 1), infinity), so its maximum over k >= 1 sits at
+    max(k*, 1) = argmax_degree(n).
     """
     k_star = critical_degree(n)
     b = 2 * n - 2
@@ -156,35 +158,19 @@ def best_constant(n: int) -> BestConstantReport:
     """Exact maximum of the t = 1 ratio sequence, with equality locus and
     comparison flags for the two circulating closed-form displays.
 
-    The scan window extends n^2 past the critical degree, so the certified
-    decreasing tail provably brackets the maximum.
+    decreasing_tail_certificate places the maximum at k* = argmax_degree(n);
+    the exact ratio at k* - 1, k* and k* + 1 (those >= 1) must show a strict
+    local maximum there, a numeric cross-check of the certificate.
     """
-    k_max = argmax_degree(n)
-    scan_max = k_max + n * n
     decreasing_tail_certificate(n)
-
-    best_k = 1
-    best_value = ratio(n, 1, 1)
-    for k in range(2, scan_max + 1):
-        value = ratio(n, 1, k)
-        if value == best_value:
-            raise RuntimeError(f"unexpected tie in ratio sequence at k={k}, n={n}")
-        if value > best_value:
-            best_k, best_value = k, value
-    if best_k >= scan_max:
-        raise RuntimeError("maximum at the scan boundary; scan_max margin violated")
-    # the certified tail decreases beyond max(k*, 1), so the windowed scan is global
-    if best_k != k_max:
-        raise RuntimeError(
-            f"scan argmax {best_k} disagrees with the certified critical degree "
-            f"{k_max} at n={n}"
-        )
-
-    c_squared = best_value
+    k_max = argmax_degree(n)
+    c_squared = ratio(n, 1, k_max)
+    if any(ratio(n, 1, k) >= c_squared for k in (k_max - 1, k_max + 1) if k >= 1):
+        raise RuntimeError(f"no strict local maximum at the certified degree {k_max}, n={n}")
     return BestConstantReport(
         n=n,
         c_squared=c_squared,
-        argmax_k=best_k,
+        argmax_k=k_max,
         equality_bidegrees=(equality_bidegree(n),),
         matches_theorem_display=c_squared == theorem_display_c_squared(n),
         matches_proof_display=c_squared == proof_display_c_squared(n),

@@ -90,6 +90,10 @@ def test_spectrum_json():
     ]
 
 
+# a non-integer order: every Schatten field is a float from the rank-2 split
+SCHATTEN_FLOAT = ("schatten", "--n", "3", "--r", "7/2", "--cutoff-p", "50", "--cutoff-q", "40")
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
@@ -100,8 +104,10 @@ def test_spectrum_json():
         ),
         (("ratio", "--n", "2", "--s", "1", "--k-max", "5", "--format", "json"), "ratio_n2_s1.json"),
         (("verify", "--n", "2", "--max-degree", "2", "--samples", "3"), "verify_n2_degree2.json"),
+        (SCHATTEN_FLOAT, "schatten_n3_r7half.json"),
+        (("schatten", "--n", "2", "--r", "3", "--cutoff-p", "20", "--cutoff-q", "20"), "schatten_n2_r3.json"),
     ],
-    ids=["spectrum", "spectrum-per-bidegree", "ratio", "verify"],
+    ids=["spectrum", "spectrum-per-bidegree", "ratio", "verify", "schatten-float", "schatten-exact"],
 )
 def test_json_golden(argv, golden):
     assert run_cli(*argv).stdout == (GOLDEN / golden).read_text()
@@ -132,6 +138,17 @@ def test_sobolev_constant_golden():
     assert obj["c_squared"] == "3/8"
     assert obj["argmax_k"] == 1
     assert obj["matches_theorem_display"] is False
+
+
+def test_sobolev_constant_at_n_1000_prints_the_proof_display():
+    # the best constant is read off its certificate, so huge n answers at once
+    cmd = [sys.executable, "-m", "kohn_spectra.cli", "sobolev-constant", "--n", "1000"]
+    cp = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert cp.returncode == 0, cp.stderr
+    obj = json.loads(cp.stdout)
+    assert obj["c_squared"] == fraction_to_string(sobolev.proof_display_c_squared(1000))
+    assert obj["argmax_k"] == 1000**2 - 3 * 1000 + 1
+    assert obj["matches_proof_display"] is True
 
 
 def test_ratio_csv_golden():
@@ -175,6 +192,13 @@ def test_schatten_plot_emission(tmp_path):
     assert len(lines) == 9
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == sorted(values)
+
+
+def test_schatten_plot_golden(tmp_path):
+    plot = tmp_path / "series.csv"
+    cp = run_cli(*SCHATTEN_FLOAT, "--emit-plot", str(plot))
+    assert cp.stdout == (GOLDEN / "schatten_n3_r7half.json").read_text()
+    assert plot.read_text() == (GOLDEN / "schatten_n3_r7half_plot.csv").read_text()
 
 
 def test_schatten_approx():
@@ -322,6 +346,20 @@ def test_zero_denominator_rejected(tmp_path):
     f = tmp_path / "f.json"
     f.write_text(json.dumps({"n": 2, "terms": [dict(ZBAR1["terms"][0], re="1/0")]}))
     assert "zero denominator" in cli_error("green-solve", "--n", "2", "--input", str(f))
+
+
+def test_apply_reads_back_coefficients_past_the_int_string_limit(tmp_path):
+    """fraction_to_string prints an int of any length; the parser reads it back."""
+    big = Fraction(10**4341 + 1, 3)
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"n": 2, "terms": [dict(ZBAR1["terms"][0], re=fraction_to_string(big))]}))
+    obj = json.loads(run_cli("apply", "--n", "2", "--input", str(f), "--operator", "green").stdout)
+    (comp,) = obj["result"]["components"]
+    assert comp["polynomial"]["terms"][0]["re"] == fraction_to_string(big / 2)
+    out = tmp_path / "out.json"
+    out.write_text(json.dumps(comp["polynomial"]))
+    again = json.loads(run_cli("apply", "--n", "2", "--input", str(out), "--operator", "boxb").stdout)
+    assert again["result"]["components"][0]["polynomial"]["terms"][0]["re"] == fraction_to_string(big)
 
 
 @pytest.mark.parametrize("alpha", [[1.7, 0], ["1", 0], [True, 0]], ids=["float", "str", "bool"])

@@ -278,6 +278,13 @@ class TestSerialization:
             f = random_polynomial(rng, 3, max_degree=5)
             assert polynomial_from_dict(polynomial_to_dict(f)) == f
 
+    def test_roundtrip_past_the_int_string_limit(self):
+        # both parts longer than the 4300 digits int(str) reads by default
+        big = Fraction(-(10**5000) + 7, 3**9100)
+        assert fraction_from_string(fraction_to_string(big)) == big
+        f = Polynomial.monomial(2, (1, 0), (0, 1), ExactScalar(big, 1 / big)) + Polynomial.z(2, 2)
+        assert polynomial_from_dict(polynomial_to_dict(f)) == f
+
     @staticmethod
     def _terms_based_dict(f):
         """polynomial_to_dict written over the ExactScalar term map."""

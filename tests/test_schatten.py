@@ -484,6 +484,21 @@ class TestDirectSumMemo:
         assert schatten._direct_sum.cache_info().maxsize is not None
 
 
+class TestRankSplit:
+    def test_one_description_feeds_every_float_path(self, monkeypatch):
+        """Doubling the weights of the split's one description doubles the
+        float partial sum and the plotting series exactly, and the tail
+        bracket up to its outward rounding: none of them keeps a copy."""
+        n, r, P, Q = 3, Fraction(7, 2), 50, 40
+        total, series = partial_sum(n, r, P, Q), partial_sum_series(n, r, 30)
+        lower, upper = schatten._tail_bracket(n, r, P, Q)
+        rank_terms = schatten._rank_terms
+        monkeypatch.setattr(schatten, "_rank_terms", lambda *args: [(2 * w, a, b) for w, a, b in rank_terms(*args)])
+        assert partial_sum(n, r, P, Q) == 2 * total
+        assert partial_sum_series(n, r, 30) == [(c, 2 * v) for c, v in series]
+        assert schatten._tail_bracket(n, r, P, Q) == pytest.approx((2 * lower, 2 * upper), rel=1e-14)
+
+
 class TestTailBounds:
     def test_infinite_at_and_below_n(self):
         assert tail_upper_bound(2, 2, 10, 10) == math.inf

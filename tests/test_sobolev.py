@@ -78,7 +78,54 @@ class TestIsBounded:
         assert ratio(2, s, 10**4) > 100 * ratio(2, s, 10)
 
 
+def scan_best_constant(n):
+    """Reference: the exact scan of the t = 1 ratio over 1 <= k <= argmax_degree(n) + n^2
+    that best_constant used to run, with no tie and the maximum inside the window."""
+    window = argmax_degree(n) + n * n
+    best_k, best_value = 1, ratio(n, 1, 1)
+    for k in range(2, window + 1):
+        value = ratio(n, 1, k)
+        assert value != best_value
+        if value > best_value:
+            best_k, best_value = k, value
+    assert best_k < window
+    return best_value, best_k
+
+
 class TestBestConstant:
+    def test_matches_the_exact_scan(self):
+        for n in range(2, 41):
+            report = best_constant(n)
+            assert (report.c_squared, report.argmax_k) == scan_best_constant(n), n
+
+    @pytest.mark.parametrize("n", [10**6, 10**12])
+    def test_huge_n_reads_the_proof_display(self, n):
+        report = best_constant(n)
+        assert report.c_squared == proof_display_c_squared(n)
+        assert report.argmax_k == critical_degree(n)
+        assert report.matches_proof_display and not report.matches_theorem_display
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 10**6])
+    def test_evaluates_the_ratio_at_the_argmax_and_its_neighbours(self, monkeypatch, n):
+        exact, degrees = sobolev.ratio, []
+
+        def counting(n, s, k):
+            degrees.append(k)
+            return exact(n, s, k)
+
+        monkeypatch.setattr(sobolev, "ratio", counting)
+        best_constant(n)
+        k = argmax_degree(n)
+        assert sorted(degrees) == [d for d in (k - 1, k, k + 1) if d >= 1]
+
+    @pytest.mark.parametrize("n, shift", [(2, 1), (4, 1), (4, -1), (10, 1), (10, -1)])
+    def test_a_maximum_off_the_certified_degree_raises(self, monkeypatch, n, shift):
+        exact = sobolev.ratio
+        # the sequence moved by `shift` degrees, so its maximum (or a tie) leaves k*
+        monkeypatch.setattr(sobolev, "ratio", lambda n, s, k: exact(n, s, max(k - shift, 1)))
+        with pytest.raises(RuntimeError, match="certified degree"):
+            best_constant(n)
+
     def test_n2(self):
         report = best_constant(2)
         assert report.c_squared == 1
