@@ -25,6 +25,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -56,6 +57,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction_arg(text: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()  # int(str) refuses a longer digit run
+    if limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
+        raise argparse.ArgumentTypeError(
+            f"too many digits for a flag (a run of more than {limit}, the interpreter's "
+            f"limit, sys.get_int_max_str_digits()): {text[:20]!r}..."
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -29,7 +29,9 @@ The peel runs in ``polynomials._fischer`` on the Gaussian-integer
 numerators: lap^m of a residual R / D is taken on R alone, the component is
 lap^m R over c_m D (c_m the constant above), and the next residual is
 (c_m R - |z|^{2m} lap^m R) over c_m D, so each component is reduced to
-canonical form once, after the merge across pieces.
+canonical form once, after the merge across pieces.  Each polynomial
+instance is peeled once and keeps its components for every later operator;
+a polynomial built from a result (G f through ``as_polynomial``) is new.
 """
 
 from __future__ import annotations
@@ -222,8 +224,8 @@ def residual_check(f: Polynomial) -> Fraction:
 
     Computes || boxb(G f) - (f - hardy(f)) ||^2 on the sphere, going back
     through polynomial form between the two operator applications so the
-    identity is genuinely re-derived rather than holding by construction.
-    Must be exactly 0.
+    identity is genuinely re-derived rather than holding by construction (f
+    is peeled once, G f afresh as a new polynomial).  Must be exactly 0.
     """
     green_poly = apply_green(f).as_polynomial()
     roundtrip = apply_boxb(green_poly).as_polynomial()

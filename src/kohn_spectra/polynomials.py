@@ -32,7 +32,7 @@ Splitting by bidegree ``(|alpha|, |beta|)`` and the ambient Laplacian
 are the two structural operations everything else builds on.  The Laplacian
 (:func:`_laplacian`) and the product (:func:`_product`) each have one copy,
 on numerator maps over an unchanged denominator: ``ambient_laplacian`` and
-``*`` wrap them in one :func:`_make`, and :func:`_fischer` chains them
+``*`` wrap them in one :func:`_make`, and :func:`_fischer_peel` chains them
 without a gcd pass between steps.
 
 The L^2 pairing on the unit sphere S^{2n-1} uses the normalized surface
@@ -198,10 +198,11 @@ class Polynomial:
 
     Stored canonically as Gaussian integers over one denominator (see the
     module docstring).  Instances are treated as immutable; all arithmetic
-    returns new objects.
+    returns new objects.  :func:`_fischer` relies on it to cache the spherical
+    decomposition in ``_components``, which every new object starts without.
     """
 
-    __slots__ = ("n", "_num", "_den")
+    __slots__ = ("n", "_num", "_den", "_components")
 
     def __init__(
         self,
@@ -353,7 +354,7 @@ def _make(n: int, num: dict, den: int, poly: Polynomial | None = None) -> Polyno
         num = {key: (re // g, im // g) for key, (re, im) in num.items()}
     if poly is None:
         poly = Polynomial.__new__(Polynomial)
-    poly.n, poly._num, poly._den = n, num, den // g
+    poly.n, poly._num, poly._den, poly._components = n, num, den // g, None
     return poly
 
 
@@ -492,10 +493,16 @@ def _peel_constant(n: int, deg_h: int, m: int) -> int:
     return c
 
 
-def _fischer(f: Polynomial) -> list[tuple[Bidegree, Polynomial]]:
+def _fischer(f: Polynomial) -> tuple[tuple[Bidegree, Polynomial], ...]:
     """The nonzero harmonic components (d, h_d) of f's spherical decomposition
-    by ascending bidegree: the Fischer peel of :mod:`kohn_spectra.operators`,
-    in Gaussian integers.
+    by ascending bidegree, peeled once per instance: kept on f, freed with f."""
+    if f._components is None:
+        f._components = _fischer_peel(f)
+    return f._components
+
+
+def _fischer_peel(f: Polynomial) -> tuple[tuple[Bidegree, Polynomial], ...]:
+    """The Fischer peel of :mod:`kohn_spectra.operators`, in Gaussian integers.
 
     Each bidegree-(p, q) bucket of f is a residual R / D.  For m = min(p, q)
     down to 1, G = lap^m R (numerators only, D unchanged) gives the component
@@ -552,7 +559,7 @@ def _fischer(f: Polynomial) -> list[tuple[Bidegree, Polynomial]]:
             )
         if h:
             out.append((Bidegree(*d), h))
-    return out
+    return tuple(out)
 
 
 # -- integration over the sphere --------------------------------------

@@ -467,6 +467,26 @@ def test_invalid_parameters_rejected():
     assert cp.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--n", "2", "--cutoff", "1" * 5000),
+        ("schatten", "--n", "2", "--r", "3/" + "7" * 4301),
+        ("ratio", "--n", "2", "--s", "1." + "5" * 5000, "--k-max", "3"),
+    ],
+    ids=["cutoff", "r-denominator", "s-decimals"],
+)
+def test_oversized_rational_flag_names_the_digit_limit(argv):
+    """A flag value with more digits than int(str) reads is refused by its
+    size, the limit named, and only a prefix of the value echoed back."""
+    error = cli_error(*argv)
+    flag = argv[3]
+    assert f"argument {flag}: too many digits for a flag" in error
+    assert str(sys.get_int_max_str_digits()) in error
+    assert "not a rational number" not in error
+    assert len(error) < 200
+
+
 def test_deeply_nested_input_is_a_structured_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
