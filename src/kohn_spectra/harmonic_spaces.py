@@ -79,7 +79,7 @@ class HarmonicBasis:
 
 def bidegree_monomials(n: int, d: Bidegree) -> list[tuple[Multiindex, Multiindex]]:
     """All monomial exponent pairs of bidegree (p, q), lex-sorted."""
-    d = spectrum._check_bidegree(n, d)
+    d = Bidegree(*spectrum._check_bidegree(n, d))
     return [(a, b) for a in multiindices(n, d.p) for b in multiindices(n, d.q)]
 
 
@@ -142,7 +142,7 @@ def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
     :func:`_kernel` reduces each block, and its vectors, merged by free column
     (see the module docstring), become the elements.
     """
-    d = spectrum._check_bidegree(n, d)
+    d = Bidegree(*spectrum._check_bidegree(n, d))
     source = bidegree_monomials(n, d)
     if d.p == 0 or d.q == 0:
         return HarmonicBasis(n, d, tuple(_from_terms(n, ((key, 1, 0, 1),)) for key in source))

@@ -168,12 +168,12 @@ def _is_float(symbol, factors: list) -> bool:
 def green_symbol(n: int, d: Bidegree) -> Fraction:
     """1/(2q(p+n-1)), the reciprocal Kohn eigenvalue; 0 on the Hardy part q = 0."""
     ev = spectrum.boxb_eigenvalue(n, d)
-    return 1 / ev if ev else Fraction(0)
+    return Fraction(ev.denominator, ev.numerator) if ev else Fraction(0)
 
 
 def sobolev_symbol(n: int, t, d: Bidegree) -> Fraction | float:
     """(1 + k(k+2n-2))^t at total degree k = p + q; exact for integral t."""
-    k = spectrum._check_bidegree(n, d).total
+    k = sum(spectrum._check_bidegree(n, d))
     return spectrum.power(1 + spectrum.laplace_beltrami_eigenvalue(n, k), t)
 
 

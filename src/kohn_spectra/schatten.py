@@ -15,6 +15,10 @@ denominator L M, with L = lcm(n-1, ..., P+n-1)^r (the p side) and
 M = (2 lcm(1, ..., Q))^r (the q side).  The double sum is accumulated as the
 integer sum_q (M / (2q)^r) sum_p m_{p,q} (L / (p+n-1)^r) and normalised into
 a Fraction once, at the end, instead of reducing a Fraction at every cell.
+Each cell's m_{p,q} is one call of the public closed form
+spectrum.multiplicity on a plain (p, q) pair, which its check unpacks without
+building a Bidegree; the exact branch does not use the rank-2 split below, so
+it still visits all (P+1)Q cells.
 
 The rank-2 split.  With x = p+n-1, splitting p+q+n-1 = x + q in
 m_{p,q} = (p+q+n-1)/(n-1) C(p+n-2, n-2) C(q+n-2, n-2) gives
@@ -77,7 +81,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import spectrum
-from .polynomials import Bidegree, _check_int
+from .polynomials import _check_int
 
 __all__ = [
     "CONVERGES",
@@ -136,7 +140,7 @@ def schatten_term(n: int, r, p: int, q: int) -> Fraction | float:
     r = _validate_order(n, r)
     _check_int("p", p)
     _check_int("q", q, 1)
-    return _times_power(spectrum.multiplicity(n, Bidegree(p, q)), 2 * q * (p + n - 1), r)
+    return _times_power(spectrum.multiplicity(n, (p, q)), 2 * q * (p + n - 1), r)
 
 
 def upper_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
@@ -217,11 +221,13 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
         L = math.lcm(*range(n - 1, P + n)) ** r_int
         M = (2 * math.lcm(*range(1, Q + 1))) ** r_int
         weights = [L // (p + n - 1) ** r_int for p in range(P + 1)]
+        # looked up per call, not at import, so a wrapper set on spectrum still sees every cell
+        multiplicity = spectrum.multiplicity
         total = 0
         for q in range(1, Q + 1):
             row = 0
             for p, w in enumerate(weights):
-                row += spectrum.multiplicity(n, Bidegree(p, q)) * w
+                row += multiplicity(n, (p, q)) * w
             total += row * (M // (2 * q) ** r_int)
         return Fraction(total, L * M)
     return _combine(n, _rank_terms(n, float(r), P, Q), lambda a, b: _direct_sum(*a) * _direct_sum(*b))

@@ -11,6 +11,11 @@ with arbitrary-precision integers (the division is exact).  The case-wise
 binomial forms of :func:`multiplicity_binomial` are a cross-check, and the
 brute-force kernel oracle in :mod:`kohn_spectra.harmonic_spaces` checks both.
 
+A bidegree argument is any pair of ints (a :class:`Bidegree` or a plain
+tuple): :func:`_check_bidegree` checks it once, unpacks it and builds no
+Bidegree, so a per-cell caller such as the exact Schatten sum pays for the
+closed form alone.
+
 The library's real orders (the Schatten r, the Sobolev s and t, spectral
 cutoffs) all pass :func:`_check_order`, as its integers pass
 :func:`kohn_spectra.polynomials._check_int`.
@@ -25,16 +30,24 @@ from fractions import Fraction
 from .polynomials import Bidegree, _check_dimension, _check_int
 
 
-def _check_bidegree(n: int, d: Bidegree) -> Bidegree:
-    """d as a Bidegree once n and d are checked; d's test is _check_int's,
-    inline because every multiplicity call runs it."""
-    _check_dimension(n)
-    d = Bidegree(*d)
-    if type(d.p) is not int or type(d.q) is not int:
-        raise ValueError(f"bidegree entries must be integers, got {d!r}")
-    if d.p < 0 or d.q < 0:
-        raise ValueError(f"bidegree entries must be nonnegative, got {d}")
-    return d
+def _check_bidegree(n: int, d) -> tuple[int, int]:
+    """(p, q) as two ints once n and the pair d are checked.
+
+    Every multiplicity call runs this, so the success path builds nothing:
+    n's test is _check_dimension's and the entries' _check_int's, inline,
+    and a Bidegree is built only to name a bad pair in its message.
+    """
+    if type(n) is not int or n < 2:
+        _check_dimension(n)
+    try:
+        p, q = d
+    except (TypeError, ValueError):
+        raise ValueError(f"bidegree must be a pair of integers, got {d!r}") from None
+    if type(p) is not int or type(q) is not int:
+        raise ValueError(f"bidegree entries must be integers, got {Bidegree(p, q)!r}")
+    if p < 0 or q < 0:
+        raise ValueError(f"bidegree entries must be nonnegative, got {Bidegree(p, q)}")
+    return p, q
 
 
 def _check_order(name: str, value) -> Fraction | float:
@@ -71,8 +84,8 @@ def boxb_eigenvalue(n: int, d: Bidegree) -> Fraction:
 
     Zero exactly when q = 0 (the Hardy-space kernel).
     """
-    d = _check_bidegree(n, d)
-    return Fraction(2 * d.q * (d.p + n - 1))
+    p, q = _check_bidegree(n, d)
+    return Fraction(2 * q * (p + n - 1))
 
 
 def multiplicity(n: int, d: Bidegree) -> int:
@@ -81,14 +94,13 @@ def multiplicity(n: int, d: Bidegree) -> int:
     num = (n + p + q - 1) * math.comb(p + n - 2, n - 2) * math.comb(q + n - 2, n - 2)
     quotient, remainder = divmod(num, n - 1)
     if remainder:
-        raise RuntimeError(f"multiplicity not divisible by n-1 at n={n}, {d}")
+        raise RuntimeError(f"multiplicity not divisible by n-1 at n={n}, {Bidegree(p, q)}")
     return quotient
 
 
 def multiplicity_binomial(n: int, d: Bidegree) -> int:
     """The binomial forms of the dimension; cross-check for :func:`multiplicity`."""
-    d = _check_bidegree(n, d)
-    p, q = d
+    p, q = _check_bidegree(n, d)
     if p == 0 and q == 0:
         return 1
     if p == 0:
@@ -100,7 +112,7 @@ def multiplicity_binomial(n: int, d: Bidegree) -> int:
         p * q,
     )
     if value.denominator != 1:
-        raise RuntimeError(f"binomial multiplicity not integral at n={n}, {d}")
+        raise RuntimeError(f"binomial multiplicity not integral at n={n}, {Bidegree(p, q)}")
     return value.numerator
 
 
@@ -157,7 +169,9 @@ def spectrum_table(n: int, cutoff: Fraction | int) -> list[SpectrumEntry]:
     """All bidegrees with nonzero eigenvalue <= cutoff, sorted by (eigenvalue, p, q).
 
     The search is complete: 2q(p+n-1) <= cutoff exactly when q <= cutoff/2
-    and p <= cutoff/(2q) - (n-1), the bounds of the two loops.
+    and p <= cutoff/(2q) - (n-1), the bounds of the two loops.  Each
+    eigenvalue is an integer, so the sort compares numerators, ints rather
+    than Fractions.
     """
     _check_dimension(n)
     cutoff = Fraction(_check_order("cutoff", cutoff))
@@ -168,7 +182,7 @@ def spectrum_table(n: int, cutoff: Fraction | int) -> list[SpectrumEntry]:
         for p in range(int(cutoff / (2 * q)) - n + 2):
             d = Bidegree(p, q)
             entries.append(SpectrumEntry(d, boxb_eigenvalue(n, d), multiplicity(n, d)))
-    entries.sort(key=lambda e: (e.eigenvalue, e.bidegree))
+    entries.sort(key=lambda e: (e.eigenvalue.numerator, e.bidegree))
     return entries
 
 
@@ -176,18 +190,19 @@ def aggregate_spectrum(n: int, cutoff: Fraction | int) -> AggregatedSpectrum:
     """Combine coinciding eigenvalues <= cutoff into an ascending spectrum table.
 
     Collisions are real (n=2 already has 2q(p+1) equal for (1,1) and (0,2));
-    grouping is by exact rational equality.
+    grouping is by exact equality of the integer eigenvalues.  The table is
+    sorted, so its groups come out ascending and each group's bidegrees too.
     """
     table = spectrum_table(n, cutoff)
-    grouped: dict[Fraction, list[SpectrumEntry]] = {}
+    grouped: dict[int, list[SpectrumEntry]] = {}
     for entry in table:
-        grouped.setdefault(entry.eigenvalue, []).append(entry)
+        grouped.setdefault(entry.eigenvalue.numerator, []).append(entry)
     entries = tuple(
         AggregatedEntry(
-            eigenvalue=ev,
+            eigenvalue=group[0].eigenvalue,
             multiplicity=sum(e.multiplicity for e in group),
-            contributors=tuple(sorted(e.bidegree for e in group)),
+            contributors=tuple(e.bidegree for e in group),
         )
-        for ev, group in sorted(grouped.items())
+        for group in grouped.values()
     )
     return AggregatedSpectrum(n=n, cutoff=Fraction(cutoff), entries=entries)

@@ -12,6 +12,7 @@ import dataclasses
 import inspect
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -248,3 +249,29 @@ def test_bidegree_is_a_pair_of_nonnegative_ints(name):
     for bad in [(1.5, 1), (True, 1), (1, -1)]:
         with pytest.raises(ValueError):
             function(**{**kwargs, "d": bad})
+
+
+BAD_BIDEGREES = ((1, 2, 3), (1,), 5, None)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [pytest.param(name, bad, id=f"{name}-{bad!r}") for name in BIDEGREE_FUNCTIONS for bad in BAD_BIDEGREES],
+)
+def test_bidegree_that_is_not_a_pair_is_a_value_error(name, bad):
+    function, kwargs, _, _ = TABLE[name]
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+        function(**{**kwargs, "d": bad})
+
+
+@pytest.mark.parametrize("make", [tuple, lambda pair: Bidegree(*pair)], ids=["tuple", "Bidegree"])
+@pytest.mark.parametrize("name", BIDEGREE_FUNCTIONS)
+def test_bad_bidegree_entries_are_named_as_a_bidegree(name, make):
+    function, kwargs, _, _ = TABLE[name]
+    for bad, message in [
+        ((1.0, 2), "bidegree entries must be integers, got Bidegree(p=1.0, q=2)"),
+        ((-1, 0), "bidegree entries must be nonnegative, got Bidegree(p=-1, q=0)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            function(**{**kwargs, "d": make(bad)})
+        assert str(info.value) == message
