@@ -55,7 +55,7 @@ import math
 import re as _re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -707,7 +707,35 @@ def fraction_to_string(value: Fraction) -> str:
 
 
 def _ratio_text(num: int, den: int) -> str:
-    return f"{Decimal(num)!s}/{Decimal(den)!s}"
+    if num.bit_length() <= _DECIMAL_DIRECT_BITS and den.bit_length() <= _DECIMAL_DIRECT_BITS:
+        return f"{Decimal(num)!s}/{Decimal(den)!s}"
+    return f"{_decimal(num)!s}/{_decimal(den)!s}"
+
+
+# Decimal(int) takes time quadratic in the length; past this many bits
+# _decimal splits the int in binary halves instead.
+_DECIMAL_DIRECT_BITS = 2**13
+
+
+def _decimal(num: int) -> Decimal:
+    """num as a Decimal: Decimal(num) up to _DECIMAL_DIRECT_BITS bits, else
+    hi 2^h + lo with both halves converted the same way and the product and
+    sum taken exactly in Decimal arithmetic, which libmpdec multiplies in
+    subquadratic time.  No str(int), so no digit limit applies."""
+    powers: dict[int, Decimal] = {}
+
+    def convert(x: int, bits: int) -> Decimal:
+        if bits <= _DECIMAL_DIRECT_BITS:
+            return Decimal(x)
+        h = bits // 2
+        hi = x >> h
+        if h not in powers:
+            powers[h] = Decimal(2) ** h
+        return convert(hi, bits - h) * powers[h] + convert(x - (hi << h), h)
+
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])):
+        value = convert(abs(num), num.bit_length())
+        return -value if num < 0 else value
 
 
 def fraction_from_string(text: str) -> Fraction:

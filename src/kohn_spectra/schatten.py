@@ -41,12 +41,12 @@ direct head, then the integral test on the rest, where f is monotone,
     integral_m^b f + min(f(m), f(b))  <=  sum_{x=m}^{b} f(x)
                                       <=  integral_m^b f + max(f(m), f(b)),
 
-with f(inf) = 0, both ends rounded outward.  Expanding the binomial gives the
-integral from powers of x; it is validated against numeric quadrature in
-the test suite.  For each rank term the discarded region
-{q > Q} union {p > P, q <= Q} carries A B_tail + A_tail B_head, where the
-heads sum over p <= P and q <= Q and A = A_head + A_tail sums over all
-p >= 0.  A side's terms have log derivative at most k/(x+shift-k+1) - s/x,
+with f(inf) = 0, both ends rounded outward.  Expanding the binomial, once
+per (k, shift) (_expansion), gives the integral from powers of x; it is
+validated against numeric quadrature in the test suite.  For each rank term
+the discarded region {q > Q} union {p > P, q <= Q} carries
+A B_tail + A_tail B_head, where the heads sum over p <= P and q <= Q and
+A = A_head + A_tail sums over all p >= 0.  A side's terms have log derivative at most k/(x+shift-k+1) - s/x,
 so once s > k they decrease for x >= s(k-shift-1)/(s-k), and tail terms
 below that point are summed directly: on the p side (C(x-1, n-2) x^{-s})
 that point is at most (n-1)(n-2) when s >= n-1, and the q side
@@ -56,10 +56,16 @@ witness brackets four power sums (k = 0) after a head of _WITNESS_HEAD
 terms, so one evaluation costs the same at any cutoff.
 
 Every directly summed 1-d sum -- a bracket's head and the four factors of
-the float partial sum -- is one call of the memoised _direct_sum.  Past a
-cutoff of _WITNESS_HEAD + n the witness's four heads no longer change, so
-the doubling pays for them once per process; a float report's partial sum
-reads the same four sums as the heads of its tail bracket.
+the float partial sum -- is one call of the memoised _direct_sum, and a
+float report's partial sum reads the same four sums as the heads of its
+tail bracket.  _direct_sum takes its terms from a bounded prefix store: per
+side and split t, the first _WITNESS_HEAD terms evaluated so far.  The
+witness's heads at cutoffs 100, 200, 400, 800 and past _WITNESS_HEAD + n
+are prefixes of one another, so the doubling evaluates each head term once
+per process.  math.fsum rounds the exact sum of its terms once, so a sum
+read from the store is bit-identical to one summed afresh.  A bracket's
+endpoint terms f(m) and f(b) come from the same term formula (_formula),
+one scalar each.
 
 Termwise bounds from the paper, checked by the acceptance criteria and by
 ``verify`` (valid for every p, q >= 0 resp. p >= n):
@@ -76,9 +82,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from . import spectrum
 from .polynomials import _check_int
@@ -171,24 +178,75 @@ def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
     return _times_power(num, 4 * p * q, r, _bound_constant(n))
 
 
+def _split(k: int, s: float, last, scale: int) -> int:
+    """The t of _formula for the terms up to x = last: 0 unless b^{-s} would
+    fall below 2^-1000 on the range, and at most k."""
+    return k and max(0, min(k, math.ceil(s - 1000 / math.log2(max(2, scale * last)))))
+
+
+def _formula(k: int, shift: int, t: int, e: float, scale: int, x: int) -> float:
+    """The 1-d term C(x+shift, k) (scale x)^{-s} with e = t-s, as
+    C(x+shift, k) / b^t (an exact quotient rounded once) times b^e, b = scale x.
+    With t from _split, a binomial past the float range or a power below it
+    never spoils a representable term.  The module's one copy of the term."""
+    return math.comb(x + shift, k) / (b := scale * x) ** t * b**e
+
+
 def _side_terms(
-    k: int, shift: int, s: float, first: int, last: int, scale: int = 1
+    k: int, shift: int, s: float, first: int, last: int, scale: int = 1, t: int | None = None
 ) -> list[float]:
-    """The 1-d terms C(x+shift, k) (scale x)^{-s} for first <= x <= last, as
-    C(x+shift, k) / b^t (an exact quotient rounded once) times b^(t-s), b = scale x.
-    t <= k is 0 unless b^{-s} would fall below 2^-1000 on the range, so a binomial
-    past the float range or a power below it never spoils a representable term."""
-    t = max(0, min(k, math.ceil(s - 1000 / math.log2(max(2, scale * last)))))
+    """The terms at first <= x <= last, all with the t split at last unless t is given."""
+    if t is None:
+        t = _split(k, s, last, scale)
     e = t - s
-    return [math.comb(x + shift, k) / (b := scale * x) ** t * b**e for x in range(first, last + 1)]
+    return [_formula(k, shift, t, e, scale, x) for x in range(first, last + 1)]
+
+
+def _term(k: int, shift: int, s: float, x: int, scale: int) -> float:
+    """The term at x alone, t split at x: _side_terms(k, shift, s, x, x, scale)[0]."""
+    t = _split(k, s, x, scale)
+    return _formula(k, shift, t, t - s, scale, x)
+
+
+# The prefix store of _direct_sum: for each of the _STORE_KEYS keys
+# (k, shift, s, first, scale, t) it used last, the terms at x = first,
+# first+1, ... evaluated so far, at most _WITNESS_HEAD of them, as doubles.
+_STORE_KEYS = 64
+_prefixes: dict[tuple, array] = {}
 
 
 @functools.lru_cache(maxsize=256)
 def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int) -> float:
     """math.fsum of _side_terms(k, shift, s, first, last, scale), memoised (see
     the module docstring).  Callers pass all six arguments positionally, so
-    that equal sums share one key, and validate them before reaching the cache."""
-    return math.fsum(_side_terms(k, shift, s, first, last, scale))
+    that equal sums share one key, and validate them before reaching the cache.
+
+    Terms already in the prefix store are read from it, the rest evaluated
+    in blocks of _WITNESS_HEAD, and the first _WITNESS_HEAD of a key kept,
+    so neither the store nor one call holds more than that many terms of a
+    side, at any cutoff.  The terms are those of _side_terms with the same t,
+    and fsum rounds their exact sum once, so the sum is bit-identical."""
+    if last < first:
+        return 0.0
+    t = _split(k, s, last, scale)
+    key = (k, shift, s, first, scale, t)
+    prefix = _prefixes.pop(key, None)
+    if prefix is None:
+        prefix = array("d")
+        if len(_prefixes) >= _STORE_KEYS:
+            del _prefixes[next(iter(_prefixes))]
+    _prefixes[key] = prefix
+    stop = last + 1
+    if stop - first <= len(prefix):
+        return math.fsum(prefix[: stop - first])
+    head = _side_terms(k, shift, s, first + len(prefix), min(stop, first + _WITNESS_HEAD) - 1, scale, t)
+    rest = (
+        _side_terms(k, shift, s, x, min(stop, x + _WITNESS_HEAD) - 1, scale, t)
+        for x in range(first + _WITNESS_HEAD, stop, _WITNESS_HEAD)
+    )
+    total = math.fsum(chain(prefix, head, chain.from_iterable(rest)))
+    prefix.fromlist(head)
+    return total
 
 
 def _rank_terms(n: int, r: float, P: int, Q: int) -> list[tuple]:
@@ -300,6 +358,16 @@ def _outward(lower: float, upper: float, size: float) -> tuple[float, float]:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _expansion(k: int, shift: int) -> tuple[float, ...]:
+    """The coefficients of C(x+shift, k) in powers of x, lowest first, each an
+    exact integer coefficient of prod_{j<k} (x+shift-j) over k!, rounded once."""
+    coeffs = [1]
+    for j in range(k):
+        coeffs = [(shift - j) * c + prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(c / math.factorial(k) for c in coeffs)
+
+
 def _sum_bracket(
     k: int, shift: int, s: float, first: int, last, direct_to: int, scale: int = 1
 ) -> tuple[float, float]:
@@ -315,12 +383,8 @@ def _sum_bracket(
     direct = _direct_sum(k, shift, s, first, min(last, m - 1), scale)
     if m > last:
         return _outward(direct, direct, direct)
-    # C(x+shift, k) = prod_{j<k} (x+shift-j) / k!: exact integer coefficients, lowest power first
-    coeffs = [1]
-    for j in range(k):
-        coeffs = [(shift - j) * c + prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
     pieces, sizes = [], []
-    for j, c in enumerate(c / math.factorial(k) for c in coeffs):
+    for j, c in enumerate(_expansion(k, shift)):
         e = j + 1 - s
         if e == 0:
             pieces.append(c * math.log1p((last - m) / m))
@@ -331,8 +395,8 @@ def _sum_bracket(
             sizes.append(abs(c * (ends[0] + ends[1]) / e))
     scale_s = float(scale) ** -s
     integral = math.fsum(pieces) * scale_s
-    (f_m,) = _side_terms(k, shift, s, m, m, scale)
-    f_last = 0.0 if last == math.inf else _side_terms(k, shift, s, last, last, scale)[0]
+    f_m = _term(k, shift, s, m, scale)
+    f_last = 0.0 if last == math.inf else _term(k, shift, s, last, scale)
     return _outward(
         direct + integral + min(f_m, f_last),
         direct + integral + max(f_m, f_last),

@@ -4,6 +4,7 @@ and the sphere inner product."""
 import ast
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -271,6 +272,33 @@ class TestSerialization:
         assert fraction_from_string("5") == Fraction(5)
         with pytest.raises(FormatError):
             fraction_from_string("0.5")
+
+    def test_decimal_conversion_matches_decimal(self):
+        # Decimal(x) itself is the reference up to 20 000 digits, where it
+        # is still quick; both sides of the _DECIMAL_DIRECT_BITS switch included
+        rng = random.Random(24)
+        edge = 2**polynomials._DECIMAL_DIRECT_BITS
+        values = [0, 1, -1, 10**4300, -(10**4301), edge - 1, edge, -edge, edge + 1, 3 * edge]
+        for digits in (1, 2, 17, 300, 2466, 2467, 4301, 9000, 20000):
+            x = rng.randrange(10 ** (digits - 1), 10**digits)
+            values += [x, -x, 10**digits, 10**digits - 1]
+        for x in values:
+            assert str(polynomials._decimal(x)) == str(Decimal(x))
+
+    def test_decimal_conversion_past_half_a_million_digits(self):
+        # the expected digits are built alongside the integer, 128 chunks of
+        # 3907 digits joined pairwise, since Decimal(x) is quadratic and str(x)
+        # refused at this length
+        rng = random.Random(25)
+        chunks = [rng.randrange(10**3907) for _ in range(128)]
+        chunks[0] = rng.randrange(10**3906, 10**3907)
+        text = "".join(str(chunk).zfill(3907) for chunk in chunks)
+        parts, width = chunks, 10**3907
+        while len(parts) > 1:
+            parts = [hi * width + lo for hi, lo in zip(parts[::2], parts[1::2])]
+            width *= width
+        assert len(text) == 500_096
+        assert str(polynomials._decimal(-parts[0])) == "-" + text
 
     def test_roundtrip(self):
         rng = random.Random(41)

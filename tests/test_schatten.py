@@ -439,6 +439,12 @@ def memo_grid(seed):
     return cases
 
 
+def clear_direct_sums():
+    """Empty the memo of _direct_sum and its prefix store."""
+    schatten._direct_sum.cache_clear()
+    schatten._prefixes.clear()
+
+
 class TestDirectSumMemo:
     """Every directly summed 1-d sum goes through the memoised _direct_sum."""
 
@@ -451,7 +457,7 @@ class TestDirectSumMemo:
         monkeypatch.setattr(schatten, "_direct_sum", lambda *key: math.fsum(schatten._side_terms(*key)))
         reference = evaluate()
         monkeypatch.undo()
-        schatten._direct_sum.cache_clear()
+        clear_direct_sums()
         cold = evaluate()
         warm = evaluate()
         assert cold == reference
@@ -482,6 +488,63 @@ class TestDirectSumMemo:
 
     def test_memo_is_bounded(self):
         assert schatten._direct_sum.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize(
+        "k, shift, s, first, scale, lasts",
+        [
+            # a witness power sum across the store's _WITNESS_HEAD terms and back
+            (0, 0, 1.25, 2, 1, (100, 200, 1001, 1002, 3500, 2400, 1001, 800, 2, 1)),
+            # the q side of n = 4 at a fractional order
+            (2, 2, 3.75, 1, 2, (50, 400, 1500, 1000, 399, 1)),
+            # the p side of n = 5 at a huge order: t grows with last through 0..3
+            (3, -1, 100.5, 900, 1, (950, 1000, 1050, 1100, 1150, 1200, 1300, 1250, 1100, 1000, 930)),
+        ],
+    )
+    def test_stored_prefixes_are_bit_identical(self, k, shift, s, first, scale, lasts):
+        """A side queried with a growing, then a shrinking last sums exactly
+        the terms _side_terms gives for that last, t split there."""
+        clear_direct_sums()
+        for last in lasts:
+            expected = math.fsum(schatten._side_terms(k, shift, s, first, last, scale))
+            assert repr(schatten._direct_sum(k, shift, s, first, last, scale)) == repr(expected)
+        if k == 3:
+            assert {schatten._split(k, s, last, scale) for last in lasts} == {0, 1, 2, 3}
+            # the split changes the rounding of a term near the bottom of the float range
+            assert schatten._side_terms(k, shift, s, 1300, 1300, scale, 0) != schatten._side_terms(
+                k, shift, s, 1300, 1300, scale
+            )
+
+    def test_store_is_bounded(self):
+        clear_direct_sums()
+        partial_sum(2, Fraction(5, 2), 10**6, 10**6)
+        lengths = [len(terms) for terms in schatten._prefixes.values()]
+        assert 0 < max(lengths) <= _WITNESS_HEAD
+        assert sum(lengths) <= 4 * _WITNESS_HEAD
+        for j in range(2 * schatten._STORE_KEYS):
+            schatten._direct_sum(0, 0, 2.0 + j, 1, 3, 1)
+        assert len(schatten._prefixes) == schatten._STORE_KEYS
+        assert sum(map(len, schatten._prefixes.values())) <= schatten._STORE_KEYS * _WITNESS_HEAD
+
+    def test_witness_evaluates_each_head_term_once(self, monkeypatch):
+        # criterion 5's n = 2 doubling: the heads at cutoffs 100 .. 800 are
+        # prefixes of the _WITNESS_HEAD-term head, so no term is evaluated twice
+        clear_direct_sums()
+        evaluated = []
+        side_terms = schatten._side_terms
+
+        def counting(*args):
+            terms = side_terms(*args)
+            evaluated.append(len(terms))
+            return terms
+
+        monkeypatch.setattr(schatten, "_side_terms", counting)
+        base = lower_bound_sum(2, 2, 100, 100)
+        cutoff, value = 100, base
+        while value <= 10 * base:
+            cutoff *= 2
+            value = lower_bound_sum(2, 2, cutoff, cutoff)
+        assert cutoff == 100 * 2**58
+        assert sum(evaluated) <= 4 * _WITNESS_HEAD
 
 
 class TestRankSplit:
