@@ -91,47 +91,68 @@ def _json_text(obj) -> str:
 
 
 def _write_json(obj, newline: str, write) -> None:
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in obj:
-            write(sep)
-            _write_json(value, inner, write)
-            sep = "," + inner
-        write(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            write(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, write)
-            sep = "," + inner
-        write(newline + "}")
-    elif isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif obj is None:
-        write("null")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, float):
-        if obj != obj:
-            write("NaN")
-        elif obj in (math.inf, -math.inf):
-            write("Infinity" if obj > 0 else "-Infinity")
+    """Write obj at the indent ``newline`` ends with, dispatching on type(obj);
+    a subclass is written as the first type in its MRO with a writer, so an
+    IntEnum as an int and True as true."""
+    kind = type(obj)
+    writer = _WRITERS.get(kind) or next((_WRITERS[t] for t in kind.__mro__ if t in _WRITERS), None)
+    if writer is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    writer(obj, newline, write)
+
+
+def _write_array(obj, newline: str, write) -> None:
+    if not obj:
+        write("[]")
+        return
+    inner = newline + "  "
+    if all(type(value) is int for value in obj):  # a multi-index: one join
+        write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+        return
+    sep = "[" + inner
+    for value in obj:
+        write(sep)
+        _write_json(value, inner, write)
+        sep = "," + inner
+    write(newline + "]")
+
+
+def _write_object(obj, newline: str, write) -> None:
+    if not obj:
+        write("{}")
+        return
+    inner = newline + "  "
+    sep = "{" + inner
+    for key, value in obj.items():
+        head = sep + encode_basestring_ascii(key) + ": "
+        if type(value) is str:
+            write(head + encode_basestring_ascii(value))
         else:
-            write(float.__repr__(obj))
+            write(head)
+            _write_json(value, inner, write)
+        sep = "," + inner
+    write(newline + "}")
+
+
+def _write_float(obj, newline: str, write) -> None:
+    if obj != obj:
+        write("NaN")
+    elif obj in (math.inf, -math.inf):
+        write("Infinity" if obj > 0 else "-Infinity")
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        write(float.__repr__(obj))
+
+
+_WRITERS = {
+    dict: _write_object,
+    list: _write_array,
+    tuple: _write_array,
+    str: lambda obj, newline, write: write(encode_basestring_ascii(obj)),
+    int: lambda obj, newline, write: write(int.__repr__(obj)),
+    bool: lambda obj, newline, write: write("true" if obj else "false"),
+    type(None): lambda obj, newline, write: write("null"),
+    float: _write_float,
+}
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:

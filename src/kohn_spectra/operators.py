@@ -26,10 +26,16 @@ p, q >= 1 (the others are harmonic by structure) is nevertheless re-checked
 and a failure aborts loudly, since it would mean the arithmetic is broken.
 
 The peel runs in ``polynomials._fischer`` on the Gaussian-integer
-numerators: lap^m of a residual R / D is taken on R alone, the component is
-lap^m R over c_m D (c_m the constant above), and the next residual is
-(c_m R - |z|^{2m} lap^m R) over c_m D, so each component is reduced to
-canonical form once, after the merge across pieces.  Each polynomial
+numerators.  For a residual R / D the Laplacian chain R, lap R, lap^2 R, ...
+is built once on R alone, up to the first zero power and at most min(p, q)
+steps.  Its last entry, the highest nonzero power lap^m R, over c_m D (c_m
+the constant above) is the next component, and the residual becomes
+(c_m R - |z|^{2m} lap^m R) over c_m D, whose own chain must stop below m.
+The zero that ends a chain is the harmonicity check of the component it
+ends on; so a bucket whose first Laplacian is zero is harmonic as it stands,
+and its Laplacian is not taken a second time.  The numerators of |z|^{2m}
+are built once per (n, m) for the whole process.  Each component is reduced
+to canonical form once, after the merge across pieces.  Each polynomial
 instance is peeled once and keeps its components for every later operator;
 a polynomial built from a result (G f through ``as_polynomial``) is new.
 """
@@ -132,8 +138,8 @@ def apply(
     """The spectral multiplier whose symbol maps each Bidegree d to a scalar:
     component d is scaled by symbol(d).
 
-    A rational symbol scales the parts exactly and drops those it sends to
-    zero.  A float symbol keeps every part exact and unscaled beside its
+    A rational symbol scales the parts exactly, keeps those it sends to 1
+    as they are and drops those it sends to zero.  A float symbol keeps every part exact and unscaled beside its
     factor.  symbol is called once per component; see :func:`_is_float` for
     how the kind is read.
     """
@@ -144,7 +150,10 @@ def apply(
             dec.n, tuple(FloatScaledComponent(c.bidegree, c.part, x) for c, x in pairs)
         )
     return SphericalDecomposition(
-        dec.n, tuple(HarmonicComponent(c.bidegree, c.part * x) for c, x in pairs if x)
+        dec.n,
+        tuple(
+            HarmonicComponent(c.bidegree, c.part if x == 1 else c.part * x) for c, x in pairs if x
+        ),
     )
 
 

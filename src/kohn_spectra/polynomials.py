@@ -11,15 +11,18 @@ Storage is Gaussian integers over one denominator: ``_num`` maps each
 int, so a term's coefficient is ``(re + im*i) / _den``.  Every operation
 drops zero pairs and divides out gcd(all parts, ``_den``) once, so the form
 is canonical and equality of polynomials is a structural comparison.  Only
-this module reads that storage; other modules use four primitives:
+this module reads that storage; other modules use five primitives:
 :func:`_from_terms` builds from integer terms ((alpha, beta), re, im, den),
 :func:`_combine` is every linear combination of polynomials,
 :class:`_PairingIndex` is every sphere pairing, and :func:`_fischer` is the
-spherical decomposition.  :func:`_parts` converts an outside coefficient to
-integers where it enters, in ``Polynomial(n, terms)`` and scaling.  An
-:class:`ExactScalar` is built only at the boundary: by :attr:`Polynomial.terms`,
-:func:`sphere_inner_product`, :func:`as_scalar` and its own arithmetic, and
-for a finished pairing value.  Keys are checked once, where they enter:
+spherical decomposition; :meth:`Polynomial.scale` takes a real rational
+multiple in one pass over the numerators, canonical without a gcd pass over
+the result (a complex factor goes through :func:`_combine`).  :func:`_parts`
+converts an outside coefficient to integers where it enters, in
+``Polynomial(n, terms)`` and scaling.  An :class:`ExactScalar` is built only
+at the boundary: by :attr:`Polynomial.terms`, :func:`sphere_inner_product`,
+:func:`as_scalar` and its own arithmetic, and for a finished pairing value.
+Keys are checked once, where they enter:
 ``Polynomial(n, terms)`` and :func:`polynomial_from_dict` validate each
 multi-index (:func:`random_polynomial` makes valid ones) and then build
 through :func:`_from_terms`; :func:`polynomial_to_dict` writes each part in
@@ -298,7 +301,26 @@ class Polynomial:
         return result
 
     def scale(self, factor: ScalarLike) -> "Polynomial":
-        return _combine(self.n, ((self, *_parts(factor)),))
+        """factor * self, always a new polynomial.  A real factor a / b takes
+        one pass: with C the gcd of the numerators and D the denominator,
+        gcd(a C, b D) = gcd(a, D) gcd(b, C), so the product is canonical
+        without a gcd pass over it; a complex factor goes through _combine."""
+        a, im, b = _parts(factor)
+        if im:
+            return _combine(self.n, ((self, a, im, b),))
+        num, den = self._num, self._den
+        if not a:
+            num, den = {}, 1
+        else:
+            ga = math.gcd(a, den)
+            gb = math.gcd(b, *chain.from_iterable(num.values())) if b > 1 else 1
+            a, b = a // ga, b // gb
+            if a != 1 or gb != 1:  # else the numerators are unchanged and shared
+                num = {key: (re // gb * a, im // gb * a) for key, (re, im) in num.items()}
+            den = den // ga * b
+        poly = Polynomial.__new__(Polynomial)
+        poly.n, poly._num, poly._den, poly._components = self.n, num, den, None
+        return poly
 
     def conjugate(self) -> "Polynomial":
         """Complex conjugate: swaps alpha with beta and conjugates coefficients."""
@@ -501,54 +523,66 @@ def _fischer(f: Polynomial) -> tuple[tuple[Bidegree, Polynomial], ...]:
     return f._components
 
 
+@lru_cache(maxsize=None)
+def _radius_power(n: int, m: int) -> dict:
+    """The numerators of |z|^{2m} on C^n over denominator 1, built once per
+    (n, m); callers only read the map."""
+    if m == 1:
+        units = ((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
+        return {(u, u): (1, 0) for u in units}
+    return _gather(_product(_radius_power(n, m - 1), _radius_power(n, 1)))
+
+
 def _fischer_peel(f: Polynomial) -> tuple[tuple[Bidegree, Polynomial], ...]:
     """The Fischer peel of :mod:`kohn_spectra.operators`, in Gaussian integers.
 
-    Each bidegree-(p, q) bucket of f is a residual R / D.  For m = min(p, q)
-    down to 1, G = lap^m R (numerators only, D unchanged) gives the component
-    h_m = G / (c_m D), and the residual becomes (c_m R - |z|^{2m} G) / (c_m D);
-    what is left is the (p, q) component.  A component with p, q >= 1 must
-    have a zero Laplacian, else a RuntimeError; one with p = 0 or q = 0 has
-    no mixed term, so its Laplacian is zero by structure.  Components of
-    equal bidegree are summed over one lcm, and a zero sum is dropped.
+    Each bidegree-(p, q) bucket of f is a residual R / D.  Its Laplacian
+    chain R, lap R, lap^2 R, ... (numerators only, D unchanged) is built
+    once, up to the first zero power and at most to lap^top R, top = min(p, q).
+    If lap R is zero the residual is the (p, q) component.  Otherwise the
+    last entry G = lap^m R, the highest nonzero power, gives the component
+    h_m = G / (c_m D); the residual becomes (c_m R - |z|^{2m} G) / (c_m D)
+    and top becomes m.  Each component with p, q >= 1 is checked harmonic
+    by the chain itself: the zero that ends it is lap G.  A component at m =
+    min(p, q) has p = 0 or q = 0, so no mixed term and a zero Laplacian by
+    structure.  A new residual whose chain reaches top means the previous
+    step's component is not harmonic: a RuntimeError.  The numerators of
+    |z|^{2m} come from :func:`_radius_power`, built once per (n, m).
+    Components of equal bidegree are summed over one lcm, and a zero sum is
+    dropped.
     """
     n = f.n
     buckets: dict = {}
     for key, parts in f._num.items():
         buckets.setdefault((sum(key[0]), sum(key[1])), {})[key] = parts
-    units = ((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
-    radius = [{(u, u): (1, 0) for u in units}]  # the numerators of |z|^{2m} at m - 1
     found: dict = {}  # {bidegree: [(num, den)]}
-
-    def emit(d: tuple, num: dict, den: int, piece: tuple) -> None:
-        if d[0] and d[1] and any(re or im for re, im in _laplacian(num).values()):
-            raise RuntimeError(
-                f"Fischer component {Bidegree(*d)} of a bidegree-{Bidegree(*piece)} piece is not "
-                "harmonic; exact arithmetic is broken"
-            )
-        found.setdefault(d, []).append((num, den))
-
     for (p, q), residual in sorted(buckets.items()):
-        den = f._den
-        for m in range(min(p, q), 0, -1):
-            g = residual
-            for _ in range(m):
-                g = _laplacian(g)
-            g = {key: parts for key, parts in g.items() if parts[0] or parts[1]}
-            if not g:
-                continue
-            c = _peel_constant(n, p + q - 2 * m, m)
-            emit((p - m, q - m), g, c * den, (p, q))
-            while len(radius) < m:
-                radius.append(_gather(_product(radius[-1], radius[0])))
+        den, top, first = f._den, min(p, q), True
+        while residual:
+            laps = [residual]  # lap^j R for j = 0..m, each nonzero
+            while len(laps) <= top:
+                g = _laplacian(laps[-1])
+                g = {key: parts for key, parts in g.items() if parts[0] or parts[1]}
+                if not g:
+                    break
+                laps.append(g)
+            m = len(laps) - 1
+            if m == top and not first:
+                raise RuntimeError(
+                    f"Fischer component {Bidegree(p - m + 1, q - m + 1)} of a bidegree-"
+                    f"{Bidegree(p, q)} piece is not harmonic; exact arithmetic is broken"
+                )
+            if not m:
+                found.setdefault((p, q), []).append((residual, den))
+                break
+            g, c = laps[m], _peel_constant(n, p + q - 2 * m, m)
+            found.setdefault((p - m, q - m), []).append((g, c * den))
             residual = {key: (c * re, c * im) for key, (re, im) in residual.items()}
-            for key, re, im in _product(radius[m - 1], g):
+            for key, re, im in _product(_radius_power(n, m), g):
                 r0, i0 = residual.get(key, (0, 0))
                 residual[key] = (r0 - re, i0 - im)
             residual = {key: parts for key, parts in residual.items() if parts[0] or parts[1]}
-            den *= c
-        if residual:
-            emit((p, q), residual, den, (p, q))
+            den, top, first = den * c, m, False
     out = []
     for d, parts in sorted(found.items()):
         if len(parts) == 1:
@@ -699,9 +733,9 @@ _FRACTION_RE = _re.compile(r"^-?\d+(/\d+)?$")
 def fraction_to_string(value: Fraction) -> str:
     """Serialize as "numerator/denominator", always with the slash.
 
-    The digits come from Decimal, which prints and (in fraction_from_string)
-    reads an int of any length; str(int) and int(str) refuse more than
-    sys.get_int_max_str_digits() digits.
+    The digits come from Decimal, which prints an int of any length; str(int)
+    refuses more than sys.get_int_max_str_digits() digits.  fraction_from_string
+    reads them back in pieces short enough for int() under any limit.
     """
     return _ratio_text(value.numerator, value.denominator)
 
@@ -739,13 +773,41 @@ def _decimal(num: int) -> Decimal:
 
 
 def fraction_from_string(text: str) -> Fraction:
+    return Fraction(*_ratio_parts(text))
+
+
+def _ratio_parts(text: str) -> tuple[int, int]:
+    """(num, den) with den > 0, not reduced, of the text "num/den" or "num"."""
     if not isinstance(text, str) or not _FRACTION_RE.match(text.strip()):
         raise FormatError(f"malformed rational {text!r}; expected \"numerator/denominator\"")
     num, _, den = text.strip().partition("/")
-    try:
-        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-    except ZeroDivisionError as exc:
-        raise FormatError(f"rational {text!r} has a zero denominator") from exc
+    den = _digits(den) if den else 1
+    if not den:
+        raise FormatError(f"rational {text!r} has a zero denominator")
+    return (-_digits(num[1:]) if num[0] == "-" else _digits(num)), den
+
+
+# The lowest limit sys.set_int_max_str_digits accepts: int() reads a run
+# this long under any setting.
+_INT_DIRECT_DIGITS = 640
+
+
+def _digits(run: str) -> int:
+    """The int of a digit run: int(run) up to _INT_DIRECT_DIGITS digits, else
+    hi 10^k + lo with both halves read the same way, so the time is that of
+    the big-int products (subquadratic) rather than int(str)'s quadratic
+    conversion, and no digit limit applies."""
+    powers: dict[int, int] = {}
+
+    def read(part: str) -> int:
+        if len(part) <= _INT_DIRECT_DIGITS:
+            return int(part)
+        k = len(part) // 2
+        if k not in powers:
+            powers[k] = 10**k
+        return read(part[:-k]) * powers[k] + read(part[-k:])
+
+    return read(run)
 
 
 def polynomial_to_dict(f: Polynomial) -> dict:
@@ -786,10 +848,10 @@ def polynomial_from_dict(obj: object) -> Polynomial:
             beta = entry["beta"]
             if not isinstance(alpha, list) or not isinstance(beta, list):
                 raise FormatError("\"alpha\" and \"beta\" must be lists")
-            re = fraction_from_string(entry["re"])
-            im = fraction_from_string(entry["im"])
+            re, re_den = _ratio_parts(entry["re"])
+            im, im_den = _ratio_parts(entry["im"])
             key = (_check_multiindex(alpha, n), _check_multiindex(beta, n))
         except (KeyError, ValueError, TypeError) as exc:
             raise FormatError(f"term {i}: {exc}") from exc
-        terms += [(key, re.numerator, 0, re.denominator), (key, 0, im.numerator, im.denominator)]
+        terms += [(key, re, 0, re_den), (key, 0, im, im_den)]
     return _from_terms(n, terms)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import enum
 import io
 import json
 import random
@@ -609,6 +610,12 @@ class TestJsonText:
             obj = {"error": message}
             assert cli._json_text(obj) == self.dumps(obj)
 
+    INTS = [0, -1, 7, 2**70, -(3**50)]
+
+    class Level(enum.IntEnum):
+        LOW = 1
+        HIGH = 12
+
     def random_tree(self, rng, depth):
         if depth == 0 or rng.random() < 0.3:
             return rng.choice(
@@ -616,12 +623,20 @@ class TestJsonText:
                     rng.choice(self.STRINGS),
                     rng.choice(self.FLOATS),
                     rng.uniform(-1e6, 1e6),
-                    rng.choice([0, -1, 7, 2**70, -(3**50)]),
+                    rng.choice(self.INTS),
                     rng.choice([True, False, None]),
+                    rng.choice(list(self.Level)),
                 ]
             )
         size = rng.randrange(4)
-        if rng.random() < 0.5:
+        shape = rng.random()
+        if shape < 0.1:  # int-only: the writer's one-join path
+            return [rng.choice(self.INTS) for _ in range(size + 1)]
+        if shape < 0.2:  # ints with a bool or an IntEnum, which must not take that path
+            items = [rng.choice(self.INTS) for _ in range(size + 1)]
+            items[rng.randrange(len(items))] = rng.choice([True, False, self.Level.HIGH])
+            return items
+        if shape < 0.6:
             items = [self.random_tree(rng, depth - 1) for _ in range(size)]
             return tuple(items) if rng.random() < 0.2 else items
         keys = [rng.choice(self.STRINGS) if rng.random() < 0.3 else f"key{i}" for i in range(size)]

@@ -184,6 +184,61 @@ class TestIntegerFischerKernel:
         with pytest.raises(RuntimeError, match="not harmonic; exact arithmetic is broken"):
             decompose(z(1) * zb(1))
 
+    def test_wrong_peel_constant_fails_on_the_laplacian_chain(self, monkeypatch):
+        # bidegree (2, 2): lap R and lap^2 R are nonzero, so the bucket is peeled
+        # at m = 2, and with a wrong constant the new residual's chain reaches
+        # lap^2 again: its (1, 1) component would not be harmonic
+        from kohn_spectra import polynomials
+
+        right = polynomials._peel_constant
+        monkeypatch.setattr(polynomials, "_peel_constant", lambda n, k, m: right(n, k, m) + 1)
+        message = (
+            r"Fischer component Bidegree\(p=1, q=1\) of a bidegree-Bidegree\(p=2, q=2\) piece "
+            "is not harmonic; exact arithmetic is broken"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            decompose(z(1) ** 2 * zb(1) ** 2)
+
+
+def _counted_laplacian(monkeypatch) -> list:
+    """The numerator maps polynomials._laplacian is called on from now on."""
+    from kohn_spectra import polynomials
+
+    calls, lap = [], polynomials._laplacian
+    monkeypatch.setattr(polynomials, "_laplacian", lambda num: calls.append(num) or lap(num))
+    return calls
+
+
+class TestLaplacianChain:
+    """The peel builds each residual's chain lap^j R once, up to its first zero."""
+
+    def test_a_harmonic_bucket_takes_one_laplacian(self, monkeypatch):
+        from kohn_spectra import polynomials
+        from kohn_spectra.harmonic_spaces import harmonic_basis
+
+        basis = harmonic_basis(3, Bidegree(2, 2)).elements
+        calls = _counted_laplacian(monkeypatch)
+        for h in basis:
+            calls.clear()
+            assert polynomials._fischer_peel(h) == ((Bidegree(2, 2), h),)
+            assert len(calls) == 1
+
+    def test_laplacian_calls_on_a_seeded_input_set(self, monkeypatch):
+        # a regression guard: 72 calls when lap^m R was rebuilt for every m
+        from kohn_spectra import polynomials
+
+        inputs = _cache_inputs()
+        calls = _counted_laplacian(monkeypatch)
+        for f in inputs:
+            polynomials._fischer_peel(f)
+        assert len(calls) == 50
+        # |z|^4 h, h harmonic of bidegree (1, 1): lap R, lap^2 R and the zero
+        # lap^3 R, then the residual is zero (7 calls before)
+        calls.clear()
+        h = Polynomial.z(3, 1) * Polynomial.z_bar(3, 2)
+        assert polynomials._fischer_peel(radius_squared(3) ** 2 * h) == ((Bidegree(1, 1), h),)
+        assert len(calls) == 3
+
 
 def test_decompose_exact_at_degree_limit():
     # warranted exact up to p+q = 12, n = 6
@@ -320,6 +375,17 @@ class TestGreenBoxbIdentity:
         for _ in range(20):
             f = random_polynomial(rng, 2, max_degree=5)
             assert residual_check(f) == 0
+
+
+def test_apply_keeps_a_part_its_factor_is_one_on():
+    f = z(1) * zb(1) * zb(2) + zb(2) * Fraction(3, 4) + z(2) * 3 + Polynomial.constant(2, 5)
+    dec = decompose(f)
+    ones = apply(dec, lambda d: Fraction(1))
+    assert [c.part for c in ones.components] == [c.part for c in dec.components]
+    assert all(a.part is b.part for a, b in zip(ones.components, dec.components))
+    hardy = hardy_projection(f)
+    assert [c.bidegree for c in hardy.components] == [Bidegree(0, 0), Bidegree(1, 0)]
+    assert all(c.part is dec.component(c.bidegree) for c in hardy.components)
 
 
 def _counting(symbol):

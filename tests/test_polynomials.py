@@ -4,6 +4,8 @@ and the sphere inner product."""
 import ast
 import math
 import random
+import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +35,7 @@ from kohn_spectra.polynomials import (
     _combine,
     _from_terms,
     _PairingIndex,
+    _parts,
     euler_z,
     euler_z_bar,
     multiindices,
@@ -299,6 +302,50 @@ class TestSerialization:
             width *= width
         assert len(text) == 500_096
         assert str(polynomials._decimal(-parts[0])) == "-" + text
+
+    def test_rational_of_200000_digits_reads_back_quickly(self):
+        # int(str) and Decimal read a digit run in quadratic time (1.5 s here);
+        # the reader splits it into halves of at most 640 digits
+        num = random.Random(26).randrange(10**199_999, 10**200_000)
+        value = Fraction(-num, 3**50)
+        text = fraction_to_string(value)
+        assert len(text.partition("/")[0]) == 200_001
+        start = time.perf_counter()
+        assert fraction_from_string(text) == value
+        assert time.perf_counter() - start < 1.0
+
+    def test_reading_needs_no_int_string_limit(self):
+        digits = "".join(str(k % 10) for k in range(1, 5001))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            value = fraction_from_string(f"-{digits}/7{digits}")
+            obj = {"n": 2, "terms": [{"alpha": [1, 0], "beta": [0, 0], "re": digits, "im": "0/1"}]}
+            f = polynomial_from_dict(obj)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        big = int(Decimal(digits))  # Decimal reads past the limit, slowly
+        assert value == Fraction(-big, 7 * 10**5000 + big)
+        assert f == Polynomial.z(2, 1) * big
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5", "malformed rational '0.5'; expected \"numerator/denominator\""),
+            ("1/-2", "malformed rational '1/-2'; expected \"numerator/denominator\""),
+            (None, "malformed rational None; expected \"numerator/denominator\""),
+            ("1/0", "rational '1/0' has a zero denominator"),
+            (" -3/000 ", "rational ' -3/000 ' has a zero denominator"),
+        ],
+    )
+    def test_reading_error_messages(self, text, message):
+        with pytest.raises(FormatError) as info:
+            fraction_from_string(text)
+        assert str(info.value) == message
+        obj = {"n": 2, "terms": [{"alpha": [0, 0], "beta": [0, 0], "re": "1/2", "im": text}]}
+        with pytest.raises(FormatError) as info:
+            polynomial_from_dict(obj)
+        assert str(info.value) == f"term 0: {message}"
 
     def test_roundtrip(self):
         rng = random.Random(41)
@@ -604,6 +651,33 @@ class TestStoragePrimitives:
             pairwise = sum((c.part for c in dec.components), Polynomial.zero(n))
             assert dec.as_polynomial() == pairwise
             assert dec.as_polynomial().terms == pairwise.terms
+
+    def test_real_multiple_is_canonical_in_one_pass(self):
+        factors = [0, 1, -1, 7, -12, Fraction(-9, 4), Fraction(6, 35), ExactScalar(Fraction(-10, 21))]
+        rng = random.Random(2025)
+        for n in (2, 3, 4):
+            for _ in range(5):
+                f = random_polynomial(rng, n, max_degree=5)
+                # numerators sharing 2, 3 with the factors' denominators, and a
+                # denominator sharing 5, 7 and 3 with their numerators
+                bases = [f, _combine(n, ((f, 36, 0, 1),)), _combine(n, ((f, 1, 0, 105),))]
+                for base in bases + [Polynomial.zero(n)]:
+                    for x in factors:
+                        got = base.scale(x)
+                        assert got == _combine(n, ((base, *_parts(x)),))
+                        assert got._den > 0 and all(re or im for re, im in got._num.values())
+                        parts = [p for pair in got._num.values() for p in pair]
+                        assert math.gcd(got._den, *parts) == 1
+
+    def test_multiple_by_one_is_a_new_polynomial(self):
+        from kohn_spectra.operators import decompose
+
+        f = random_polynomial(random.Random(3), 3, max_degree=5)
+        decompose(f)
+        for unit in (1, Fraction(1), ExactScalar(1)):
+            g = f * unit
+            assert g is not f and g == f
+            assert g._components is None and f._components is not None
 
     def test_pairing_index_matches_sphere_inner_product(self):
         for n, f, g in random_pairs(count=4):
