@@ -33,11 +33,11 @@ the constant above) is the next component, and the residual becomes
 (c_m R - |z|^{2m} lap^m R) over c_m D, whose own chain must stop below m.
 The zero that ends a chain is the harmonicity check of the component it
 ends on; so a bucket whose first Laplacian is zero is harmonic as it stands,
-and its Laplacian is not taken a second time.  The numerators of |z|^{2m}
-are built once per (n, m) for the whole process.  Each component is reduced
-to canonical form once, after the merge across pieces.  Each polynomial
-instance is peeled once and keeps its components for every later operator;
-a polynomial built from a result (G f through ``as_polynomial``) is new.
+and its Laplacian is not taken a second time.  |z|^{2m} lap^m R is formed
+by m products with |z|^2, so no power of |z|^2 is kept.  Each component is
+reduced to canonical form once, after the merge across pieces.  Each
+polynomial instance is peeled once and keeps its components for every later
+operator; a polynomial built from a result (G f through ``as_polynomial``) is new.
 """
 
 from __future__ import annotations

@@ -36,7 +36,9 @@ are the two structural operations everything else builds on.  The Laplacian
 (:func:`_laplacian`) and the product (:func:`_product`) each have one copy,
 on numerator maps over an unchanged denominator: ``ambient_laplacian`` and
 ``*`` wrap them in one :func:`_make`, and :func:`_fischer_peel` chains them
-without a gcd pass between steps.
+without a gcd pass between steps.  The layer keeps no module-level memo: a
+polynomial keeps its own decomposition and a :class:`_PairingIndex` its own
+mu!, each freed with its owner.
 
 The L^2 pairing on the unit sphere S^{2n-1} uses the normalized surface
 measure (total mass 1, so <1, 1> = 1) and the closed-form monomial integral
@@ -60,7 +62,6 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from operator import add, sub
 from typing import NamedTuple, Union
@@ -431,9 +432,13 @@ def _unit_index(n: int, j: int) -> Multiindex:
 
 def radius_squared(n: int) -> Polynomial:
     """|z|^2 = sum_j z_j * zbar_j, which is identically 1 on the unit sphere."""
-    return Polynomial(
-        n, {(u, u): 1 for u in (_unit_index(n, j) for j in range(1, _check_dimension(n) + 1))}
-    )
+    return _make(n, _radius_squared(_check_dimension(n)), 1)
+
+
+def _radius_squared(n: int) -> dict:
+    """The numerators of |z|^2 on C^n over denominator 1."""
+    units = ((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
+    return {(u, u): (1, 0) for u in units}
 
 
 # -- differential operators -------------------------------------------
@@ -500,10 +505,15 @@ def bidegree_split(f: Polynomial) -> dict[Bidegree, Polynomial]:
     Each part is bihomogeneous of its key and the parts sum back to ``f``.
     The zero polynomial yields an empty map.
     """
-    buckets: dict[Bidegree, dict] = {}
-    for key, parts in f._num.items():
-        buckets.setdefault(Bidegree(sum(key[0]), sum(key[1])), {})[key] = parts
-    return {d: _make(f.n, num, f._den) for d, num in sorted(buckets.items())}
+    return {Bidegree(*d): _make(f.n, num, f._den) for d, num in _buckets(f._num)}
+
+
+def _buckets(num: dict) -> list[tuple[tuple[int, int], dict]]:
+    """The numerators ``num`` split by bidegree: ((p, q), part) by ascending (p, q)."""
+    buckets: dict = {}
+    for key, parts in num.items():
+        buckets.setdefault((sum(key[0]), sum(key[1])), {})[key] = parts
+    return sorted(buckets.items())
 
 
 def _peel_constant(n: int, deg_h: int, m: int) -> int:
@@ -523,16 +533,6 @@ def _fischer(f: Polynomial) -> tuple[tuple[Bidegree, Polynomial], ...]:
     return f._components
 
 
-@lru_cache(maxsize=None)
-def _radius_power(n: int, m: int) -> dict:
-    """The numerators of |z|^{2m} on C^n over denominator 1, built once per
-    (n, m); callers only read the map."""
-    if m == 1:
-        units = ((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
-        return {(u, u): (1, 0) for u in units}
-    return _gather(_product(_radius_power(n, m - 1), _radius_power(n, 1)))
-
-
 def _fischer_peel(f: Polynomial) -> tuple[tuple[Bidegree, Polynomial], ...]:
     """The Fischer peel of :mod:`kohn_spectra.operators`, in Gaussian integers.
 
@@ -546,17 +546,15 @@ def _fischer_peel(f: Polynomial) -> tuple[tuple[Bidegree, Polynomial], ...]:
     by the chain itself: the zero that ends it is lap G.  A component at m =
     min(p, q) has p = 0 or q = 0, so no mixed term and a zero Laplacian by
     structure.  A new residual whose chain reaches top means the previous
-    step's component is not harmonic: a RuntimeError.  The numerators of
-    |z|^{2m} come from :func:`_radius_power`, built once per (n, m).
-    Components of equal bidegree are summed over one lcm, and a zero sum is
-    dropped.
+    step's component is not harmonic: a RuntimeError.  |z|^{2m} G is formed
+    as m products with the n-term numerator map of |z|^2, gathered between
+    steps, so no power of |z|^2 is built or kept.  Components of equal
+    bidegree are summed over one lcm, and a zero sum is dropped.
     """
     n = f.n
-    buckets: dict = {}
-    for key, parts in f._num.items():
-        buckets.setdefault((sum(key[0]), sum(key[1])), {})[key] = parts
+    radius = _radius_squared(n)
     found: dict = {}  # {bidegree: [(num, den)]}
-    for (p, q), residual in sorted(buckets.items()):
+    for (p, q), residual in _buckets(f._num):
         den, top, first = f._den, min(p, q), True
         while residual:
             laps = [residual]  # lap^j R for j = 0..m, each nonzero
@@ -578,7 +576,9 @@ def _fischer_peel(f: Polynomial) -> tuple[tuple[Bidegree, Polynomial], ...]:
             g, c = laps[m], _peel_constant(n, p + q - 2 * m, m)
             found.setdefault((p - m, q - m), []).append((g, c * den))
             residual = {key: (c * re, c * im) for key, (re, im) in residual.items()}
-            for key, re, im in _product(_radius_power(n, m), g):
+            for _ in range(m - 1):  # |z|^{2(m-1)} G
+                g = _gather(_product(radius, g))
+            for key, re, im in _product(radius, g):
                 r0, i0 = residual.get(key, (0, 0))
                 residual[key] = (r0 - re, i0 - im)
             residual = {key: parts for key, parts in residual.items() if parts[0] or parts[1]}
@@ -599,12 +599,6 @@ def _fischer_peel(f: Polynomial) -> tuple[tuple[Bidegree, Polynomial], ...]:
 # -- integration over the sphere --------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _factorial_product(mu: Multiindex) -> int:
-    """mu! = prod_j mu_j!."""
-    return math.prod(map(math.factorial, mu))
-
-
 def monomial_sphere_integral(n: int, alpha: Iterable[int], beta: Iterable[int] | None = None) -> Fraction:
     """Integral of z^alpha * zbar^beta (beta defaults to alpha) over S^{2n-1},
     normalized measure: the sphere pairing <z^alpha zbar^beta, 1>."""
@@ -623,10 +617,12 @@ class _PairingIndex:
     their own bucket only.  The pair adds the integer c * conj(d) * mu!
     (mu = alpha + delta) to the sum for (tag, |mu|); each sum is then lifted
     by (n-1)! / (n-1+|mu|)! over (n-1+top)! / (n-1)!, top the largest |mu|.
+    Each mu! is memoised on the index, so it is freed with the index.
     """
 
     def __init__(self) -> None:
-        self._buckets, self._dens = {}, {}  # {gamma - delta: [(tag, delta, re, im)]}, {tag: den}
+        # {gamma - delta: [(tag, delta, re, im)]}, {tag: den}, {mu: mu!}
+        self._buckets, self._dens, self._factorials = {}, {}, {}
 
     def add(self, tag, g: Polynomial) -> None:
         """File ``g`` under ``tag`` (a new tag for each g)."""
@@ -638,10 +634,13 @@ class _PairingIndex:
         """``{tag: (re, im, den)}`` with <f, g_tag> = (re + im*i) / den, for
         the nonzero pairings only; den includes both polynomials' denominators."""
         acc: dict = {}
+        factorials = self._factorials
         for (alpha, beta), (cr, ci) in f._num.items():
             for tag, delta, dr, di in self._buckets.get(tuple(map(sub, alpha, beta)), ()):
                 mu = tuple(map(add, alpha, delta))
-                w = _factorial_product(mu)
+                w = factorials.get(mu)
+                if w is None:
+                    w = factorials[mu] = math.prod(map(math.factorial, mu))
                 sums = acc.setdefault((tag, sum(mu)), [0, 0])
                 sums[0] += w * (cr * dr + ci * di)
                 sums[1] += w * (ci * dr - cr * di)

@@ -1,8 +1,11 @@
 """Helpers shared by the test modules."""
 
+import importlib
 import json
+import pkgutil
 
-from kohn_spectra import Bidegree, Polynomial, cli
+import kohn_spectra
+from kohn_spectra import Bidegree, Polynomial, cli, schatten
 
 
 def bidegree_of(f: Polynomial) -> Bidegree | None:
@@ -18,3 +21,22 @@ def cli_json(capsys, *argv):
     capsys.readouterr()
     assert cli.main(list(argv)) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def library_memos() -> list:
+    """Every functools cache bound at module level in a library module."""
+    modules = (
+        importlib.import_module(f"kohn_spectra.{info.name}")
+        for info in pkgutil.iter_modules(kohn_spectra.__path__)
+        if info.name != "__main__"  # importing it would run the CLI
+    )
+    return [value for module in modules for value in vars(module).values() if hasattr(value, "cache_clear")]
+
+
+def clear_library_memos() -> None:
+    """Empty every library memo, as in a fresh process: the functools caches
+    and the prefix store of schatten._direct_sum.  Polynomial._components
+    lives on each instance and is freed with it."""
+    for memo in library_memos():
+        memo.cache_clear()
+    schatten._prefixes.clear()

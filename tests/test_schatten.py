@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from scipy import integrate, special
 
-from helpers import cli_json
+from helpers import clear_library_memos, cli_json
 from kohn_spectra import schatten, spectrum
 from kohn_spectra.polynomials import Bidegree
 from kohn_spectra.schatten import (
@@ -280,6 +280,23 @@ def brute_side_sum(k, shift, s, first, last, scale=1):
     return math.fsum(math.comb(x + shift, k) * float(scale * x) ** -s for x in range(first, last + 1))
 
 
+def test_libm_pow_is_within_one_ulp():
+    # _outward counts one 1-ulp pow per term.  The terms take b^e, b = scale x
+    # an int and e = t - s for a non-integer s; _split keeps b^-s above
+    # 2^-1000, so the samples stay in that range.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(1910)
+    worst = 0.0
+    with mpmath.workprec(200):
+        for _ in range(2000):
+            b = int(2 ** rng.uniform(1, math.log2(2 * 10**7)))
+            s = rng.uniform(0.5, min(400, 1000 / math.log2(b)))
+            value = float(b) ** -s
+            exact = mpmath.mpf(b) ** mpmath.mpf(-s)
+            worst = max(worst, float(abs(mpmath.mpf(value) - exact)) / math.ulp(float(exact)))
+    assert worst <= 1
+
+
 class TestSumBracket:
     def test_direct_range_contains_exact_sum(self):
         mpmath = pytest.importorskip("mpmath")
@@ -440,9 +457,9 @@ def memo_grid(seed):
 
 
 def clear_direct_sums():
-    """Empty the memo of _direct_sum and its prefix store."""
-    schatten._direct_sum.cache_clear()
-    schatten._prefixes.clear()
+    """Empty the memo of _direct_sum and its prefix store, with every other
+    library memo."""
+    clear_library_memos()
 
 
 class TestDirectSumMemo:
