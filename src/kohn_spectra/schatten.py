@@ -63,9 +63,12 @@ side and split t, the first _WITNESS_HEAD terms evaluated so far.  The
 witness's heads at cutoffs 100, 200, 400, 800 and past _WITNESS_HEAD + n
 are prefixes of one another, so the doubling evaluates each head term once
 per process.  math.fsum rounds the exact sum of its terms once, so a sum
-read from the store is bit-identical to one summed afresh.  A bracket's
-endpoint terms f(m) and f(b) come from the same term formula (_formula),
-one scalar each.
+read from the store is bit-identical to one summed afresh.  Every 1-d term,
+the endpoint terms f(m) and f(b) of a bracket included, comes from one
+kernel (_terms), which evaluates the formula inline for a whole range; at
+k = 0 (the witness's power sums, and both sides at n = 2) it is the power
+alone.  The witness divides by (n-1)!(n-2)! in floats when that is a double
+and through a Fraction otherwise; both round the exact quotient once.
 
 Termwise bounds from the paper, checked by the acceptance criteria and by
 ``verify`` (valid for every p, q >= 0 resp. p >= n):
@@ -179,33 +182,37 @@ def lower_bound_term(n: int, r, p: int, q: int) -> Fraction | float:
 
 
 def _split(k: int, s: float, last, scale: int) -> int:
-    """The t of _formula for the terms up to x = last: 0 unless b^{-s} would
-    fall below 2^-1000 on the range, and at most k."""
+    """The t of the term kernel (_terms) for the terms up to x = last: 0
+    unless b^{-s} would fall below 2^-1000 on the range, and at most k."""
     return k and max(0, min(k, math.ceil(s - 1000 / math.log2(max(2, scale * last)))))
 
 
-def _formula(k: int, shift: int, t: int, e: float, scale: int, x: int) -> float:
-    """The 1-d term C(x+shift, k) (scale x)^{-s} with e = t-s, as
-    C(x+shift, k) / b^t (an exact quotient rounded once) times b^e, b = scale x.
-    With t from _split, a binomial past the float range or a power below it
-    never spoils a representable term.  The module's one copy of the term."""
-    return math.comb(x + shift, k) / (b := scale * x) ** t * b**e
+def _terms(k: int, shift: int, s: float, scale: int, t: int, xs) -> list[float]:
+    """The 1-d terms C(x+shift, k) (scale x)^{-s} for x in xs, the module's
+    one copy of the term: C(x+shift, k) / b^t (an exact quotient rounded
+    once) times b^e, b = scale x and e = t-s.  With t from _split, a binomial
+    past the float range or a power below it never spoils a representable
+    term.  At k = 0 = t the quotient is 1/1, so the term is b^e alone, bit
+    for bit."""
+    e = t - s
+    if k == 0 == t:
+        return [(scale * x) ** e for x in xs]
+    return [math.comb(x + shift, k) / (b := scale * x) ** t * b**e for x in xs]
 
 
 def _side_terms(
     k: int, shift: int, s: float, first: int, last: int, scale: int = 1, t: int | None = None
 ) -> list[float]:
-    """The terms at first <= x <= last, all with the t split at last unless t is given."""
+    """The kernel's terms at first <= x <= last, the ranges _direct_sum sums,
+    all with the t split at last unless t is given."""
     if t is None:
         t = _split(k, s, last, scale)
-    e = t - s
-    return [_formula(k, shift, t, e, scale, x) for x in range(first, last + 1)]
+    return _terms(k, shift, s, scale, t, range(first, last + 1))
 
 
 def _term(k: int, shift: int, s: float, x: int, scale: int) -> float:
     """The term at x alone, t split at x: _side_terms(k, shift, s, x, x, scale)[0]."""
-    t = _split(k, s, x, scale)
-    return _formula(k, shift, t, t - s, scale, x)
+    return _terms(k, shift, s, scale, _split(k, s, x, scale), (x,))[0]
 
 
 # The prefix store of _direct_sum: for each of the _STORE_KEYS keys
@@ -412,7 +419,9 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     combines four 1-d power sums, each the lower end of _sum_bracket; the cost
     does not grow with the cutoffs, which the r = n divergence witness doubles
     about 60 times.  From P, Q >= _WITNESS_HEAD + n the four direct heads are
-    the same sums at every cutoff, and _direct_sum computes them once.
+    the same sums at every cutoff, and _direct_sum computes them once.  The
+    quotient by (n-1)!(n-2)! is one float division while that constant is a
+    double (n <= 15), an exact Fraction rounded once beyond: the same float.
     """
     r = _validate_order(n, r)
     _check_int("P", P, n)
@@ -423,7 +432,9 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
         _sum_bracket(0, 0, rf - n + j, first, last, first + _WITNESS_HEAD - 1)[0]
         for j, first, last in ((1, n, P), (2, n, P), (1, 1, Q), (2, 1, Q))
     )
-    value = float(Fraction((sp1 * sq2 + sp2 * sq1) * 0.25**rf) / _bound_constant(n))
+    x, c = (sp1 * sq2 + sp2 * sq1) * 0.25**rf, _bound_constant(n)
+    # both round the exact quotient x/c once; x / c needs c to be a double
+    value = x / c if c.bit_length() <= 1023 and float(c) == c else float(Fraction(x) / c)
     return _outward(value, value, value)[0]
 
 

@@ -579,6 +579,97 @@ class TestRankSplit:
         assert schatten._tail_bracket(n, r, P, Q) == pytest.approx((2 * lower, 2 * upper), rel=1e-14)
 
 
+def kernel_grid(seed):
+    """Seeded (k, shift, s, first, last, scale, t) cases: t None (split at
+    last) or given, ranges of up to 400 terms from x = 1 on; at s = 100.5 they
+    start where scale x is near 1000, so the t of single terms changes
+    inside them."""
+    rng = random.Random(seed)
+    cases = []
+    for k in (0, 1, 2, 3, 5):
+        for shift in (-1, k):
+            for scale in (1, 2):
+                for s in (0.5, 3.75, 100.5, 1100.5):
+                    if s == 100.5:
+                        first = rng.randint(800, 1100) // scale
+                    else:
+                        first = rng.choice((1, 2, rng.randint(3, 1500)))
+                    last = first + rng.randint(0, 400)
+                    cases.append((k, shift, s, first, last, scale, None))
+                    cases.append((k, shift, s, first, last, scale, rng.randint(0, k + 1)))
+    return cases
+
+
+class TestTermKernel:
+    def test_terms_match_the_reference_formula(self):
+        crossed = 0
+        for k, shift, s, first, last, scale, t in kernel_grid(27):
+            split = schatten._split(k, s, last, scale) if t is None else t
+            expected = [
+                math.comb(x + shift, k) / (scale * x) ** split * (scale * x) ** (split - s)
+                for x in range(first, last + 1)
+            ]
+            got = schatten._side_terms(k, shift, s, first, last, scale, t)
+            assert list(map(repr, got)) == list(map(repr, expected)), (k, shift, s, first, last, scale, t)
+            crossed += schatten._split(k, s, first, scale) != schatten._split(k, s, last, scale)
+            for x in (first, last):
+                assert repr(schatten._term(k, shift, s, x, scale)) == repr(
+                    schatten._side_terms(k, shift, s, x, x, scale)[0]
+                )
+        assert crossed >= 3
+
+    def test_one_kernel_feeds_every_term(self, monkeypatch):
+        """Doubling the kernel's terms doubles _side_terms, _term, the direct
+        sums and the float partial sum (two factors) exactly: none of them
+        keeps a copy of the term formula."""
+        sides = [(0, 0, 1.25, 2, 1500, 1), (1, 1, 2.5, 1, 300, 2), (3, -1, 100.5, 900, 1300, 1)]
+        n, r, P, Q = 3, Fraction(7, 2), 50, 40
+
+        def evaluate():
+            clear_direct_sums()
+            return (
+                [schatten._side_terms(*side) for side in sides],
+                [schatten._term(k, shift, s, x, scale) for k, shift, s, _, x, scale in sides],
+                [schatten._direct_sum(*side) for side in sides],
+                partial_sum(n, r, P, Q),
+            )
+
+        terms, single, sums, total = evaluate()
+        kernel = schatten._terms
+        monkeypatch.setattr(schatten, "_terms", lambda *args: [2 * v for v in kernel(*args)])
+        doubled = evaluate()
+        assert doubled[0] == [[2 * v for v in side] for side in terms]
+        assert doubled[1] == [2 * v for v in single]
+        assert doubled[2] == [2 * v for v in sums]
+        assert doubled[3] == 4 * total
+
+
+def witness_reference(n, r, P, Q):
+    """lower_bound_sum from the same four brackets, its quotient by
+    (n-1)!(n-2)! always through an exact Fraction, rounded once."""
+    rf = float(r)
+    sp1, sp2, sq1, sq2 = (
+        _sum_bracket(0, 0, rf - n + j, first, last, first + _WITNESS_HEAD - 1)[0]
+        for j, first, last in ((1, n, P), (2, n, P), (1, 1, Q), (2, 1, Q))
+    )
+    c = math.factorial(n - 1) * math.factorial(n - 2)
+    value = float(Fraction((sp1 * sq2 + sp2 * sq1) * 0.25**rf) / c)
+    return schatten._outward(value, value, value)[0]
+
+
+class TestWitnessDivision:
+    @pytest.mark.parametrize("n", [2, 12, 13, 40, 120])
+    def test_matches_the_fraction_quotient(self, n):
+        # (n-1)!(n-2)! is a double for n <= 15, so x / c runs for n = 2, 12
+        # and 13 and the Fraction for n = 40 and 120; the power 0.25^r is
+        # subnormal above r = 511 and 0 above r = 537.5
+        c = math.factorial(n - 1) * math.factorial(n - 2)
+        assert (c.bit_length() <= 1023 and float(c) == c) == (n <= 13)
+        for r in (n, n + Fraction(1, 2), Fraction(1025, 2), Fraction(1100, 2) + Fraction(1, 3)):
+            for P, Q in ((n, 1), (150, 1200), (5000, 3000), (10**12, 10**9)):
+                assert repr(lower_bound_sum(n, r, P, Q)) == repr(witness_reference(n, r, P, Q)), (r, P, Q)
+
+
 class TestTailBounds:
     def test_infinite_at_and_below_n(self):
         assert tail_upper_bound(2, 2, 10, 10) == math.inf
