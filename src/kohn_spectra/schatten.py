@@ -195,7 +195,7 @@ def _terms(k: int, shift: int, s: float, scale: int, t: int, xs) -> list[float]:
     term.  At k = 0 = t the quotient is 1/1, so the term is b^e alone, bit
     for bit."""
     e = t - s
-    if k == 0 == t:
+    if k == t == 0:
         return [(scale * x) ** e for x in xs]
     return [math.comb(x + shift, k) / (b := scale * x) ** t * b**e for x in xs]
 
