@@ -67,8 +67,7 @@ read from the store is bit-identical to one summed afresh.  Every 1-d term,
 the endpoint terms f(m) and f(b) of a bracket included, comes from one
 kernel (_terms), which evaluates the formula inline for a whole range; at
 k = 0 (the witness's power sums, and both sides at n = 2) it is the power
-alone.  The witness divides by (n-1)!(n-2)! in floats when that is a double
-and through a Fraction otherwise; both round the exact quotient once.
+alone.
 
 Termwise bounds from the paper, checked by the acceptance criteria and by
 ``verify`` (valid for every p, q >= 0 resp. p >= n):
@@ -433,7 +432,6 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
         for j, first, last in ((1, n, P), (2, n, P), (1, 1, Q), (2, 1, Q))
     )
     x, c = (sp1 * sq2 + sp2 * sq1) * 0.25**rf, _bound_constant(n)
-    # both round the exact quotient x/c once; x / c needs c to be a double
     value = x / c if c.bit_length() <= 1023 and float(c) == c else float(Fraction(x) / c)
     return _outward(value, value, value)[0]
 
