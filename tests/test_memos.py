@@ -2,14 +2,21 @@
 objects the polynomial layer computed it for, and none changes an output.
 
 A memo that answered differently warm and cold would change bytes only in
-some call orders, so a seeded corpus of CLI runs is compared warm (one
-process, in order) against cold (every memo cleared before each run).
+some call orders, so a seeded corpus of CLI runs over every subcommand and
+output flag runs warm (one process, in order) and cold (every memo cleared
+before each run), and both must give the SHA-256 per subcommand committed in
+``golden/cli_corpus.json``.  After a change that is meant to move these
+bytes, regenerate the file with ``PYTHONPATH=src python tests/test_memos.py``.
 """
 
 import ast
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -130,51 +137,124 @@ def test_the_polynomial_layer_retains_nothing():
     assert retained(residual_check, 2) < 16 * 1024
 
 
-def corpus(tmp_path: Path) -> list[list[str]]:
-    """About 40 seeded argument lists over green-solve, apply with every
-    operator, schatten at integer and half-integer orders, spectrum and verify."""
+GOLDEN = Path(__file__).parent / "golden" / "cli_corpus.json"
+SUBCOMMANDS = {"spectrum", "apply", "green-solve", "schatten", "schatten-approx", "sobolev-constant", "ratio", "verify"}
+# the flags whose value is a path the run writes
+WRITTEN = ("--output", "--emit-plot")
+
+
+def corpus(tmp_path: Path) -> list[tuple[str, list[str]]]:
+    """Seeded (group, argument list) pairs over every subcommand and output
+    flag, the seeded inputs written to tmp_path under fixed names.  The
+    group is the subcommand, or "errors" for the lists that must exit 1 with
+    one JSON error on stderr."""
     rng = random.Random(2026)
-    argvs = []
+    runs = []
     for i in range(6):
         n = 2 + i % 3
         path = tmp_path / f"f{i}.json"
         f = random_polynomial(rng, n, max_degree=4, max_terms=3)
         path.write_text(json.dumps(polynomial_to_dict(f)))
         common = ["--n", str(n), "--input", str(path)]
-        argvs.append(["green-solve", *common])
+        runs.append(["green-solve", *common])
         for operator in ("boxb", "green", "hardy"):
-            argvs.append(["apply", *common, "--operator", operator])
-        argvs.append(["apply", *common, "--operator", "sobolev", "--t", rng.choice(("1", "2", "1/2"))])
-    for n, r, cutoffs in ((2, "3", (40, 30)), (3, "4", (20, 25)), (2, "5/2", (60, 50)), (3, "7/2", (30, 40))):
+            runs.append(["apply", *common, "--operator", operator])
+        runs.append(["apply", *common, "--operator", "sobolev", "--t", rng.choice(("1", "2", "1/2"))])
+    runs.append(["green-solve", "--n", "2", "--input", str(tmp_path / "f0.json"),
+                 "--output", str(tmp_path / "o0.json")])
+    runs.append(["apply", "--n", "3", "--input", str(tmp_path / "f1.json"), "--operator", "sobolev", "--t", "3/2",
+                 "--output", str(tmp_path / "o1.json")])
+    schatten_orders = (
+        (2, "3", (40, 30)), (3, "4", (20, 25)), (2, "2", (30, 30)),  # integer, r = n included
+        (2, "5/2", (60, 50)), (3, "7/2", (30, 40)), (4, "13/3", (25, 10)),  # rational
+        (2, "2.75", (300, 200)), (3, "4.1", (1200, 900)), (4, "6.25", (2500, 2100)),  # float, past the witness head
+    )
+    for n, r, cutoffs in schatten_orders:
         for p, q in (cutoffs, cutoffs[::-1]):
-            argvs.append(["schatten", "--n", str(n), "--r", r, "--cutoff-p", str(p), "--cutoff-q", str(q)])
-    argvs += [
-        ["spectrum", "--n", "2", "--cutoff", "12"],
-        ["spectrum", "--n", "3", "--cutoff", "30", "--format", "csv", "--per-bidegree"],
-        ["verify", "--n", "2", "--max-degree", "2"],
-        ["green-solve", "--n", "3", "--input", str(tmp_path / "f0.json")],  # an error: f0 is on C^2
+            runs.append(["schatten", "--n", str(n), "--r", r, "--cutoff-p", str(p), "--cutoff-q", str(q)])
+    for i, (n, r, p, q) in enumerate(((2, "3", 30, 20), (3, "7/2", 40, 60), (2, "2.75", 1500, 1200))):
+        runs.append(["schatten", "--n", str(n), "--r", r, "--cutoff-p", str(p), "--cutoff-q", str(q),
+                     "--emit-plot", str(tmp_path / f"plot{i}.csv"), "--output", str(tmp_path / f"report{i}.json")])
+    for n, r in ((2, "3"), (3, "7/2"), (4, "4.1"), (7, "15/2")):
+        runs.append(["schatten-approx", "--n", str(n), "--r", r])
+    runs.append(["schatten-approx", "--n", "3", "--r", "4", "--output", str(tmp_path / "approx.json")])
+    runs += [["sobolev-constant", "--n", str(n)] for n in (2, 3, 5, 10)]
+    runs.append(["sobolev-constant", "--n", "4", "--output", str(tmp_path / "constant.json")])
+    for n, s, k_max in ((2, "1", 6), (3, "1/2", 8), (4, "2", 5)):
+        for fmt in ("csv", "json"):
+            runs.append(["ratio", "--n", str(n), "--s", s, "--k-max", str(k_max), "--format", fmt])
+    runs.append(["ratio", "--n", "2", "--s", "0.25", "--k-max", "4", "--output", str(tmp_path / "ratio.csv")])
+    for n, cutoff in ((2, "12"), (3, "30"), (4, "25/2")):
+        for fmt in ("json", "csv"):
+            runs.append(["spectrum", "--n", str(n), "--cutoff", cutoff, "--format", fmt])
+            runs.append(["spectrum", "--n", str(n), "--cutoff", cutoff, "--format", fmt, "--per-bidegree"])
+    runs.append(["spectrum", "--n", "2", "--cutoff", "9", "--output", str(tmp_path / "spectrum.json")])
+    runs.append(["verify", "--n", "2", "--max-degree", "2"])
+    runs.append(["verify", "--n", "3", "--max-degree", "2", "--samples", "3",
+                 "--output", str(tmp_path / "verify.json")])
+    (tmp_path / "bad.json").write_text("{")
+    errors = [
+        ["green-solve", "--n", "3", "--input", str(tmp_path / "f0.json")],  # f0 is on C^2
+        ["apply", "--n", "2", "--input", str(tmp_path / "missing.json"), "--operator", "green"],
+        ["apply", "--n", "2", "--input", str(tmp_path / "bad.json"), "--operator", "boxb"],
+        ["apply", "--n", "2", "--input", str(tmp_path / "f0.json"), "--operator", "laplace"],
+        ["schatten", "--n", "2", "--r", "1/2"],
+        ["schatten", "--n", "1", "--r", "3"],
+        ["schatten", "--n", "2", "--r", "x"],
+        ["schatten", "--n", "2", "--r", "3", "--cutoff-q", "0"],
+        ["schatten", "--n", "2", "--r", "3", "--output", str(tmp_path / "absent" / "report.json")],
+        ["schatten-approx", "--n", "3", "--r", "3"],
+        ["spectrum", "--n", "2"],
+        ["spectrum", "--n", "2", "--cutoff", "4", "--format", "xml"],
+        ["ratio", "--n", "2", "--s", "1", "--k-max", "-1"],
+        ["sobolev-constant", "--n", "0"],
+        ["verify", "--n", "2", "--samples", "-1"],
+        ["solve", "--n", "2"],
+        [],
     ]
-    return argvs
+    return [(argv[0], argv) for argv in runs] + [("errors", argv) for argv in errors]
 
 
-def test_warm_and_cold_runs_print_the_same_bytes(tmp_path, capsys):
-    argvs = corpus(tmp_path)
+def run(argv: list[str]) -> tuple[int, str, str, list]:
+    """(exit status, stdout, stderr, written files) of one in-process CLI run;
+    each file a WRITTEN flag names is read, or None if absent, then removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(list(argv))
+    written = []
+    for flag, value in zip(argv, argv[1:]):
+        if flag in WRITTEN:
+            path = Path(value)
+            written.append(path.read_text() if path.exists() else None)
+            path.unlink(missing_ok=True)
+    return status, out.getvalue(), err.getvalue(), written
 
-    def run(argv):
-        status = cli.main(argv)
-        return status, *capsys.readouterr()
 
-    capsys.readouterr()
-    warm = [run(argv) for argv in argvs]
+def corpus_hashes(tmp_path: Path, cold: bool = False) -> dict[str, str]:
+    """One SHA-256 per group over the argument list (tmp_path replaced by a
+    placeholder), exit status, stdout, stderr and written files of each run,
+    in corpus order; cold clears every library memo before each run."""
+    hashes = {}
+    for group, argv in corpus(tmp_path):
+        if cold:
+            clear_library_memos()
+        status, out, err, written = record = run(argv)
+        if group == "errors":
+            assert status == 1 and json.loads(err)["error"], argv
+        else:
+            assert status == 0 and not err, argv
+        text = json.dumps([argv, *record]).replace(str(tmp_path), "<tmp>")
+        hashes.setdefault(group, hashlib.sha256()).update(text.encode() + b"\n")
+    return {group: h.hexdigest() for group, h in hashes.items()}
+
+
+def test_warm_and_cold_runs_print_the_same_bytes(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert set(golden) == SUBCOMMANDS | {"errors"}
+    clear_library_memos()
+    assert corpus_hashes(tmp_path) == golden
     assert schatten._direct_sum.cache_info().currsize and schatten._prefixes
-    cold = []
-    for argv in argvs:
-        clear_library_memos()
-        cold.append(run(argv))
-    for argv, w, c in zip(argvs, warm, cold):
-        assert w == c, argv
-    assert [status for status, _, _ in warm].count(0) == len(argvs) - 1
-    assert json.loads(warm[-1][2])["error"]
+    assert corpus_hashes(tmp_path, cold=True) == golden
 
 
 def test_clearing_empties_every_memo():
@@ -186,3 +266,11 @@ def test_clearing_empties_every_memo():
     clear_library_memos()
     assert all(memo.cache_info().currsize == 0 for memo in memos)
     assert not schatten._prefixes
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as directory:
+        GOLDEN.write_text(json.dumps(corpus_hashes(Path(directory)), indent=2) + "\n")
+    sys.stdout.write(GOLDEN.read_text())
