@@ -58,12 +58,12 @@ terms, so one evaluation costs the same at any cutoff.
 Every directly summed 1-d sum -- a bracket's head and the four factors of
 the float partial sum -- is one call of the memoised _direct_sum, and a
 float report's partial sum reads the same four sums as the heads of its
-tail bracket.  _direct_sum takes its terms from a bounded prefix store: per
-side and split t, the first _WITNESS_HEAD terms evaluated so far.  The
+tail bracket.  _direct_sum takes its terms from _prefix, a bounded memo of
+the first _WITNESS_HEAD terms evaluated so far per side and split t.  The
 witness's heads at cutoffs 100, 200, 400, 800 and past _WITNESS_HEAD + n
 are prefixes of one another, so the doubling evaluates each head term once
 per process.  math.fsum rounds the exact sum of its terms once, so a sum
-read from the store is bit-identical to one summed afresh.  Every 1-d term,
+read from a prefix is bit-identical to one summed afresh.  Every 1-d term,
 the endpoint terms f(m) and f(b) of a bracket included, comes from one
 kernel (_terms), which evaluates the formula inline for a whole range; at
 k = 0 (the witness's power sums, and both sides at n = 2) it is the power
@@ -214,11 +214,12 @@ def _term(k: int, shift: int, s: float, x: int, scale: int) -> float:
     return _terms(k, shift, s, scale, _split(k, s, x, scale), (x,))[0]
 
 
-# The prefix store of _direct_sum: for each of the _STORE_KEYS keys
-# (k, shift, s, first, scale, t) it used last, the terms at x = first,
-# first+1, ... evaluated so far, at most _WITNESS_HEAD of them, as doubles.
-_STORE_KEYS = 64
-_prefixes: dict[tuple, array] = {}
+@functools.lru_cache(maxsize=64)
+def _prefix(k: int, shift: int, s: float, first: int, scale: int, t: int) -> array:
+    """The terms of one side and split t at x = first, first+1, ... that
+    _direct_sum has evaluated so far, at most _WITNESS_HEAD of them: empty
+    when created, extended in place by _direct_sum."""
+    return array("d")
 
 
 @functools.lru_cache(maxsize=256)
@@ -227,21 +228,15 @@ def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int)
     the module docstring).  Callers pass all six arguments positionally, so
     that equal sums share one key, and validate them before reaching the cache.
 
-    Terms already in the prefix store are read from it, the rest evaluated
+    Terms already in the key's _prefix are read from it, the rest evaluated
     in blocks of _WITNESS_HEAD, and the first _WITNESS_HEAD of a key kept,
-    so neither the store nor one call holds more than that many terms of a
+    so neither a prefix nor one call holds more than that many terms of a
     side, at any cutoff.  The terms are those of _side_terms with the same t,
     and fsum rounds their exact sum once, so the sum is bit-identical."""
     if last < first:
         return 0.0
     t = _split(k, s, last, scale)
-    key = (k, shift, s, first, scale, t)
-    prefix = _prefixes.pop(key, None)
-    if prefix is None:
-        prefix = array("d")
-        if len(_prefixes) >= _STORE_KEYS:
-            del _prefixes[next(iter(_prefixes))]
-    _prefixes[key] = prefix
+    prefix = _prefix(k, shift, s, first, scale, t)
     stop = last + 1
     if stop - first <= len(prefix):
         return math.fsum(prefix[: stop - first])

@@ -5,7 +5,7 @@ import json
 import pkgutil
 
 import kohn_spectra
-from kohn_spectra import Bidegree, Polynomial, cli, schatten
+from kohn_spectra import Bidegree, Polynomial, cli
 
 
 def bidegree_of(f: Polynomial) -> Bidegree | None:
@@ -34,9 +34,7 @@ def library_memos() -> list:
 
 
 def clear_library_memos() -> None:
-    """Empty every library memo, as in a fresh process: the functools caches
-    and the prefix store of schatten._direct_sum.  Polynomial._components
-    lives on each instance and is freed with it."""
+    """Empty every library memo, as in a fresh process: each is a functools
+    cache.  Polynomial._components lives on each instance and is freed with it."""
     for memo in library_memos():
         memo.cache_clear()
-    schatten._prefixes.clear()

@@ -35,10 +35,52 @@ def _has_parameters(function: ast.FunctionDef) -> bool:
     return bool(a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
 
 
+# a module-level name bound to one of these, or to a display or comprehension of
+# a dict, list or set, is a hand-written store if a function mutates it
+CONTAINERS = ("dict", "list", "set", "array")
+MUTATORS = ("pop", "popitem", "setdefault", "update", "clear", "append", "extend", "fromlist")
+
+
+def _is_container(value: ast.expr | None) -> bool:
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    func = value.func if isinstance(value, ast.Call) else None
+    return getattr(func, "id", None) in CONTAINERS or getattr(func, "attr", None) in CONTAINERS
+
+
+def _mutated_stores(tree: ast.Module) -> dict[str, int]:
+    """{name: line of its first mutation} for every module-level container
+    that a function body mutates: a subscript store or del, or a call of one
+    of MUTATORS on the name."""
+    stores = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    mutated = {}
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in stores:
+                mutated.setdefault(target.id, node.lineno)
+    return mutated
+
+
 def memo_faults(source: str) -> tuple[list[str], int]:
     """(faults, memos) for a module's source: every ``lru_cache`` must be
-    called with an integer ``maxsize``, and ``functools.cache`` may wrap only
-    a function with no parameters, as a decorator or as ``cache(name)``."""
+    called with an integer ``maxsize``, ``functools.cache`` may wrap only
+    a function with no parameters, as a decorator or as ``cache(name)``, and
+    no function may mutate a module-level dict, list, set or array: such a
+    hand-written store counts as a memo and a fault."""
     tree = ast.parse(source)
     modules, names = set(), {}
     for node in ast.walk(tree):
@@ -80,6 +122,9 @@ def memo_faults(source: str) -> tuple[list[str], int]:
             wrapped = None
         if wrapped is None or _has_parameters(wrapped):
             faults.append(f"{where}: functools.cache on a function with parameters")
+    for name, line in _mutated_stores(tree).items():
+        memos += 1
+        faults.append(f"line {line}: module-level {name} mutated by a function; use a bounded functools cache")
     return faults, memos
 
 
@@ -89,29 +134,47 @@ def test_every_library_memo_is_bounded_or_parameterless():
         faults, memos = memo_faults(path.read_text())
         assert not faults, (path.name, faults)
         total += memos
-    # schatten._direct_sum, schatten._expansion and cli._parser
-    assert total == 3
+    # schatten._direct_sum, schatten._prefix, schatten._expansion and cli._parser
+    assert total == 4
 
 
 @pytest.mark.parametrize(
-    "source, faulty",
+    "source, memos, faulty",
     [
-        ("import functools\n@functools.lru_cache(maxsize=None)\ndef f(x): pass", True),
-        ("from functools import lru_cache\n@lru_cache\ndef f(x): pass", True),
-        ("from functools import lru_cache as memo\n@memo()\ndef f(x): pass", True),
-        ("import functools as ft\ng = ft.lru_cache(maxsize=True)(len)", True),
-        ("import functools\n@functools.cache\ndef f(x): pass", True),
-        ("from functools import cache\ndef f(*args): pass\ng = cache(f)", True),
-        ("import functools\ng = functools.cache(len)", True),
-        ("import functools\n@functools.lru_cache(maxsize=64)\ndef f(x): pass", False),
-        ("from functools import lru_cache\n@lru_cache(8)\ndef f(x): pass", False),
-        ("import functools\ndef f(): pass\ng = functools.cache(f)", False),
-        ("from functools import cache\n@cache\ndef f(): pass", False),
+        ("import functools\n@functools.lru_cache(maxsize=None)\ndef f(x): pass", 1, True),
+        ("from functools import lru_cache\n@lru_cache\ndef f(x): pass", 1, True),
+        ("from functools import lru_cache as memo\n@memo()\ndef f(x): pass", 1, True),
+        ("import functools as ft\ng = ft.lru_cache(maxsize=True)(len)", 1, True),
+        ("import functools\n@functools.cache\ndef f(x): pass", 1, True),
+        ("from functools import cache\ndef f(*args): pass\ng = cache(f)", 1, True),
+        ("import functools\ng = functools.cache(len)", 1, True),
+        ("import functools\n@functools.lru_cache(maxsize=64)\ndef f(x): pass", 1, False),
+        ("from functools import lru_cache\n@lru_cache(8)\ndef f(x): pass", 1, False),
+        ("import functools\ndef f(): pass\ng = functools.cache(f)", 1, False),
+        ("from functools import cache\n@cache\ndef f(): pass", 1, False),
+        # hand-written stores: a module-level container that a function mutates
+        ("_s: dict[tuple, int] = {}\ndef f(k): _s[k] = 1", 1, True),
+        ("_s = dict()\ndef f(k): del _s[k]", 1, True),
+        ("_s = {}\ndef f(k):\n    _s[k] += 1", 1, True),
+        ("_s = {}\ndef f(k): return _s.pop(k, None)", 1, True),
+        ("_s = {}\ndef f(): _s.popitem()", 1, True),
+        ("_s = {}\nf = lambda k: _s.setdefault(k, [])", 1, True),
+        ("_s = {}\ndef f(d): _s.update(d)", 1, True),
+        ("_s = set()\ndef f(): _s.clear()", 1, True),
+        ("_s = []\ndef f(x): _s.append(x)", 1, True),
+        ("_s = [x for x in ()]\nclass C:\n    def f(self, xs): _s.extend(xs)", 1, True),
+        ("from array import array\n_s = array('d')\ndef f(xs): _s.fromlist(xs)", 1, True),
+        ("import array\n_s = array.array('d')\ndef f(x): _s[0] = x", 1, True),
+        # read-only tables, local containers and module-level set-up are not stores
+        ("_s = {int: str}\ndef f(x): return _s.get(type(x))", 0, False),
+        ("_s = {}\n_s[1] = 2\ndef f(): return _s[1]", 0, False),
+        ("_s = ()\ndef f(): return _s", 0, False),
+        ("def f(x):\n    s = []\n    s.append(x)\n    return s", 0, False),
     ],
 )
-def test_memo_guard_reads_every_form(source, faulty):
-    faults, memos = memo_faults(source)
-    assert memos == 1
+def test_memo_guard_reads_every_form(source, memos, faulty):
+    faults, found = memo_faults(source)
+    assert found == memos
     assert bool(faults) == faulty, faults
 
 
@@ -253,19 +316,19 @@ def test_warm_and_cold_runs_print_the_same_bytes(tmp_path):
     assert set(golden) == SUBCOMMANDS | {"errors"}
     clear_library_memos()
     assert corpus_hashes(tmp_path) == golden
-    assert schatten._direct_sum.cache_info().currsize and schatten._prefixes
+    prefixes = schatten._prefix.cache_info()
+    assert schatten._direct_sum.cache_info().currsize and prefixes.currsize and prefixes.hits
     assert corpus_hashes(tmp_path, cold=True) == golden
 
 
 def test_clearing_empties_every_memo():
     memos = library_memos()
-    assert {memo.__name__ for memo in memos} == {"_direct_sum", "_expansion", "build_parser"}
+    assert {memo.__name__ for memo in memos} == {"_direct_sum", "_prefix", "_expansion", "build_parser"}
     schatten.schatten_report(3, 3.5, 30, 20)
     cli._parser()
-    assert all(memo.cache_info().currsize for memo in memos) and schatten._prefixes
+    assert all(memo.cache_info().currsize for memo in memos)
     clear_library_memos()
     assert all(memo.cache_info().currsize == 0 for memo in memos)
-    assert not schatten._prefixes
 
 
 if __name__ == "__main__":

@@ -456,12 +456,6 @@ def memo_grid(seed):
     return cases
 
 
-def clear_direct_sums():
-    """Empty the memo of _direct_sum and its prefix store, with every other
-    library memo."""
-    clear_library_memos()
-
-
 class TestDirectSumMemo:
     """Every directly summed 1-d sum goes through the memoised _direct_sum."""
 
@@ -474,7 +468,7 @@ class TestDirectSumMemo:
         monkeypatch.setattr(schatten, "_direct_sum", lambda *key: math.fsum(schatten._side_terms(*key)))
         reference = evaluate()
         monkeypatch.undo()
-        clear_direct_sums()
+        clear_library_memos()
         cold = evaluate()
         warm = evaluate()
         assert cold == reference
@@ -520,7 +514,7 @@ class TestDirectSumMemo:
     def test_stored_prefixes_are_bit_identical(self, k, shift, s, first, scale, lasts):
         """A side queried with a growing, then a shrinking last sums exactly
         the terms _side_terms gives for that last, t split there."""
-        clear_direct_sums()
+        clear_library_memos()
         for last in lasts:
             expected = math.fsum(schatten._side_terms(k, shift, s, first, last, scale))
             assert repr(schatten._direct_sum(k, shift, s, first, last, scale)) == repr(expected)
@@ -532,20 +526,27 @@ class TestDirectSumMemo:
             )
 
     def test_store_is_bounded(self):
-        clear_direct_sums()
-        partial_sum(2, Fraction(5, 2), 10**6, 10**6)
-        lengths = [len(terms) for terms in schatten._prefixes.values()]
-        assert 0 < max(lengths) <= _WITNESS_HEAD
+        clear_library_memos()
+        P = Q = 10**6
+        partial_sum(2, Fraction(5, 2), P, Q)
+        lengths = []
+        for _, *sides in schatten._rank_terms(2, 2.5, P, Q):
+            for k, shift, s, first, last, scale in sides:
+                hits = schatten._prefix.cache_info().hits
+                terms = schatten._prefix(k, shift, s, first, scale, schatten._split(k, s, last, scale))
+                assert schatten._prefix.cache_info().hits == hits + 1
+                lengths.append(len(terms))
+        assert len(lengths) == 4
+        assert 0 < min(lengths) and max(lengths) <= _WITNESS_HEAD
         assert sum(lengths) <= 4 * _WITNESS_HEAD
-        for j in range(2 * schatten._STORE_KEYS):
+        for j in range(128):
             schatten._direct_sum(0, 0, 2.0 + j, 1, 3, 1)
-        assert len(schatten._prefixes) == schatten._STORE_KEYS
-        assert sum(map(len, schatten._prefixes.values())) <= schatten._STORE_KEYS * _WITNESS_HEAD
+        assert schatten._prefix.cache_info().currsize == 64
 
     def test_witness_evaluates_each_head_term_once(self, monkeypatch):
         # criterion 5's n = 2 doubling: the heads at cutoffs 100 .. 800 are
         # prefixes of the _WITNESS_HEAD-term head, so no term is evaluated twice
-        clear_direct_sums()
+        clear_library_memos()
         evaluated = []
         side_terms = schatten._side_terms
 
@@ -626,7 +627,7 @@ class TestTermKernel:
         n, r, P, Q = 3, Fraction(7, 2), 50, 40
 
         def evaluate():
-            clear_direct_sums()
+            clear_library_memos()
             return (
                 [schatten._side_terms(*side) for side in sides],
                 [schatten._term(k, shift, s, x, scale) for k, shift, s, _, x, scale in sides],
