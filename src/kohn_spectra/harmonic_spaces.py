@@ -135,18 +135,14 @@ def _kernel(rows: list[dict[int, int]], cols: list[int]) -> list[dict[int, tuple
 def harmonic_basis(n: int, d: Bidegree) -> HarmonicBasis:
     """Basis of ker(ambient Laplacian) on the bidegree-(p, q) monomial space.
 
-    For p = 0 or q = 0 every monomial is already harmonic and the monomial basis
-    is returned directly.  Otherwise the Laplacian's integer matrix (entries
-    4ab, at most n per column) to the (p-1, q-1) monomial space is built as one
-    block of sparse rows per torus weight alpha - beta of the columns;
-    :func:`_kernel` reduces each block, and its vectors, merged by free column
-    (see the module docstring), become the elements.
+    The Laplacian's integer matrix (entries 4ab, at most n per column) to the
+    (p-1, q-1) monomial space is built as one block of sparse rows per torus
+    weight alpha - beta of the columns; :func:`_kernel` reduces each block,
+    and its vectors, merged by free column (see the module docstring), become
+    the elements.
     """
     d = Bidegree(*spectrum._check_bidegree(n, d))
     source = bidegree_monomials(n, d)
-    if d.p == 0 or d.q == 0:
-        return HarmonicBasis(n, d, tuple(_from_terms(n, ((key, 1, 0, 1),)) for key in source))
-
     blocks: dict = {}  # {alpha - beta: (source columns, {target key: row})}
     for col, (alpha, beta) in enumerate(source):
         cols, rows = blocks.setdefault(tuple(map(sub, alpha, beta)), ([], {}))
