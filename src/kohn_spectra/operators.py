@@ -25,19 +25,9 @@ positive for n >= 2, so the solve cannot be singular; every component with
 p, q >= 1 (the others are harmonic by structure) is nevertheless re-checked
 and a failure aborts loudly, since it would mean the arithmetic is broken.
 
-The peel runs in ``polynomials._fischer`` on the Gaussian-integer
-numerators.  For a residual R / D the Laplacian chain R, lap R, lap^2 R, ...
-is built once on R alone, up to the first zero power and at most min(p, q)
-steps.  Its last entry, the highest nonzero power lap^m R, over c_m D (c_m
-the constant above) is the next component, and the residual becomes
-(c_m R - |z|^{2m} lap^m R) over c_m D, whose own chain must stop below m.
-The zero that ends a chain is the harmonicity check of the component it
-ends on; so a bucket whose first Laplacian is zero is harmonic as it stands,
-and its Laplacian is not taken a second time.  |z|^{2m} lap^m R is formed
-by m products with |z|^2, so no power of |z|^2 is kept.  Each component is
-reduced to canonical form once, after the merge across pieces.  Each
-polynomial instance is peeled once and keeps its components for every later
-operator; a polynomial built from a result (G f through ``as_polynomial``) is new.
+The peel is ``polynomials._fischer_peel``, whose docstring states it;
+``polynomials._fischer`` runs it once per polynomial instance and keeps the
+components on that instance.
 """
 
 from __future__ import annotations
