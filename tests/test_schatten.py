@@ -7,6 +7,7 @@ and the whole tail bracket against the zeta closed forms of ||G||_r^r for
 n = 2 and 3, before the acceptance suite leans on it.
 """
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -601,6 +602,19 @@ def kernel_grid(seed):
     return cases
 
 
+@contextlib.contextmanager
+def doubled_kernel():
+    """Every term of the kernel _terms doubled inside the block; the library
+    memos filled meanwhile are emptied on the way out."""
+    kernel = schatten._terms
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schatten, "_terms", lambda *args: [2 * v for v in kernel(*args)])
+        try:
+            yield
+        finally:
+            clear_library_memos()
+
+
 class TestTermKernel:
     def test_terms_match_the_reference_formula(self):
         crossed = 0
@@ -619,7 +633,7 @@ class TestTermKernel:
                 )
         assert crossed >= 3
 
-    def test_one_kernel_feeds_every_term(self, monkeypatch):
+    def test_one_kernel_feeds_every_term(self):
         """Doubling the kernel's terms doubles _side_terms, _term, the direct
         sums and the float partial sum (two factors) exactly: none of them
         keeps a copy of the term formula."""
@@ -636,13 +650,19 @@ class TestTermKernel:
             )
 
         terms, single, sums, total = evaluate()
-        kernel = schatten._terms
-        monkeypatch.setattr(schatten, "_terms", lambda *args: [2 * v for v in kernel(*args)])
-        doubled = evaluate()
+        with doubled_kernel():
+            doubled = evaluate()
         assert doubled[0] == [[2 * v for v in side] for side in terms]
         assert doubled[1] == [2 * v for v in single]
         assert doubled[2] == [2 * v for v in sums]
         assert doubled[3] == 4 * total
+
+    def test_doubled_kernel_leaves_no_doubled_memo(self):
+        # the memos filled under the doubled kernel must not outlive it: a
+        # later float partial sum reads the true terms, as in a fresh process
+        with doubled_kernel():
+            partial_sum(3, Fraction(7, 2), 0, 5)
+        assert repr(partial_sum(3, Fraction(7, 2), 0, 5)) == "0.030753772679430462"
 
 
 def witness_reference(n, r, P, Q):
