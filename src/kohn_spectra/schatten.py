@@ -59,11 +59,17 @@ Every directly summed 1-d sum -- a bracket's head and the four factors of
 the float partial sum -- is one call of the memoised _direct_sum, and a
 float report's partial sum reads the same four sums as the heads of its
 tail bracket.  _direct_sum takes its terms from _prefix, a bounded memo of
-the first _WITNESS_HEAD terms evaluated so far per side and split t.  The
-witness's heads at cutoffs 100, 200, 400, 800 and past _WITNESS_HEAD + n
-are prefixes of one another, so the doubling evaluates each head term once
-per process.  math.fsum rounds the exact sum of its terms once, so a sum
-read from a prefix is bit-identical to one summed afresh.  Every 1-d term,
+the terms evaluated so far per series and split t, stored from the first x
+of a block of _STORE_BLOCK, so sums of one series that start at nearby x
+read one array.  At r = n the witness's four power sums are sum x^-1 and
+sum x^-2 from x = n and from x = 1, so its heads at every cutoff, and those
+of every dimension n <= _STORE_BLOCK, are prefixes of two arrays: the
+doublings evaluate each head term once per process, across dimensions.
+Past its direct head a bracket reads what depends only on the head's end m
+-- the head's sum, f(m) and the powers of m -- from _bracket_head, so a
+doubling evaluates f(last) and the powers of last alone.  math.fsum rounds
+the exact sum of its terms once, so a sum read from a store is
+bit-identical to one summed afresh.  Every 1-d term,
 the endpoint terms f(m) and f(b) of a bracket included, comes from one
 kernel (_terms), which evaluates the formula inline for a whole range; at
 k = 0 (the witness's power sums, and both sides at n = 2) it is the power
@@ -117,6 +123,10 @@ DIVERGES = "Diverges"
 # integral test of _sum_bracket takes over (see lower_bound_sum).
 _WITNESS_HEAD = 1000
 
+# Sums of one series whose first x lie in one block of this many share one
+# head store (see _direct_sum): the witness's p and q sides start at n and 1.
+_STORE_BLOCK = 64
+
 
 def _validate_order(n: int, r) -> Fraction | float:
     """Check the dimension n and the Schatten order r >= 1; return r."""
@@ -125,6 +135,15 @@ def _validate_order(n: int, r) -> Fraction | float:
     if r < 1:
         raise ValueError(f"Schatten order must satisfy r >= 1, got {r}")
     return r
+
+
+def _float_order(n: int, r) -> float:
+    """float(_validate_order(n, r)), an int order r >= 1 checked as it is,
+    without the round trip through Fraction."""
+    if type(r) is int and r >= 1:
+        spectrum._check_dimension(n)
+        return float(r)
+    return float(_validate_order(n, r))
 
 
 def _bound_constant(n: int) -> int:
@@ -215,10 +234,11 @@ def _term(k: int, shift: int, s: float, x: int, scale: int) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _prefix(k: int, shift: int, s: float, first: int, scale: int, t: int) -> array:
-    """The terms of one side and split t at x = first, first+1, ... that
-    _direct_sum has evaluated so far, at most _WITNESS_HEAD of them: empty
-    when created, extended in place by _direct_sum."""
+def _prefix(k: int, shift: int, s: float, base: int, scale: int, t: int) -> array:
+    """The terms of one series and split t at x = base, base+1, ... that
+    _direct_sum has evaluated so far: empty when created, extended in place
+    by _direct_sum, never past the head of _WITNESS_HEAD terms of a sum it
+    serves, so at most _STORE_BLOCK - 1 + _WITNESS_HEAD of them."""
     return array("d")
 
 
@@ -228,26 +248,29 @@ def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int)
     the module docstring).  Callers pass all six arguments positionally, so
     that equal sums share one key, and validate them before reaching the cache.
 
-    Terms already in the key's _prefix are read from it, the rest evaluated
-    in blocks of _WITNESS_HEAD, and the first _WITNESS_HEAD of a key kept,
-    so neither a prefix nor one call holds more than that many terms of a
-    side, at any cutoff.  The terms are those of _side_terms with the same t,
-    and fsum rounds their exact sum once, so the sum is bit-identical."""
+    The terms come from the _prefix store of the series that starts at the
+    first x of first's block of _STORE_BLOCK, so sums starting in one block
+    read one array.  The store grows to hold the sum's first _WITNESS_HEAD
+    terms and no more, the rest are evaluated in blocks of _WITNESS_HEAD, so
+    neither a store nor one call holds more than _STORE_BLOCK - 1 +
+    _WITNESS_HEAD terms of a series, at any cutoff.  The terms are those of
+    _side_terms with the same t, and fsum rounds their exact sum once, so the
+    sum is bit-identical."""
     if last < first:
         return 0.0
     t = _split(k, s, last, scale)
-    prefix = _prefix(k, shift, s, first, scale, t)
-    stop = last + 1
-    if stop - first <= len(prefix):
-        return math.fsum(prefix[: stop - first])
-    head = _side_terms(k, shift, s, first + len(prefix), min(stop, first + _WITNESS_HEAD) - 1, scale, t)
+    base = first - (first - 1) % _STORE_BLOCK
+    prefix = _prefix(k, shift, s, base, scale, t)
+    held = base + len(prefix)
+    if last < held:
+        return math.fsum(prefix[first - base : last + 1 - base])
+    grow_to = min(last + 1, first + _WITNESS_HEAD)
+    prefix.fromlist(_side_terms(k, shift, s, held, grow_to - 1, scale, t))
     rest = (
-        _side_terms(k, shift, s, x, min(stop, x + _WITNESS_HEAD) - 1, scale, t)
-        for x in range(first + _WITNESS_HEAD, stop, _WITNESS_HEAD)
+        _side_terms(k, shift, s, x, min(last + 1, x + _WITNESS_HEAD) - 1, scale, t)
+        for x in range(max(held, grow_to), last + 1, _WITNESS_HEAD)
     )
-    total = math.fsum(chain(prefix, head, chain.from_iterable(rest)))
-    prefix.fromlist(head)
-    return total
+    return math.fsum(chain(prefix[first - base :], chain.from_iterable(rest)))
 
 
 def _rank_terms(n: int, r: float, P: int, Q: int) -> list[tuple]:
@@ -369,6 +392,17 @@ def _expansion(k: int, shift: int) -> tuple[float, ...]:
     return tuple(c / math.factorial(k) for c in coeffs)
 
 
+@functools.lru_cache(maxsize=64)
+def _bracket_head(k: int, shift: int, s: float, first: int, m: int, scale: int) -> tuple:
+    """What every _sum_bracket with the integral test from m on shares, at
+    any last >= m: the direct sum over first <= x < m, f(m), scale^{-s}, and
+    (c_j, e, m^e) per term c_j x^j of the expanded binomial, e = j+1-s
+    (m^e unused when e = 0)."""
+    exponents = [(c, j + 1 - s) for j, c in enumerate(_expansion(k, shift))]
+    powers = [(c, e, float(m) ** e if e else 0.0) for c, e in exponents]
+    return _direct_sum(k, shift, s, first, m - 1, scale), _term(k, shift, s, m, scale), float(scale) ** -s, powers
+
+
 def _sum_bracket(
     k: int, shift: int, s: float, first: int, last, direct_to: int, scale: int = 1
 ) -> tuple[float, float]:
@@ -378,25 +412,25 @@ def _sum_bracket(
     module docstring.  With e = j+1-s, the term c_j x^j of the expanded
     binomial adds c_j scale^{-s} (last^e - m^e) / e to the integral, or
     c_j scale^{-s} log(last/m) when e = 0; counting |m^e| and |last^e| apart in
-    its size covers their cancellation and that of alternating c_j.
+    its size covers their cancellation and that of alternating c_j.  All that
+    depends only on m comes from _bracket_head, so a call evaluates f(last)
+    and the powers of last alone.
     """
     m = max(first, direct_to + 1)
-    direct = _direct_sum(k, shift, s, first, min(last, m - 1), scale)
     if m > last:
+        direct = _direct_sum(k, shift, s, first, last, scale)
         return _outward(direct, direct, direct)
+    direct, f_m, scale_s, powers = _bracket_head(k, shift, s, first, m, scale)
     pieces, sizes = [], []
-    for j, c in enumerate(_expansion(k, shift)):
-        e = j + 1 - s
+    for c, e, m_e in powers:
         if e == 0:
             pieces.append(c * math.log1p((last - m) / m))
             sizes.append(abs(pieces[-1]))
         else:
-            ends = float(m) ** e, float(last) ** e
-            pieces.append(c * (ends[1] - ends[0]) / e)
-            sizes.append(abs(c * (ends[0] + ends[1]) / e))
-    scale_s = float(scale) ** -s
+            last_e = float(last) ** e
+            pieces.append(c * (last_e - m_e) / e)
+            sizes.append(abs(c * (m_e + last_e) / e))
     integral = math.fsum(pieces) * scale_s
-    f_m = _term(k, shift, s, m, scale)
     f_last = 0.0 if last == math.inf else _term(k, shift, s, last, scale)
     return _outward(
         direct + integral + min(f_m, f_last),
@@ -412,15 +446,18 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     separates as p^{n-1-r} q^{n-2-r} + p^{n-2-r} q^{n-1-r}, so the double sum
     combines four 1-d power sums, each the lower end of _sum_bracket; the cost
     does not grow with the cutoffs, which the r = n divergence witness doubles
-    about 60 times.  From P, Q >= _WITNESS_HEAD + n the four direct heads are
-    the same sums at every cutoff, and _direct_sum computes them once.  The
+    about 60 times.  From P, Q >= _WITNESS_HEAD + n each bracket reads its
+    direct head, f(m) and the powers of m from _bracket_head, so a doubling
+    evaluates four endpoint terms and the powers of its cutoff; at r = n the
+    four sums are two series, whose head stores the witnesses of every
+    n <= _STORE_BLOCK share (module docstring).  An int order skips the
+    round trip through Fraction (_float_order).  The
     quotient by (n-1)!(n-2)! is one float division while that constant is a
     double (n <= 15), an exact Fraction rounded once beyond: the same float.
     """
-    r = _validate_order(n, r)
+    rf = _float_order(n, r)
     _check_int("P", P, n)
     _check_int("Q", Q, 1)
-    rf = float(r)
     # sp1 = sum_p p^{n-1-r}, sp2 = sum_p p^{n-2-r}, and the same over q
     sp1, sp2, sq1, sq2 = (
         _sum_bracket(0, 0, rf - n + j, first, last, first + _WITNESS_HEAD - 1)[0]

@@ -134,8 +134,8 @@ def test_every_library_memo_is_bounded_or_parameterless():
         faults, memos = memo_faults(path.read_text())
         assert not faults, (path.name, faults)
         total += memos
-    # schatten._direct_sum, schatten._prefix, schatten._expansion and cli._parser
-    assert total == 4
+    # schatten._direct_sum, _prefix, _bracket_head and _expansion, and cli._parser
+    assert total == 5
 
 
 @pytest.mark.parametrize(
@@ -334,7 +334,7 @@ def test_warm_and_cold_runs_print_the_same_bytes(tmp_path):
 
 def test_clearing_empties_every_memo():
     memos = library_memos()
-    assert {memo.__name__ for memo in memos} == {"_direct_sum", "_prefix", "_expansion", "build_parser"}
+    assert {memo.__name__ for memo in memos} == {"_direct_sum", "_prefix", "_bracket_head", "_expansion", "build_parser"}
     schatten.schatten_report(3, 3.5, 30, 20)
     cli._parser()
     assert all(memo.cache_info().currsize for memo in memos)

@@ -478,9 +478,11 @@ class TestDirectSumMemo:
 
     @pytest.mark.parametrize("n, doublings", [(2, 58), (3, 52), (4, 47)])
     def test_witness_sums_its_heads_once(self, n, doublings):
-        # criterion 5's doubling from cutoff 100: once the cutoff passes the
-        # head of _WITNESS_HEAD terms, every doubling reuses the same four sums
-        schatten._direct_sum.cache_clear()
+        # criterion 5's doubling from cutoff 100: the cutoffs 100 .. 800 lie
+        # inside the head of _WITNESS_HEAD terms, so each of the four power
+        # sums is summed directly there; from 1600 on every doubling reads
+        # the same four heads of _bracket_head, each summed once
+        clear_library_memos()
         base = lower_bound_sum(n, n, 100, 100)
         cutoff, count, value = 100, 0, base
         while value <= 10 * base:
@@ -489,9 +491,9 @@ class TestDirectSumMemo:
             count += 1
             value = lower_bound_sum(n, n, cutoff, cutoff)
         assert count == doublings
-        info = schatten._direct_sum.cache_info()
-        assert info.misses <= 20
-        assert info.hits + info.misses == 4 * (doublings + 1)
+        heads, sums = schatten._bracket_head.cache_info(), schatten._direct_sum.cache_info()
+        assert (heads.misses, heads.hits) == (4, 4 * (doublings - 4))
+        assert (sums.misses, sums.hits) == (4 * 4 + 4, 0)
 
     def test_float_report_shares_its_partial_sum_factors(self):
         schatten._direct_sum.cache_clear()
@@ -533,8 +535,10 @@ class TestDirectSumMemo:
         lengths = []
         for _, *sides in schatten._rank_terms(2, 2.5, P, Q):
             for k, shift, s, first, last, scale in sides:
+                # the store of a series starts at the first x of first's block
+                base = first - (first - 1) % schatten._STORE_BLOCK
                 hits = schatten._prefix.cache_info().hits
-                terms = schatten._prefix(k, shift, s, first, scale, schatten._split(k, s, last, scale))
+                terms = schatten._prefix(k, shift, s, base, scale, schatten._split(k, s, last, scale))
                 assert schatten._prefix.cache_info().hits == hits + 1
                 lengths.append(len(terms))
         assert len(lengths) == 4
@@ -564,6 +568,68 @@ class TestDirectSumMemo:
             value = lower_bound_sum(2, 2, cutoff, cutoff)
         assert cutoff == 100 * 2**58
         assert sum(evaluated) <= 4 * _WITNESS_HEAD
+
+    def test_witnesses_share_one_head_per_series(self, monkeypatch):
+        # at r = n the four power sums are sum x^-1 and sum x^-2 from x = n
+        # and from x = 1: the n = 2 and n = 3 witnesses read two head stores
+        clear_library_memos()
+        evaluated = []
+        side_terms = schatten._side_terms
+
+        def counting(*args):
+            terms = side_terms(*args)
+            evaluated.append(len(terms))
+            return terms
+
+        monkeypatch.setattr(schatten, "_side_terms", counting)
+        for n, doublings in ((2, 58), (3, 52)):
+            for i in range(doublings + 1):
+                lower_bound_sum(n, n, 100 * 2**i, 100 * 2**i)
+        assert sum(evaluated) <= 2 * (_WITNESS_HEAD + 3)
+
+    def test_doubling_evaluates_two_terms_per_power_sum(self, monkeypatch):
+        # past its head a power sum's bracket evaluates f(last) alone: f(m)
+        # at the head's end is kept with the head
+        clear_library_memos()
+        evaluated = []
+        term = schatten._term
+
+        def counting(*args):
+            evaluated.append(args)
+            return term(*args)
+
+        monkeypatch.setattr(schatten, "_term", counting)
+        cutoffs = [100 * 2**i for i in range(59)]
+        for cutoff in cutoffs:
+            lower_bound_sum(2, 2, cutoff, cutoff)
+        past_head = sum(cutoff >= 2 + _WITNESS_HEAD for cutoff in cutoffs)
+        assert past_head == 55
+        assert len(evaluated) <= 4 * past_head + 4
+
+    def test_shared_head_store_is_bit_identical(self):
+        """Power sums of one series from first = 1 .. 5 read one store; every
+        sum, cold, warm or in shuffled order, equals math.fsum of its terms."""
+        edge = _WITNESS_HEAD - 1
+        keys = [
+            (0, 0, s, first, last, 1)
+            for s in (1.0, 2.0, 1.25, 3.5)
+            for first in range(1, 6)
+            for last in (first, 7, 500, first + edge - 1, first + edge, first + edge + 1, edge + 6, 1010, 3000)
+            if last >= first
+        ]
+        expected = {key: repr(math.fsum(schatten._side_terms(*key))) for key in keys}
+        shuffled = random.Random(29).sample(keys, len(keys))
+        for order, cold in ((keys, True), (keys, False), (shuffled, True), (shuffled[::-1], False)):
+            if cold:
+                clear_library_memos()
+            for key in order:
+                # the memoised sum, and the store read afresh past that memo
+                assert repr(schatten._direct_sum(*key)) == expected[key], key
+                assert repr(schatten._direct_sum.__wrapped__(*key)) == expected[key], key
+        # one store per series, from x = 1 through the head of the sum from x = 5
+        assert schatten._prefix.cache_info().currsize == 4
+        stores = [schatten._prefix(0, 0, s, 1, 1, 0) for s in (1.0, 2.0, 1.25, 3.5)]
+        assert [len(store) for store in stores] == [4 + _WITNESS_HEAD] * 4
 
 
 class TestRankSplit:
