@@ -137,15 +137,6 @@ def _validate_order(n: int, r) -> Fraction | float:
     return r
 
 
-def _float_order(n: int, r) -> float:
-    """float(_validate_order(n, r)), an int order r >= 1 checked as it is,
-    without the round trip through Fraction."""
-    if type(r) is int and r >= 1:
-        spectrum._check_dimension(n)
-        return float(r)
-    return float(_validate_order(n, r))
-
-
 def _bound_constant(n: int) -> int:
     return math.factorial(n - 1) * math.factorial(n - 2)
 
@@ -399,7 +390,7 @@ def _bracket_head(k: int, shift: int, s: float, first: int, m: int, scale: int) 
     (c_j, e, m^e) per term c_j x^j of the expanded binomial, e = j+1-s
     (m^e unused when e = 0)."""
     exponents = [(c, j + 1 - s) for j, c in enumerate(_expansion(k, shift))]
-    powers = [(c, e, float(m) ** e if e else 0.0) for c, e in exponents]
+    powers = tuple((c, e, float(m) ** e if e else 0.0) for c, e in exponents)
     return _direct_sum(k, shift, s, first, m - 1, scale), _term(k, shift, s, m, scale), float(scale) ** -s, powers
 
 
@@ -450,12 +441,15 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     direct head, f(m) and the powers of m from _bracket_head, so a doubling
     evaluates four endpoint terms and the powers of its cutoff; at r = n the
     four sums are two series, whose head stores the witnesses of every
-    n <= _STORE_BLOCK share (module docstring).  An int order skips the
-    round trip through Fraction (_float_order).  The
+    n <= _STORE_BLOCK share (module docstring).  The
     quotient by (n-1)!(n-2)! is one float division while that constant is a
     double (n <= 15), an exact Fraction rounded once beyond: the same float.
     """
-    rf = _float_order(n, r)
+    if type(r) is int and r >= 1:  # valid as it is, without the round trip through Fraction
+        spectrum._check_dimension(n)
+        rf = float(r)
+    else:
+        rf = float(_validate_order(n, r))
     _check_int("P", P, n)
     _check_int("Q", Q, 1)
     # sp1 = sum_p p^{n-1-r}, sp2 = sum_p p^{n-2-r}, and the same over q

@@ -334,7 +334,8 @@ def test_warm_and_cold_runs_print_the_same_bytes(tmp_path):
 
 def test_clearing_empties_every_memo():
     memos = library_memos()
-    assert {memo.__name__ for memo in memos} == {"_direct_sum", "_prefix", "_bracket_head", "_expansion", "build_parser"}
+    names = {"_direct_sum", "_prefix", "_bracket_head", "_expansion", "build_parser"}
+    assert {memo.__name__ for memo in memos} == names
     schatten.schatten_report(3, 3.5, 30, 20)
     cli._parser()
     assert all(memo.cache_info().currsize for memo in memos)

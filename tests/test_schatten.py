@@ -587,7 +587,7 @@ class TestDirectSumMemo:
                 lower_bound_sum(n, n, 100 * 2**i, 100 * 2**i)
         assert sum(evaluated) <= 2 * (_WITNESS_HEAD + 3)
 
-    def test_doubling_evaluates_two_terms_per_power_sum(self, monkeypatch):
+    def test_doubling_evaluates_only_its_new_endpoints(self, monkeypatch):
         # past its head a power sum's bracket evaluates f(last) alone: f(m)
         # at the head's end is kept with the head
         clear_library_memos()
