@@ -256,12 +256,15 @@ def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int)
     if last < held:
         return math.fsum(prefix[first - base : last + 1 - base])
     grow_to = min(last + 1, first + _WITNESS_HEAD)
-    prefix.fromlist(_side_terms(k, shift, s, held, grow_to - 1, scale, t))
+    head = _side_terms(k, shift, s, held, grow_to - 1, scale, t)
     rest = (
         _side_terms(k, shift, s, x, min(last + 1, x + _WITNESS_HEAD) - 1, scale, t)
         for x in range(max(held, grow_to), last + 1, _WITNESS_HEAD)
     )
-    return math.fsum(chain(prefix[first - base :], chain.from_iterable(rest)))
+    # new terms are summed from their list: reading them back from the array would box each again
+    total = math.fsum(chain(prefix[first - base :], head[max(0, first - held) :], chain.from_iterable(rest)))
+    prefix.fromlist(head)
+    return total
 
 
 def _rank_terms(n: int, r: float, P: int, Q: int) -> list[tuple]:
