@@ -196,32 +196,23 @@ def _split(k: int, s: float, last, scale: int) -> int:
     return k and max(0, min(k, math.ceil(s - 1000 / math.log2(max(2, scale * last)))))
 
 
-def _terms(k: int, shift: int, s: float, scale: int, t: int, xs) -> list[float]:
-    """The 1-d terms C(x+shift, k) (scale x)^{-s} for x in xs, the module's
-    one copy of the term: C(x+shift, k) / b^t (an exact quotient rounded
-    once) times b^e, b = scale x and e = t-s.  With t from _split, a binomial
-    past the float range or a power below it never spoils a representable
-    term.  At k = 0 = t the quotient is 1/1, so the term is b^e alone, bit
-    for bit."""
+def _terms(
+    k: int, shift: int, s: float, first: int, last: int, scale: int = 1, t: int | None = None
+) -> list[float]:
+    """The 1-d terms C(x+shift, k) (scale x)^{-s} at first <= x <= last, the
+    module's one copy of the term: C(x+shift, k) / b^t (an exact quotient
+    rounded once) times b^e, b = scale x and e = t-s, with t split at last
+    (_split) unless given.  So a binomial past the float range or a power
+    below it never spoils a representable term.  At k = 0 = t the quotient is
+    1/1, so the term is b^e alone, bit for bit.  The term at x alone is
+    _terms(k, shift, s, x, x, scale)[0]."""
+    if t is None:
+        t = _split(k, s, last, scale)
     e = t - s
+    xs = range(first, last + 1)
     if k == t == 0:
         return [(scale * x) ** e for x in xs]
     return [math.comb(x + shift, k) / (b := scale * x) ** t * b**e for x in xs]
-
-
-def _side_terms(
-    k: int, shift: int, s: float, first: int, last: int, scale: int = 1, t: int | None = None
-) -> list[float]:
-    """The kernel's terms at first <= x <= last, the ranges _direct_sum sums,
-    all with the t split at last unless t is given."""
-    if t is None:
-        t = _split(k, s, last, scale)
-    return _terms(k, shift, s, scale, t, range(first, last + 1))
-
-
-def _term(k: int, shift: int, s: float, x: int, scale: int) -> float:
-    """The term at x alone, t split at x: _side_terms(k, shift, s, x, x, scale)[0]."""
-    return _terms(k, shift, s, scale, _split(k, s, x, scale), (x,))[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -235,7 +226,7 @@ def _prefix(k: int, shift: int, s: float, base: int, scale: int, t: int) -> arra
 
 @functools.lru_cache(maxsize=256)
 def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int) -> float:
-    """math.fsum of _side_terms(k, shift, s, first, last, scale), memoised (see
+    """math.fsum of _terms(k, shift, s, first, last, scale), memoised (see
     the module docstring).  Callers pass all six arguments positionally, so
     that equal sums share one key, and validate them before reaching the cache.
 
@@ -245,7 +236,7 @@ def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int)
     terms and no more, the rest are evaluated in blocks of _WITNESS_HEAD, so
     neither a store nor one call holds more than _STORE_BLOCK - 1 +
     _WITNESS_HEAD terms of a series, at any cutoff.  The terms are those of
-    _side_terms with the same t, and fsum rounds their exact sum once, so the
+    _terms with the same t, and fsum rounds their exact sum once, so the
     sum is bit-identical."""
     if last < first:
         return 0.0
@@ -256,9 +247,9 @@ def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int)
     if last < held:
         return math.fsum(prefix[first - base : last + 1 - base])
     grow_to = min(last + 1, first + _WITNESS_HEAD)
-    head = _side_terms(k, shift, s, held, grow_to - 1, scale, t)
+    head = _terms(k, shift, s, held, grow_to - 1, scale, t)
     rest = (
-        _side_terms(k, shift, s, x, min(last + 1, x + _WITNESS_HEAD) - 1, scale, t)
+        _terms(k, shift, s, x, min(last + 1, x + _WITNESS_HEAD) - 1, scale, t)
         for x in range(max(held, grow_to), last + 1, _WITNESS_HEAD)
     )
     # new terms are summed from their list: reading them back from the array would box each again
@@ -317,7 +308,7 @@ def partial_sum_series(n: int, r, cutoff: int) -> list[tuple[int, float]]:
     _check_int("cutoff", cutoff)
     # after a leading 0, the last cutoff + 1 prefix sums of a side put its sum up to cutoff c at index c
     prefix = [
-        (w, *(list(accumulate(_side_terms(*side), initial=0.0))[-cutoff - 1 :] for side in sides))
+        (w, *(list(accumulate(_terms(*side), initial=0.0))[-cutoff - 1 :] for side in sides))
         for w, *sides in _rank_terms(n, float(r), cutoff, cutoff)
     ]
     return [(c, _combine(n, prefix, lambda a, b: a[c] * b[c])) for c in range(1, cutoff + 1)]
@@ -394,7 +385,8 @@ def _bracket_head(k: int, shift: int, s: float, first: int, m: int, scale: int) 
     (m^e unused when e = 0)."""
     exponents = [(c, j + 1 - s) for j, c in enumerate(_expansion(k, shift))]
     powers = tuple((c, e, float(m) ** e if e else 0.0) for c, e in exponents)
-    return _direct_sum(k, shift, s, first, m - 1, scale), _term(k, shift, s, m, scale), float(scale) ** -s, powers
+    f_m = _terms(k, shift, s, m, m, scale)[0]
+    return _direct_sum(k, shift, s, first, m - 1, scale), f_m, float(scale) ** -s, powers
 
 
 def _sum_bracket(
@@ -425,7 +417,7 @@ def _sum_bracket(
             pieces.append(c * (last_e - m_e) / e)
             sizes.append(abs(c * (m_e + last_e) / e))
     integral = math.fsum(pieces) * scale_s
-    f_last = 0.0 if last == math.inf else _term(k, shift, s, last, scale)
+    f_last = 0.0 if last == math.inf else _terms(k, shift, s, last, last, scale)[0]
     return _outward(
         direct + integral + min(f_m, f_last),
         direct + integral + max(f_m, f_last),

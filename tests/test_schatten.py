@@ -7,9 +7,11 @@ and the whole tail bracket against the zeta closed forms of ||G||_r^r for
 n = 2 and 3, before the acceptance suite leans on it.
 """
 
+import collections
 import contextlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -457,6 +459,22 @@ def memo_grid(seed):
     return cases
 
 
+def count_kernel_terms(monkeypatch) -> collections.Counter:
+    """Patch the kernel _terms to count the terms it evaluates per calling
+    function: _direct_sum evaluates head terms, _bracket_head and
+    _sum_bracket the endpoint terms f(m) and f(last)."""
+    evaluated = collections.Counter()
+    kernel = schatten._terms
+
+    def counting(*args):
+        terms = kernel(*args)
+        evaluated[sys._getframe(1).f_code.co_name] += len(terms)
+        return terms
+
+    monkeypatch.setattr(schatten, "_terms", counting)
+    return evaluated
+
+
 class TestDirectSumMemo:
     """Every directly summed 1-d sum goes through the memoised _direct_sum."""
 
@@ -466,7 +484,7 @@ class TestDirectSumMemo:
         def evaluate():
             return [repr(function(*args)) for function, args in cases]
 
-        monkeypatch.setattr(schatten, "_direct_sum", lambda *key: math.fsum(schatten._side_terms(*key)))
+        monkeypatch.setattr(schatten, "_direct_sum", lambda *key: math.fsum(schatten._terms(*key)))
         reference = evaluate()
         monkeypatch.undo()
         clear_library_memos()
@@ -516,17 +534,15 @@ class TestDirectSumMemo:
     )
     def test_stored_prefixes_are_bit_identical(self, k, shift, s, first, scale, lasts):
         """A side queried with a growing, then a shrinking last sums exactly
-        the terms _side_terms gives for that last, t split there."""
+        the terms _terms gives for that last, t split there."""
         clear_library_memos()
         for last in lasts:
-            expected = math.fsum(schatten._side_terms(k, shift, s, first, last, scale))
+            expected = math.fsum(schatten._terms(k, shift, s, first, last, scale))
             assert repr(schatten._direct_sum(k, shift, s, first, last, scale)) == repr(expected)
         if k == 3:
             assert {schatten._split(k, s, last, scale) for last in lasts} == {0, 1, 2, 3}
             # the split changes the rounding of a term near the bottom of the float range
-            assert schatten._side_terms(k, shift, s, 1300, 1300, scale, 0) != schatten._side_terms(
-                k, shift, s, 1300, 1300, scale
-            )
+            assert schatten._terms(k, shift, s, 1300, 1300, scale, 0) != schatten._terms(k, shift, s, 1300, 1300, scale)
 
     def test_store_is_bounded(self):
         clear_library_memos()
@@ -552,59 +568,40 @@ class TestDirectSumMemo:
         # criterion 5's n = 2 doubling: the heads at cutoffs 100 .. 800 are
         # prefixes of the _WITNESS_HEAD-term head, so no term is evaluated twice
         clear_library_memos()
-        evaluated = []
-        side_terms = schatten._side_terms
-
-        def counting(*args):
-            terms = side_terms(*args)
-            evaluated.append(len(terms))
-            return terms
-
-        monkeypatch.setattr(schatten, "_side_terms", counting)
+        evaluated = count_kernel_terms(monkeypatch)
         base = lower_bound_sum(2, 2, 100, 100)
         cutoff, value = 100, base
         while value <= 10 * base:
             cutoff *= 2
             value = lower_bound_sum(2, 2, cutoff, cutoff)
         assert cutoff == 100 * 2**58
-        assert sum(evaluated) <= 4 * _WITNESS_HEAD
+        assert evaluated["_direct_sum"] <= 4 * _WITNESS_HEAD
+        # every head term sits once in the store of its series, x^-1 or x^-2 from x = 1
+        stores = [schatten._prefix(0, 0, s, 1, 1, 0) for s in (1.0, 2.0)]
+        assert evaluated["_direct_sum"] == sum(map(len, stores))
 
     def test_witnesses_share_one_head_per_series(self, monkeypatch):
         # at r = n the four power sums are sum x^-1 and sum x^-2 from x = n
         # and from x = 1: the n = 2 and n = 3 witnesses read two head stores
         clear_library_memos()
-        evaluated = []
-        side_terms = schatten._side_terms
-
-        def counting(*args):
-            terms = side_terms(*args)
-            evaluated.append(len(terms))
-            return terms
-
-        monkeypatch.setattr(schatten, "_side_terms", counting)
+        evaluated = count_kernel_terms(monkeypatch)
         for n, doublings in ((2, 58), (3, 52)):
             for i in range(doublings + 1):
                 lower_bound_sum(n, n, 100 * 2**i, 100 * 2**i)
-        assert sum(evaluated) <= 2 * (_WITNESS_HEAD + 3)
+        assert evaluated["_direct_sum"] <= 2 * (_WITNESS_HEAD + 3)
 
     def test_doubling_evaluates_only_its_new_endpoints(self, monkeypatch):
         # past its head a power sum's bracket evaluates f(last) alone: f(m)
         # at the head's end is kept with the head
         clear_library_memos()
-        evaluated = []
-        term = schatten._term
-
-        def counting(*args):
-            evaluated.append(args)
-            return term(*args)
-
-        monkeypatch.setattr(schatten, "_term", counting)
+        evaluated = count_kernel_terms(monkeypatch)
         cutoffs = [100 * 2**i for i in range(59)]
         for cutoff in cutoffs:
             lower_bound_sum(2, 2, cutoff, cutoff)
         past_head = sum(cutoff >= 2 + _WITNESS_HEAD for cutoff in cutoffs)
         assert past_head == 55
-        assert len(evaluated) <= 4 * past_head + 4
+        assert set(evaluated) == {"_direct_sum", "_bracket_head", "_sum_bracket"}
+        assert evaluated["_bracket_head"] + evaluated["_sum_bracket"] <= 4 * past_head + 4
 
     def test_shared_head_store_is_bit_identical(self):
         """Power sums of one series from first = 1 .. 5 read one store; every
@@ -617,7 +614,7 @@ class TestDirectSumMemo:
             for last in (first, 7, 500, first + edge - 1, first + edge, first + edge + 1, edge + 6, 1010, 3000)
             if last >= first
         ]
-        expected = {key: repr(math.fsum(schatten._side_terms(*key))) for key in keys}
+        expected = {key: repr(math.fsum(schatten._terms(*key))) for key in keys}
         shuffled = random.Random(29).sample(keys, len(keys))
         for order, cold in ((keys, True), (keys, False), (shuffled, True), (shuffled[::-1], False)):
             if cold:
@@ -685,32 +682,35 @@ class TestTermKernel:
     def test_terms_match_the_reference_formula(self):
         crossed = 0
         for k, shift, s, first, last, scale, t in kernel_grid(27):
+
+            def reference(first, last, split):
+                return [
+                    repr(math.comb(x + shift, k) / (scale * x) ** split * (scale * x) ** (split - s))
+                    for x in range(first, last + 1)
+                ]
+
             split = schatten._split(k, s, last, scale) if t is None else t
-            expected = [
-                math.comb(x + shift, k) / (scale * x) ** split * (scale * x) ** (split - s)
-                for x in range(first, last + 1)
-            ]
-            got = schatten._side_terms(k, shift, s, first, last, scale, t)
-            assert list(map(repr, got)) == list(map(repr, expected)), (k, shift, s, first, last, scale, t)
+            got = schatten._terms(k, shift, s, first, last, scale, t)
+            assert list(map(repr, got)) == reference(first, last, split), (k, shift, s, first, last, scale, t)
             crossed += schatten._split(k, s, first, scale) != schatten._split(k, s, last, scale)
             for x in (first, last):
-                assert repr(schatten._term(k, shift, s, x, scale)) == repr(
-                    schatten._side_terms(k, shift, s, x, x, scale)[0]
-                )
+                # a single term splits t at its own x
+                single = schatten._terms(k, shift, s, x, x, scale)
+                assert list(map(repr, single)) == reference(x, x, schatten._split(k, s, x, scale))
         assert crossed >= 3
 
     def test_one_kernel_feeds_every_term(self):
-        """Doubling the kernel's terms doubles _side_terms, _term, the direct
-        sums and the float partial sum (two factors) exactly: none of them
-        keeps a copy of the term formula."""
+        """Doubling the kernel's terms doubles ranges and single terms of
+        _terms, the direct sums and the float partial sum (two factors)
+        exactly: none of them keeps a copy of the term formula."""
         sides = [(0, 0, 1.25, 2, 1500, 1), (1, 1, 2.5, 1, 300, 2), (3, -1, 100.5, 900, 1300, 1)]
         n, r, P, Q = 3, Fraction(7, 2), 50, 40
 
         def evaluate():
             clear_library_memos()
             return (
-                [schatten._side_terms(*side) for side in sides],
-                [schatten._term(k, shift, s, x, scale) for k, shift, s, _, x, scale in sides],
+                [schatten._terms(*side) for side in sides],
+                [schatten._terms(k, shift, s, x, x, scale)[0] for k, shift, s, _, x, scale in sides],
                 [schatten._direct_sum(*side) for side in sides],
                 partial_sum(n, r, P, Q),
             )
