@@ -328,16 +328,16 @@ def approx_formula(n: int, r) -> float:
 
     Captures the blow-up like 1/(r-n) as r -> n+ and the exact leading decay
     n/(2n-2)^r as r -> infinity, but carries no quantified error: certified
-    statements must use partial_sum plus tail bounds instead.
+    statements must use partial_sum plus tail bounds instead.  The pole
+    factor takes r - n from the double of r, or exactly from r when that
+    double is n itself (r within double resolution above n).
     """
     r = _validate_order(n, r)
     if r <= n:
         raise ValueError(f"approximation requires r > n, got r={r}, n={n}")
     rf = float(r)
-    first = float(
-        Fraction(rf * 0.25**rf * float(n) ** (n - rf))
-        / (Fraction((rf - n) * (rf - n + 1)) * (n - 1) * _bound_constant(n))
-    )
+    pole = Fraction((rf - n) * (rf - n + 1)) if rf > n else (r - n) * (r - n + 1)
+    first = float(Fraction(rf * 0.25**rf * float(n) ** (n - rf)) / (pole * (n - 1) * _bound_constant(n)))
     second = n * float(2 * n - 2) ** -rf
     return first + second
 

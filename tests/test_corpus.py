@@ -45,7 +45,6 @@ GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
 SUBCOMMANDS = {"spectrum", "apply", "green-solve", "schatten", "schatten-approx", "sobolev-constant", "ratio", "verify"}
 # the flags whose value is a path the run writes
 WRITTEN = ("--output", "--emit-plot")
-PASSES = ("warm", "shuffled", "cold")
 
 FLOAT_DIMENSIONS = (2, 3, 4, 7, 25, 60)
 CUTOFFS = ((0, 1), (3, 3), (50, 70), (400, 400), (2000, 1500))
@@ -87,6 +86,10 @@ def cli_runs(tmp_path: Path) -> list[list[str]]:
     for n, r in ((2, "3"), (3, "7/2"), (4, "4.1"), (7, "15/2")):
         runs.append(["schatten-approx", "--n", str(n), "--r", r])
     runs.append(["schatten-approx", "--n", "3", "--r", "4", "--output", str(tmp_path / "approx.json")])
+    # orders above n whose double is n
+    for n, r in ((2, "2.0000000000000000001"), (3, "3.00000000000000000001")):
+        runs.append(["schatten", "--n", str(n), "--r", r, "--cutoff-p", "3", "--cutoff-q", "3"])
+    runs.append(["schatten-approx", "--n", "2", "--r", "2.0000000000000000001"])
     runs += [["sobolev-constant", "--n", str(n)] for n in (2, 3, 5, 10)]
     runs.append(["sobolev-constant", "--n", "4", "--output", str(tmp_path / "constant.json")])
     for n, s, k_max in ((2, "1", 6), (3, "1/2", 8), (4, "2", 5)):
@@ -180,8 +183,9 @@ def record(group: str, case: tuple, tmp_path: Path) -> str:
 
 def corpus_hashes(tmp_path: Path, order: str = "warm") -> dict[str, str]:
     """One SHA-256 per group over the records of its cases in corpus order,
-    the cases run in one of PASSES: warm in corpus order, warm in a seeded
-    shuffled order, or cold, every library memo cleared before each case."""
+    the cases run in order "warm" (corpus order), "shuffled" (a seeded
+    shuffled order, memos kept) or "cold" (every library memo cleared before
+    each case)."""
     cases = corpus(tmp_path)
     indices = list(range(len(cases)))
     if order == "shuffled":
@@ -220,7 +224,7 @@ def test_corpus_covers_both_divisions_and_the_split(tmp_path):
     assert {n - (n - 1) % schatten._STORE_BLOCK for n in (70, 80)} == {65}
     groups = [group for group, _ in corpus(tmp_path)]
     assert len(float_runs(tmp_path)) == 122
-    assert (len(groups) - groups.count("witness"), groups.count("witness")) == (102 + 122, 488)
+    assert (len(groups) - groups.count("witness"), groups.count("witness")) == (102 + 122 + 3, 488)
 
 
 if __name__ == "__main__":

@@ -277,6 +277,12 @@ class TestApproxFormula:
         with pytest.raises(ValueError):
             approx_formula(2, 2)
 
+    def test_order_whose_double_is_n(self):
+        # r > n but float(r) == n: the pole factor takes the exact gap r - n
+        for n, gap in ((2, Fraction(1, 10**19)), (3, Fraction(1, 10**20))):
+            assert float(n + gap) == n
+            assert approx_formula(n, n + gap) == pytest.approx(approx_pole_constant(n) / gap, rel=1e-15)
+
 
 def brute_side_sum(k, shift, s, first, last, scale=1):
     """sum_{x=first}^{last} C(x+shift, k) (scale x)^{-s} in plain floats, term by term."""
