@@ -1,29 +1,15 @@
 """Byte identity of every subcommand on one seeded corpus, run warm and cold.
 
 A memo that answered differently warm and cold would change bytes only in
-some call orders, so every case runs in three passes: warm in corpus order
-(one process, memos kept), warm in a seeded shuffled order, and cold (every
-library memo cleared before each case).  Each pass must give the SHA-256 per
-group committed in ``golden/corpus.json``.  The cases:
-
-- CLI argument lists over every subcommand and output flag, on seeded
-  inputs, including float ``schatten`` reports at non-integer orders r in
-  {n+1/2, n+1/3, n+29/4, 2201/2} for n in {2, 3, 4, 7, 25, 60} and five
-  cutoff pairs, from 2x1 cells to (2000, 1500), where the split t of the 1-d
-  terms exceeds 0 at the largest orders, and ``--emit-plot`` CSVs;
-- argument lists that must exit 1 with one JSON error on stderr;
-- the divergence witness ``lower_bound_sum(n, n, c, c)`` along criterion
-  5's doubling c = 100 * 2^i, i <= 60, for n in {2, 3, 4, 12, 13, 16, 70,
-  80}: the constant (n-1)!(n-2)! passes 2^53 at n = 13 and stops being a
-  double at n = 16, and the p sides of n = 70 and 80 read the head store
-  based at x = 65.
-
-A group is a subcommand, "errors" or "witness".  A CLI case is recorded as
-its argument list (the temporary directory written as ``<tmp>``), exit
-status, stdout, stderr and written files; a witness case as its repr line.
-After a change that is meant to move these bytes, regenerate the golden
-with ``PYTHONPATH=src python tests/test_corpus.py``: it prints each group
-whose hash changed, or "no group moved".
+some call orders, so the corpus runs warm in order, warm in a seeded
+shuffled order, and cold (every library memo cleared before each case), and
+each pass must give the SHA-256 per group in ``golden/corpus.json``.  A
+group is a subcommand, "errors" (exit 1 with one JSON error) or "witness"
+(``repr(lower_bound_sum(n, n, c, c))`` along criterion 5's doubling).  A
+CLI case is hashed as its argument list (the temporary directory written
+``<tmp>``), exit status, stdout, stderr and written files.  After a change
+meant to move these bytes, ``PYTHONPATH=src python tests/test_corpus.py``
+rewrites the golden and prints each group that moved, or "no group moved".
 """
 
 import contextlib
@@ -46,16 +32,16 @@ SUBCOMMANDS = {"spectrum", "apply", "green-solve", "schatten", "schatten-approx"
 # the flags whose value is a path the run writes
 WRITTEN = ("--output", "--emit-plot")
 
-FLOAT_DIMENSIONS = (2, 3, 4, 7, 25, 60)
-CUTOFFS = ((0, 1), (3, 3), (50, 70), (400, 400), (2000, 1500))
-PLOTS = ((2, Fraction(5, 2), 3000, 3200), (7, Fraction(97, 12), 600, 400))
 WITNESS_DIMENSIONS = (2, 3, 4, 12, 13, 16, 70, 80)
-DOUBLINGS = 60
 
 
-def cli_runs(tmp_path: Path) -> list[list[str]]:
-    """Seeded argument lists over every subcommand and output flag, the
-    seeded inputs written to tmp_path under fixed names."""
+def corpus(tmp_path: Path) -> list[tuple[str, tuple]]:
+    """(group, case) in corpus order, a case a CLI argument list or a witness
+    (n, c): seeded lists over every subcommand and output flag, the seeded
+    inputs written to tmp_path under fixed names; float schatten reports at
+    non-integer orders from 2x1 cells to (2000, 1500), where the split t of
+    the 1-d terms exceeds 0 at the largest orders; the witness at c = 100 *
+    2^i, i <= 60; and the error paths."""
     rng = random.Random(2026)
     runs = []
     for i in range(6):
@@ -104,27 +90,17 @@ def cli_runs(tmp_path: Path) -> list[list[str]]:
     runs.append(["verify", "--n", "2", "--max-degree", "2"])
     runs.append(["verify", "--n", "3", "--max-degree", "2", "--samples", "3",
                  "--output", str(tmp_path / "verify.json")])
-    return runs
-
-
-def float_runs(tmp_path: Path) -> list[list[str]]:
-    """Float schatten reports over the grid of the module docstring, then the plots."""
-    runs = [
+    runs += [
         ["schatten", "--n", str(n), "--r", str(r), "--cutoff-p", str(P), "--cutoff-q", str(Q)]
-        for n in FLOAT_DIMENSIONS
+        for n in (2, 3, 4, 7, 25, 60)
         for r in (n + Fraction(1, 2), n + Fraction(1, 3), n + Fraction(29, 4), Fraction(2201, 2))
-        for P, Q in CUTOFFS
+        for P, Q in ((0, 1), (3, 3), (50, 70), (400, 400), (2000, 1500))
     ]
-    for i, (n, r, P, Q) in enumerate(PLOTS):
+    for i, (n, r, P, Q) in enumerate(((2, Fraction(5, 2), 3000, 3200), (7, Fraction(97, 12), 600, 400))):
         runs.append(["schatten", "--n", str(n), "--r", str(r), "--cutoff-p", str(P), "--cutoff-q", str(Q),
                      "--emit-plot", str(tmp_path / f"float-plot{i}.csv")])
-    return runs
-
-
-def error_runs(tmp_path: Path) -> list[list[str]]:
-    """Argument lists that must exit 1 with one JSON error on stderr."""
     (tmp_path / "bad.json").write_text("{")
-    return [
+    errors = [
         ["green-solve", "--n", "3", "--input", str(tmp_path / "f0.json")],  # f0 is on C^2
         ["apply", "--n", "2", "--input", str(tmp_path / "missing.json"), "--operator", "green"],
         ["apply", "--n", "2", "--input", str(tmp_path / "bad.json"), "--operator", "boxb"],
@@ -143,42 +119,31 @@ def error_runs(tmp_path: Path) -> list[list[str]]:
         ["solve", "--n", "2"],
         [],
     ]
-
-
-def corpus(tmp_path: Path) -> list[tuple[str, tuple]]:
-    """(group, case) in corpus order: a case is a CLI argument list, or a
-    witness (n, c)."""
-    runs = [(argv[0], tuple(argv)) for argv in cli_runs(tmp_path) + float_runs(tmp_path)]
-    witnesses = [("witness", (n, 100 * 2**i)) for n in WITNESS_DIMENSIONS for i in range(DOUBLINGS + 1)]
-    return runs + witnesses + [("errors", tuple(argv)) for argv in error_runs(tmp_path)]
-
-
-def run(argv: tuple) -> tuple[int, str, str, list]:
-    """(exit status, stdout, stderr, written files) of one in-process CLI run;
-    each file a WRITTEN flag names is read, or None if absent, then removed."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = cli.main(list(argv))
-    written = []
-    for flag, value in zip(argv, argv[1:]):
-        if flag in WRITTEN:
-            path = Path(value)
-            written.append(path.read_text() if path.exists() else None)
-            path.unlink(missing_ok=True)
-    return status, out.getvalue(), err.getvalue(), written
+    witnesses = [("witness", (n, 100 * 2**i)) for n in WITNESS_DIMENSIONS for i in range(61)]
+    return [(argv[0], tuple(argv)) for argv in runs] + witnesses + [("errors", tuple(argv)) for argv in errors]
 
 
 def record(group: str, case: tuple, tmp_path: Path) -> str:
-    """The line a case adds to its group's hash."""
+    """The line a case adds to its group's hash: a witness's repr line, or a
+    CLI run's argument list, exit status, stdout, stderr and written files,
+    each file a WRITTEN flag names read (None if absent), then removed."""
     if group == "witness":
         n, c = case
         return f"{n} {c} {lower_bound_sum(n, n, c, c)!r}\n"
-    status, out, err, written = result = run(case)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(list(case))
     if group == "errors":
-        assert status == 1 and json.loads(err)["error"], case
+        assert status == 1 and json.loads(err.getvalue())["error"], case
     else:
-        assert status == 0 and not err, case
-    return json.dumps([list(case), *result]).replace(str(tmp_path), "<tmp>") + "\n"
+        assert status == 0 and not err.getvalue(), case
+    written = []
+    for flag, path in zip(case, map(Path, case[1:])):
+        if flag in WRITTEN:
+            written.append(path.read_text() if path.exists() else None)
+            path.unlink(missing_ok=True)
+    text = json.dumps([list(case), status, out.getvalue(), err.getvalue(), written])
+    return text.replace(str(tmp_path), "<tmp>") + "\n"
 
 
 def corpus_hashes(tmp_path: Path, order: str = "warm") -> dict[str, str]:
@@ -222,9 +187,9 @@ def test_corpus_covers_both_divisions_and_the_split(tmp_path):
     assert schatten._split(58, 1100.5, 1500, 2) > 0
     # the p sides of n = 70 and 80 start in the second store block, based at x = 65
     assert {n - (n - 1) % schatten._STORE_BLOCK for n in (70, 80)} == {65}
+    # 105 lists of the CLI slice (17 errors), 122 float schatten lists (2 plots) and 8 * 61 witness lines
     groups = [group for group, _ in corpus(tmp_path)]
-    assert len(float_runs(tmp_path)) == 122
-    assert (len(groups) - groups.count("witness"), groups.count("witness")) == (102 + 122 + 3, 488)
+    assert (len(groups), groups.count("errors"), groups.count("witness")) == (105 + 122 + 488, 17, 488)
 
 
 if __name__ == "__main__":

@@ -276,6 +276,17 @@ class TestSerialization:
         with pytest.raises(FormatError):
             fraction_from_string("0.5")
 
+    def test_input_in_any_terms_reads_to_lowest_terms(self):
+        # output is in lowest terms, input may be in any: reading reduces
+        assert fraction_from_string("2/4") == Fraction(1, 2)
+
+        def form(re, im):
+            return {"n": 2, "terms": [{"alpha": [1, 0], "beta": [0, 1], "re": re, "im": im}]}
+
+        f = polynomial_from_dict(form("2/4", "-3/6"))
+        assert f == polynomial_from_dict(form("1/2", "-1/2"))
+        assert polynomial_to_dict(f) == form("1/2", "-1/2")
+
     def test_decimal_conversion_matches_decimal(self):
         # Decimal(x) itself is the reference up to 20 000 digits, where it
         # is still quick; both sides of the _DECIMAL_DIRECT_BITS switch included

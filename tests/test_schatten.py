@@ -689,20 +689,17 @@ class TestTermKernel:
         crossed = 0
         for k, shift, s, first, last, scale, t in kernel_grid(27):
 
-            def reference(first, last, split):
-                return [
-                    repr(math.comb(x + shift, k) / (scale * x) ** split * (scale * x) ** (split - s))
-                    for x in range(first, last + 1)
-                ]
+            def reference(x, split):
+                return repr(math.comb(x + shift, k) / (scale * x) ** split * (scale * x) ** (split - s))
 
             split = schatten._split(k, s, last, scale) if t is None else t
-            got = schatten._terms(k, shift, s, first, last, scale, t)
-            assert list(map(repr, got)) == reference(first, last, split), (k, shift, s, first, last, scale, t)
+            got = list(map(repr, schatten._terms(k, shift, s, first, last, scale, t)))
+            assert got == [reference(x, split) for x in range(first, last + 1)], (k, shift, s, first, last, scale, t)
             crossed += schatten._split(k, s, first, scale) != schatten._split(k, s, last, scale)
-            for x in (first, last):
-                # a single term splits t at its own x
-                single = schatten._terms(k, shift, s, x, x, scale)
-                assert list(map(repr, single)) == reference(x, x, schatten._split(k, s, x, scale))
+            for x in (first, last):  # a single term splits t at its own x
+                assert list(map(repr, schatten._terms(k, shift, s, x, x, scale))) == [
+                    reference(x, schatten._split(k, s, x, scale))
+                ]
         assert crossed >= 3
 
     def test_one_kernel_feeds_every_term(self):
