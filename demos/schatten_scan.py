@@ -6,7 +6,7 @@ The demo certifies both sides of the boundary for n = 2:
   rigorous two-sided bracket for ||G||_3^3;
 * r = 2: the rigorous lower bound keeps growing under cutoff doubling (it
   only grows logarithmically, so the doublings run far past direct
-  summation -- a short direct head plus the integral test keeps each step O(1)).
+  summation -- a short direct head plus an Euler-Maclaurin bracket keeps each step O(1)).
 """
 
 from kohn_spectra.schatten import (

@@ -454,91 +454,102 @@ def cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, with_format: bool = False,
-                default_format: str = "json") -> None:
+def _add_common(parser: argparse.ArgumentParser, default_format: str | None = None) -> None:
+    """--n and --output, and --format when the subcommand has a default format."""
     parser.add_argument("--n", type=int, required=True, help="ambient complex dimension (>= 2)")
     parser.add_argument("--output", help="write to this path instead of stdout")
-    if with_format:
-        parser.add_argument(
-            "--format", choices=("json", "csv"), default=default_format,
-            help=f"output format (default {default_format})",
-        )
+    if default_format:
+        parser.add_argument("--format", choices=("json", "csv"), default=default_format,
+                            help=f"output format (default {default_format})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _spectrum_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "json")
+    p.add_argument("--cutoff", type=_fraction_arg, required=True, help="largest eigenvalue kept")
+    p.add_argument("--per-bidegree", action="store_true",
+                   help="one row per (p, q) instead of aggregating equal eigenvalues")
+
+
+def _apply_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--input", required=True, help="polynomial JSON file")
+    p.add_argument("--operator", choices=("boxb", "green", "hardy", "sobolev"), required=True)
+    p.add_argument("--t", type=_fraction_arg, default=Fraction(1),
+                   help="power for the sobolev operator (exact when an integer)")
+
+
+def _green_solve_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--input", required=True, help="polynomial JSON file")
+
+
+def _schatten_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--r", type=_fraction_arg, required=True, help="Schatten order (>= 1)")
+    p.add_argument("--cutoff-p", type=int, default=200)
+    p.add_argument("--cutoff-q", type=int, default=200)
+    p.add_argument("--emit-plot", help="write (cutoff, partial_sum) CSV to this path")
+
+
+def _schatten_approx_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--r", type=_fraction_arg, required=True, help="order (> n)")
+
+
+def _ratio_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "csv")
+    p.add_argument("--s", type=_fraction_arg, required=True, help="Sobolev gain exponent")
+    p.add_argument("--k-max", type=int, required=True)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--samples", type=int, default=25)
+
+
+# name: (help, handler, the subparser's arguments), in the order --help lists them
+_COMMANDS = {
+    "spectrum": ("eigenvalue/multiplicity tables up to a cutoff", cmd_spectrum, _spectrum_args),
+    "apply": ("apply a spectral operator to a polynomial", cmd_apply, _apply_args),
+    "green-solve": ("canonical solution of boxb u = f with residual", cmd_green_solve, _green_solve_args),
+    "schatten": ("Schatten r-norm report with certified tail bracket", cmd_schatten, _schatten_args),
+    "schatten-approx": ("closed-form approximation of ||G||_r^r", cmd_schatten_approx, _schatten_approx_args),
+    "sobolev-constant": ("best constant report with equality locus", cmd_sobolev_constant, _add_common),
+    "ratio": ("the Sobolev ratio sequence (k, value)", cmd_ratio, _ratio_args),
+    "verify": ("run the full oracle bundle; nonzero exit on failure", cmd_verify, _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.  A subparser's
+    prog, usage, help and errors do not depend on its siblings, so a command
+    line that names its subcommand first parses, fails and prints the same
+    through either; only the top level's --help and choices list them all."""
     parser = _Parser(
         prog="kohn-spectra",
         description="Exact spectral calculus for the Kohn Laplacian and complex "
         "Green operator on the unit sphere in C^n",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="eigenvalue/multiplicity tables up to a cutoff")
-    _add_common(p, with_format=True)
-    p.add_argument("--cutoff", type=_fraction_arg, required=True, help="largest eigenvalue kept")
-    p.add_argument(
-        "--per-bidegree", action="store_true",
-        help="one row per (p, q) instead of aggregating equal eigenvalues",
-    )
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("apply", help="apply a spectral operator to a polynomial")
-    _add_common(p)
-    p.add_argument("--input", required=True, help="polynomial JSON file")
-    p.add_argument(
-        "--operator", choices=("boxb", "green", "hardy", "sobolev"), required=True
-    )
-    p.add_argument(
-        "--t", type=_fraction_arg, default=Fraction(1),
-        help="power for the sobolev operator (exact when an integer)",
-    )
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("green-solve", help="canonical solution of boxb u = f with residual")
-    _add_common(p)
-    p.add_argument("--input", required=True, help="polynomial JSON file")
-    p.set_defaults(func=cmd_green_solve)
-
-    p = sub.add_parser("schatten", help="Schatten r-norm report with certified tail bracket")
-    _add_common(p)
-    p.add_argument("--r", type=_fraction_arg, required=True, help="Schatten order (>= 1)")
-    p.add_argument("--cutoff-p", type=int, default=200)
-    p.add_argument("--cutoff-q", type=int, default=200)
-    p.add_argument("--emit-plot", help="write (cutoff, partial_sum) CSV to this path")
-    p.set_defaults(func=cmd_schatten)
-
-    p = sub.add_parser("schatten-approx", help="closed-form approximation of ||G||_r^r")
-    _add_common(p)
-    p.add_argument("--r", type=_fraction_arg, required=True, help="order (> n)")
-    p.set_defaults(func=cmd_schatten_approx)
-
-    p = sub.add_parser("sobolev-constant", help="best constant report with equality locus")
-    _add_common(p)
-    p.set_defaults(func=cmd_sobolev_constant)
-
-    p = sub.add_parser("ratio", help="the Sobolev ratio sequence (k, value)")
-    _add_common(p, with_format=True, default_format="csv")
-    p.add_argument("--s", type=_fraction_arg, required=True, help="Sobolev gain exponent")
-    p.add_argument("--k-max", type=int, required=True)
-    p.set_defaults(func=cmd_ratio)
-
-    p = sub.add_parser("verify", help="run the full oracle bundle; nonzero exit on failure")
-    _add_common(p)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--seed", type=int, default=20240801)
-    p.add_argument("--samples", type=int, default=25)
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, handler, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=handler)
     return parser
 
 
-# One parser per process; parse_args fills a fresh Namespace on every call.
-_parser = functools.cache(build_parser)
+# One parser per subcommand per process (and one with all of them); parse_args
+# fills a fresh Namespace on every call.
+_parser = functools.lru_cache(maxsize=9)(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as exc:
         sys.stderr.write(_json_text({"error": str(exc)}))

@@ -34,9 +34,9 @@ n does the same.  _rank_terms states the split once, _combine its float
 evaluation order; the plotting series, the tail bracket and the float partial
 sum read both, the last over four 1-d math.fsum sums: O(P+Q) terms, not (P+1)Q.
 
-Certified 1-d sums.  The tail bracket and the divergence witness rest on one
-bracket (_sum_bracket) of a sum of f(x) = C(x+shift, k) (scale x)^{-s}: a
-direct head, then the integral test on the rest, where f is monotone,
+Certified 1-d sums.  The tail bracket rests on one bracket (_sum_bracket)
+of a sum of f(x) = C(x+shift, k) (scale x)^{-s}: a direct head, then the
+integral test on the rest, where f is monotone,
 
     integral_m^b f + min(f(m), f(b))  <=  sum_{x=m}^{b} f(x)
                                       <=  integral_m^b f + max(f(m), f(b)),
@@ -51,29 +51,31 @@ so once s > k they decrease for x >= s(k-shift-1)/(s-k), and tail terms
 below that point are summed directly: on the p side (C(x-1, n-2) x^{-s})
 that point is at most (n-1)(n-2) when s >= n-1, and the q side
 (shift = k) decreases for every q >= 1.  All factors are nonnegative, so
-the 1-d brackets combine directly into the two-sided tail bracket.  The
-witness brackets four power sums (k = 0) after a head of _WITNESS_HEAD
-terms, so one evaluation costs the same at any cutoff.
+the 1-d brackets combine directly into the two-sided tail bracket.
+
+The divergence witness brackets four power sums, f(x) = x^{-s}
+(_power_bracket).  At s > 0 every derivative of f keeps one sign on x > 0,
+so Euler-Maclaurin (NIST DLMF 2.10(i)) through the B_2 term leaves a
+remainder between 0 and the B_4 term, b = inf included:
+
+    sum_{x=m}^{b} f = integral_m^b f + (f(m) + f(b))/2 + (s/12)(m^{-s-1} - b^{-s-1})
+                      - theta s(s+1)(s+2)/720 (m^{-s-3} - b^{-s-3}),    0 <= theta <= 1.
+
+After a direct head of _WITNESS_HEAD terms this bracket is about 5e-10 wide
+at s = 1, where the integral test's is as wide as f(m), and one evaluation
+costs the same at any cutoff.  At s <= 0 (orders r <= n-1) the terms
+increase, and the integral test brackets them after a head of 1000 terms.
 
 Every directly summed 1-d sum -- a bracket's head and the four factors of
-the float partial sum -- is one call of the memoised _direct_sum, and a
-float report's partial sum reads the same four sums as the heads of its
-tail bracket.  _direct_sum takes its terms from _prefix, a bounded memo of
-the terms evaluated so far per series and split t, stored from the first x
-of a block of _STORE_BLOCK, so sums of one series that start at nearby x
-read one array.  At r = n the witness's four power sums are sum x^-1 and
-sum x^-2 from x = n and from x = 1, so its heads at every cutoff, and those
-of every dimension n <= _STORE_BLOCK, are prefixes of two arrays: the
-doublings evaluate each head term once per process, across dimensions.
-Past its direct head a bracket reads what depends only on the head's end m
--- the head's sum, f(m) and the powers of m -- from _bracket_head, so a
-doubling evaluates f(last) and the powers of last alone.  math.fsum rounds
-the exact sum of its terms once, so a sum read from a store is
-bit-identical to one summed afresh.  Every 1-d term,
-the endpoint terms f(m) and f(b) of a bracket included, comes from one
-kernel (_terms), which evaluates the formula inline for a whole range; at
-k = 0 (the witness's power sums, and both sides at n = 2) it is the power
-alone.
+the float partial sum -- is one call of the memoised _direct_sum, so a float
+report's partial sum and the heads of its tail bracket share their four
+sums, and the witness sums its four heads once per process, at every
+cutoff.  math.fsum rounds the exact sum of its terms once, so a memoised sum
+is bit-identical to one summed afresh.  Every 1-d term, the endpoint terms
+f(m) and f(b) of _sum_bracket included, comes from one kernel (_terms),
+which evaluates the formula inline for a whole range; at k = 0 (the
+witness's power sums, and both sides at n = 2) it is the power x^{-s} alone,
+which _power_bracket evaluates at its two ends, bit for bit.
 
 Termwise bounds from the paper, checked by the acceptance criteria and by
 ``verify`` (valid for every p, q >= 0 resp. p >= n):
@@ -90,7 +92,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -119,13 +120,10 @@ __all__ = [
 CONVERGES = "Converges"
 DIVERGES = "Diverges"
 
-# Terms each power sum of the divergence witness adds up directly before the
-# integral test of _sum_bracket takes over (see lower_bound_sum).
-_WITNESS_HEAD = 1000
-
-# Sums of one series whose first x lie in one block of this many share one
-# head store (see _direct_sum): the witness's p and q sides start at n and 1.
-_STORE_BLOCK = 64
+# Terms each power sum of the divergence witness adds up directly before its
+# Euler-Maclaurin bracket (_power_bracket): measured, 64 cost what 32 do and
+# keep the bracket's lower end within 2e-14 of the sum at r = n.
+_WITNESS_HEAD = 64
 
 
 def _validate_order(n: int, r) -> Fraction | float:
@@ -212,16 +210,9 @@ def _terms(
     xs = range(first, last + 1)
     if k == t == 0:
         return [(scale * x) ** e for x in xs]
+    if t == 0:  # the binomial rounded once by the product, as by the quotient over b^0 = 1
+        return [math.comb(x + shift, k) * (scale * x) ** e for x in xs]
     return [math.comb(x + shift, k) / (b := scale * x) ** t * b**e for x in xs]
-
-
-@functools.lru_cache(maxsize=64)
-def _prefix(k: int, shift: int, s: float, base: int, scale: int, t: int) -> array:
-    """The terms of one series and split t at x = base, base+1, ... that
-    _direct_sum has evaluated so far: empty when created, extended in place
-    by _direct_sum, never past the head of _WITNESS_HEAD terms of a sum it
-    serves, so at most _STORE_BLOCK - 1 + _WITNESS_HEAD of them."""
-    return array("d")
 
 
 @functools.lru_cache(maxsize=256)
@@ -229,33 +220,12 @@ def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int)
     """math.fsum of _terms(k, shift, s, first, last, scale), memoised (see
     the module docstring).  Callers pass all six arguments positionally, so
     that equal sums share one key, and validate them before reaching the cache.
-
-    The terms come from the _prefix store of the series that starts at the
-    first x of first's block of _STORE_BLOCK, so sums starting in one block
-    read one array.  The store grows to hold the sum's first _WITNESS_HEAD
-    terms and no more, the rest are evaluated in blocks of _WITNESS_HEAD, so
-    neither a store nor one call holds more than _STORE_BLOCK - 1 +
-    _WITNESS_HEAD terms of a series, at any cutoff.  The terms are those of
-    _terms with the same t, and fsum rounds their exact sum once, so the
-    sum is bit-identical."""
-    if last < first:
-        return 0.0
+    The terms are evaluated 4096 at a time, t split at last for all of them,
+    so one call holds no more than that many at any cutoff; fsum rounds their
+    exact sum once, so the sum is bit-identical to one over a single list."""
     t = _split(k, s, last, scale)
-    base = first - (first - 1) % _STORE_BLOCK
-    prefix = _prefix(k, shift, s, base, scale, t)
-    held = base + len(prefix)
-    if last < held:
-        return math.fsum(prefix[first - base : last + 1 - base])
-    grow_to = min(last + 1, first + _WITNESS_HEAD)
-    head = _terms(k, shift, s, held, grow_to - 1, scale, t)
-    rest = (
-        _terms(k, shift, s, x, min(last + 1, x + _WITNESS_HEAD) - 1, scale, t)
-        for x in range(max(held, grow_to), last + 1, _WITNESS_HEAD)
-    )
-    # new terms are summed from their list: reading them back from the array would box each again
-    total = math.fsum(chain(prefix[first - base :], head[max(0, first - held) :], chain.from_iterable(rest)))
-    prefix.fromlist(head)
-    return total
+    chunks = (_terms(k, shift, s, x, min(last, x + 4095), scale, t) for x in range(first, last + 1, 4096))
+    return math.fsum(chain.from_iterable(chunks))
 
 
 def _rank_terms(n: int, r: float, P: int, Q: int) -> list[tuple]:
@@ -377,16 +347,23 @@ def _expansion(k: int, shift: int) -> tuple[float, ...]:
     return tuple(c / math.factorial(k) for c in coeffs)
 
 
-@functools.lru_cache(maxsize=64)
-def _bracket_head(k: int, shift: int, s: float, first: int, m: int, scale: int) -> tuple:
-    """What every _sum_bracket with the integral test from m on shares, at
-    any last >= m: the direct sum over first <= x < m, f(m), scale^{-s}, and
-    (c_j, e, m^e) per term c_j x^j of the expanded binomial, e = j+1-s
-    (m^e unused when e = 0)."""
-    exponents = [(c, j + 1 - s) for j, c in enumerate(_expansion(k, shift))]
-    powers = tuple((c, e, float(m) ** e if e else 0.0) for c, e in exponents)
-    f_m = _terms(k, shift, s, m, m, scale)[0]
-    return _direct_sum(k, shift, s, first, m - 1, scale), f_m, float(scale) ** -s, powers
+def _integral(k: int, shift: int, s: float, m: int, last) -> tuple[float, float]:
+    """(value, size) of the integral from m to last of C(x+shift, k) x^{-s},
+    last possibly math.inf.  With e = j+1-s, the term c_j x^j of the expanded
+    binomial adds c_j (last^e - m^e) / e, or c_j log(last/m) when e = 0;
+    counting |m^e| and |last^e| apart in the size covers their cancellation
+    and that of alternating c_j."""
+    pieces, sizes = [], []
+    for j, c in enumerate(_expansion(k, shift)):
+        e = j + 1 - s
+        if e == 0:
+            pieces.append(c * math.log1p((last - m) / m))
+            sizes.append(abs(pieces[-1]))
+        else:
+            m_e, last_e = float(m) ** e, float(last) ** e
+            pieces.append(c * (last_e - m_e) / e)
+            sizes.append(abs(c * (m_e + last_e) / e))
+    return math.fsum(pieces), math.fsum(sizes)
 
 
 def _sum_bracket(
@@ -395,34 +372,42 @@ def _sum_bracket(
     """Outward-rounded (lower, upper) for sum_{x=first}^{last} C(x+shift, k) (scale x)^{-s},
     last possibly math.inf: terms through direct_to are summed directly, the
     rest, on which the terms must be monotone, by the integral test of the
-    module docstring.  With e = j+1-s, the term c_j x^j of the expanded
-    binomial adds c_j scale^{-s} (last^e - m^e) / e to the integral, or
-    c_j scale^{-s} log(last/m) when e = 0; counting |m^e| and |last^e| apart in
-    its size covers their cancellation and that of alternating c_j.  All that
-    depends only on m comes from _bracket_head, so a call evaluates f(last)
-    and the powers of last alone.
+    module docstring, its integral (_integral) scaled by scale^{-s}.
     """
     m = max(first, direct_to + 1)
+    direct = _direct_sum(k, shift, s, first, min(last, m - 1), scale)
     if m > last:
-        direct = _direct_sum(k, shift, s, first, last, scale)
         return _outward(direct, direct, direct)
-    direct, f_m, scale_s, powers = _bracket_head(k, shift, s, first, m, scale)
-    pieces, sizes = [], []
-    for c, e, m_e in powers:
-        if e == 0:
-            pieces.append(c * math.log1p((last - m) / m))
-            sizes.append(abs(pieces[-1]))
-        else:
-            last_e = float(last) ** e
-            pieces.append(c * (last_e - m_e) / e)
-            sizes.append(abs(c * (m_e + last_e) / e))
-    integral = math.fsum(pieces) * scale_s
-    f_last = 0.0 if last == math.inf else _terms(k, shift, s, last, last, scale)[0]
+    scale_s = float(scale) ** -s
+    integral, size = (v * scale_s for v in _integral(k, shift, s, m, last))
+    f_m, f_last = (0.0 if x == math.inf else _terms(k, shift, s, x, x, scale)[0] for x in (m, last))
     return _outward(
         direct + integral + min(f_m, f_last),
         direct + integral + max(f_m, f_last),
-        direct + math.fsum(sizes) * scale_s + f_m + f_last,
+        direct + size + f_m + f_last,
     )
+
+
+def _power_bracket(s: float, first: int, last) -> tuple[float, float]:
+    """Outward-rounded (lower, upper) for sum_{x=first}^{last} x^{-s}, last
+    possibly math.inf: _WITNESS_HEAD terms summed directly, then, when s > 0,
+    Euler-Maclaurin through B_2 with the B_4 term bounding the remainder
+    (module docstring); at s <= 0, 1000 terms and the integral test of
+    _sum_bracket, whose bracket is as wide as f(b) - f(m).  The end terms
+    f(x) = x^{-s} are the kernel's k = 0 terms, bit for bit, and x^{-s-1},
+    x^{-s-3} are f(x)/x and f(x)/x^3, so no exponent is rounded."""
+    m = first + (_WITNESS_HEAD if s > 0 else 1000)
+    if s <= 0 or m > last:
+        return _sum_bracket(0, 0, s, first, last, m - 1)
+    direct = _direct_sum(0, 0, s, first, m - 1, 1)
+    integral, size = _integral(0, 0, s, m, last)
+    f_m, f_b = m**-s, float(last) ** -s
+    d1_m, d1_b = f_m / m, f_b / last
+    d3_m, d3_b = d1_m / m / m, d1_b / last / last
+    c2, c4 = s / 12, s * (s + 1) * (s + 2) / 720
+    upper = math.fsum((direct, integral, f_m / 2, f_b / 2, c2 * (d1_m - d1_b)))
+    size += direct + f_m + f_b + c2 * (d1_m + d1_b) + c4 * (d3_m + d3_b)
+    return _outward(upper - c4 * (d3_m - d3_b), upper, size)
 
 
 def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
@@ -430,26 +415,25 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
 
     A rigorous lower bound for ||G||_r^r over that index range.  The summand
     separates as p^{n-1-r} q^{n-2-r} + p^{n-2-r} q^{n-1-r}, so the double sum
-    combines four 1-d power sums, each the lower end of _sum_bracket; the cost
-    does not grow with the cutoffs, which the r = n divergence witness doubles
-    about 60 times.  From P, Q >= _WITNESS_HEAD + n each bracket reads its
-    direct head, f(m) and the powers of m from _bracket_head, so a doubling
-    evaluates four endpoint terms and the powers of its cutoff; at r = n the
-    four sums are two series, whose head stores the witnesses of every
-    n <= _STORE_BLOCK share (module docstring).  The
+    combines four 1-d power sums, each the lower end of _power_bracket; the
+    cost does not grow with the cutoffs, which the r = n divergence witness
+    doubles about 60 times.  Every term is nonincreasing in the order, so an
+    order that is not a double is evaluated at the least double above it.  The
     quotient by (n-1)!(n-2)! is one float division while that constant is a
     double (n <= 15), an exact Fraction rounded once beyond: the same float.
     """
     if type(r) is int and r >= 1:  # valid as it is, without the round trip through Fraction
         spectrum._check_dimension(n)
-        rf = float(r)
     else:
-        rf = float(_validate_order(n, r))
+        r = _validate_order(n, r)
     _check_int("P", P, n)
     _check_int("Q", Q, 1)
+    rf = float(r)
+    if rf < r:
+        rf = math.nextafter(rf, math.inf)
     # sp1 = sum_p p^{n-1-r}, sp2 = sum_p p^{n-2-r}, and the same over q
     sp1, sp2, sq1, sq2 = (
-        _sum_bracket(0, 0, rf - n + j, first, last, first + _WITNESS_HEAD - 1)[0]
+        _power_bracket(rf - n + j, first, last)[0]
         for j, first, last in ((1, n, P), (2, n, P), (1, 1, Q), (2, 1, Q))
     )
     x, c = (sp1 * sq2 + sp2 * sq1) * 0.25**rf, _bound_constant(n)

@@ -514,8 +514,8 @@ def test_byte_identical_reruns():
 
 
 class TestInProcessParserReuse:
-    """``main`` builds its parser once per process; no call may see another's
-    arguments or defaults."""
+    """``main`` builds each subcommand's parser once per process; no call may
+    see another's arguments or defaults."""
 
     def call(self, capsys, *argv):
         status = cli.main(list(argv))
@@ -571,6 +571,42 @@ def test_usage_error_is_a_json_error(argv, message):
 def test_help_exits_zero(argv):
     cp = run_cli(*argv)
     assert cp.returncode == 0 and "usage:" in cp.stdout and cp.stderr == ""
+
+
+def full_parser_output(*argv) -> str:
+    """What a parser of every subcommand, built afresh, prints for argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        cli.build_parser().parse_args(list(argv))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_matches_a_full_parser(command):
+    # main builds the parser of the subcommand it is given alone, and the
+    # whole parser without one; --help prints the same bytes either way
+    argv = ("--help",) if command is None else (command, "--help")
+    cli._parser.cache_clear()
+    cp = run_cli(*argv)
+    assert cp.stdout == full_parser_output(*argv)
+    assert cp.stdout.startswith("usage: kohn-spectra" + ("" if command is None else f" {command}"))
+
+
+def test_main_builds_only_the_named_subcommand():
+    cli._parser.cache_clear()
+    run_cli("schatten", "--n", "2", "--r", "3", "--cutoff-p", "2", "--cutoff-q", "2")
+    assert cli._parser.cache_info().currsize == 1
+    assert cli._parser("schatten").format_usage() == "usage: kohn-spectra [-h] {schatten} ...\n"
+    assert cli._parser.cache_info().hits == 1
+    assert "{spectrum,apply,green-solve,schatten," in cli._parser().format_usage()
+
+
+def test_module_entry_point_reads_sys_argv():
+    argv = ("schatten", "--n", "2", "--r", "5/2", "--cutoff-p", "6", "--cutoff-q", "4")
+    cp = subprocess.run([sys.executable, "-m", "kohn_spectra", *argv], capture_output=True, text=True)
+    assert cp.returncode == 0 and cp.stderr == ""
+    assert cp.stdout == run_cli(*argv).stdout
+    assert json.loads(cp.stdout)["cutoff_q"] == 4
 
 
 class TestJsonText:

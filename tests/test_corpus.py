@@ -171,8 +171,8 @@ def test_warm_and_cold_runs_print_the_same_bytes(tmp_path):
     assert set(golden) == SUBCOMMANDS | {"errors", "witness"}
     clear_library_memos()
     assert corpus_hashes(tmp_path, "warm") == golden
-    prefixes = schatten._prefix.cache_info()
-    assert schatten._direct_sum.cache_info().currsize and prefixes.currsize and prefixes.hits
+    sums = schatten._direct_sum.cache_info()
+    assert sums.currsize and sums.hits
     assert corpus_hashes(tmp_path, "shuffled") == golden
     assert corpus_hashes(tmp_path, "cold") == golden
 
@@ -185,8 +185,9 @@ def test_corpus_covers_both_divisions_and_the_split(tmp_path):
     assert constants[12] < 2**53 < constants[13] == float(constants[13])
     assert float(constants[16]) != constants[16]
     assert schatten._split(58, 1100.5, 1500, 2) > 0
-    # the p sides of n = 70 and 80 start in the second store block, based at x = 65
-    assert {n - (n - 1) % schatten._STORE_BLOCK for n in (70, 80)} == {65}
+    # at c = 100 the p sides of n = 70 and 80 end inside the witness's head and
+    # are summed directly; every other witness sum passes it to Euler-Maclaurin
+    assert {n for n in WITNESS_DIMENSIONS if n + schatten._WITNESS_HEAD > 100} == {70, 80}
     # 105 lists of the CLI slice (17 errors), 122 float schatten lists (2 plots) and 8 * 61 witness lines
     groups = [group for group, _ in corpus(tmp_path)]
     assert (len(groups), groups.count("errors"), groups.count("witness")) == (105 + 122 + 488, 17, 488)

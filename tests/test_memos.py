@@ -122,8 +122,8 @@ def test_every_library_memo_is_bounded_or_parameterless():
         faults, memos = memo_faults(path.read_text())
         assert not faults, (path.name, faults)
         total += memos
-    # schatten._direct_sum, _prefix, _bracket_head and _expansion, and cli._parser
-    assert total == 5
+    # schatten._direct_sum and _expansion, and cli._parser
+    assert total == 3
 
 
 @pytest.mark.parametrize(
@@ -201,10 +201,10 @@ def test_the_polynomial_layer_retains_nothing():
 
 def test_clearing_empties_every_memo():
     memos = library_memos()
-    names = {"_direct_sum", "_prefix", "_bracket_head", "_expansion", "build_parser"}
+    names = {"_direct_sum", "_expansion", "build_parser"}
     assert {memo.__name__ for memo in memos} == names
     schatten.schatten_report(3, 3.5, 30, 20)
-    cli._parser()
+    cli._parser("schatten")
     assert all(memo.cache_info().currsize for memo in memos)
     clear_library_memos()
     assert all(memo.cache_info().currsize == 0 for memo in memos)

@@ -1,8 +1,9 @@
 """Schatten norms: exact partial sums, certified tail bounds, verdicts.
 
-The tail bracket and the divergence witness rest on one integral-test
-bracket of 1-d sums; its integrals are validated here against independent
-numeric quadrature (scipy), its ends against brute-force and mpmath sums,
+The tail bracket rests on an integral-test bracket of 1-d sums, the
+divergence witness on an Euler-Maclaurin bracket of power sums; their
+integrals are validated here against independent numeric quadrature
+(scipy), their ends against brute-force, exact Fraction and mpmath sums,
 and the whole tail bracket against the zeta closed forms of ||G||_r^r for
 n = 2 and 3, before the acceptance suite leans on it.
 """
@@ -24,6 +25,7 @@ from kohn_spectra.schatten import (
     _WITNESS_HEAD,
     CONVERGES,
     DIVERGES,
+    _power_bracket,
     _sum_bracket,
     approx_formula,
     approx_pole_constant,
@@ -316,10 +318,11 @@ class TestSumBracket:
         assert upper - lower <= 1e-14 * exact
 
     def test_old_euler_maclaurin_range_lies_inside(self):
-        # the range just past the former 200 000-term direct-summation limit
+        # the range just past the former 200 000-term direct-summation limit,
+        # the integral test after a head of 1000 terms
         a, b, s = 5, 300_007, 1.25
         direct = brute_side_sum(0, 0, s, a, b)
-        lower, upper = _sum_bracket(0, 0, s, a, b, a + _WITNESS_HEAD - 1)
+        lower, upper = _sum_bracket(0, 0, s, a, b, a + 999)
         assert lower <= direct <= upper
         assert upper - lower <= 1e-3 * direct
 
@@ -444,6 +447,128 @@ class TestLowerBoundSum:
         with pytest.raises(ValueError):
             lower_bound_sum(3, 3, 2, 10)
 
+    @pytest.mark.parametrize("growth, counts", [(10, (58, 52)), (2, (7, 6))])
+    def test_doublings_of_the_divergence_witness(self, growth, counts):
+        # criterion 5 (growth 10) and the benchmark's small scale (growth 2)
+        for n, expected in zip((2, 3), counts):
+            base = lower_bound_sum(n, n, 100, 100)
+            cutoff, doublings, value = 100, 0, base
+            while value <= growth * base and doublings < 80:
+                cutoff *= 2
+                doublings += 1
+                value = lower_bound_sum(n, n, cutoff, cutoff)
+            assert doublings == expected
+
+    def test_non_dyadic_orders_stay_below_the_exact_sum(self):
+        # every term falls as the order grows, so the bound is taken at the
+        # least double above r; at the double nearest r, which may lie below
+        # it, a bracket tight to a few ulps would miss the sum at r itself
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(53)
+        checked = 0
+        with mpmath.workprec(120):
+            for n in range(2, 7):
+                for _ in range(6):
+                    den = rng.choice((3, 5, 7, 10))
+                    r = Fraction(rng.randint(den, 160 * den), den)
+                    if r.denominator == 1:
+                        continue
+                    for P, Q in ((n, 1), (n + 20, 30), (400, 250), (10**6, 10**5)):
+                        exact = mp_witness(mpmath, n, r, P, Q)
+                        value = lower_bound_sum(n, r, P, Q)
+                        assert value <= exact, (n, r, P, Q)
+                        checked += float(r) < r
+        assert checked >= 20
+
+    def test_tighter_than_the_integral_test(self):
+        # past the integral test's head of 1000 terms the Euler-Maclaurin
+        # bracket is the narrower one, so its lower end lies higher
+        for n in (2, 3, 12, 40):
+            for c in (1100 + n, 5000, 10**6, 100 * 2**60):
+                integral_test = witness_reference(n, n, c, c, integral_test_bracket)
+                assert lower_bound_sum(n, n, c, c) >= integral_test, (n, c)
+
+    def test_close_to_the_mpmath_sum(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(120):
+            for n, r, P, Q in ((40, 40, 150, 1200), (2, 2, 150, 1200), (3, 3, 5000, 3000), (2, Fraction(5, 2), 10**9, 10**7)):
+                exact = mp_witness(mpmath, n, r, P, Q)
+                value = lower_bound_sum(n, r, P, Q)
+                assert exact * (1 - 2e-14) <= value <= exact, (n, r, P, Q)
+
+
+def hurwitz_sum(mpmath, s, first, last):
+    """sum_{x=first}^{last} x^{-s} to mpmath's working precision, last
+    possibly math.inf: a difference of Hurwitz zeta values, or of harmonic
+    numbers at s = 1.  mpmath's Hurwitz zeta is accurate to about 10^-dps
+    absolutely, so the digits of first^s are added for the evaluation."""
+    s = mpmath.mpf(s)
+    with mpmath.extradps(max(0, int(s * math.log10(first))) + 10):
+        if s == 1:
+            return mpmath.harmonic(last) - mpmath.harmonic(first - 1)
+        return mpmath.zeta(s, first) - (0 if last == math.inf else mpmath.zeta(s, last + 1))
+
+
+def mp_witness(mpmath, n, r, P, Q):
+    """lower_bound_sum's double sum at the exact order r, at mpmath's working
+    precision, through its four power sums."""
+    r = mpmath.mpf(r.numerator) / r.denominator if isinstance(r, Fraction) else mpmath.mpf(r)
+    sp1, sp2, sq1, sq2 = (
+        hurwitz_sum(mpmath, r - n + j, first, last)
+        for j, first, last in ((1, n, P), (2, n, P), (1, 1, Q), (2, 1, Q))
+    )
+    c = math.factorial(n - 1) * math.factorial(n - 2)
+    return (sp1 * sq2 + sp2 * sq1) / (mpmath.mpf(4) ** r * c)
+
+
+class TestPowerBracket:
+    """The witness's Euler-Maclaurin bracket of sum_{x=first}^{last} x^{-s}."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_contains_exact_fraction_sums(self, s):
+        rng = random.Random(59 + s)
+        for _ in range(8):
+            first = rng.randint(1, 40)
+            length = rng.choice((1, rng.randint(2, _WITNESS_HEAD), _WITNESS_HEAD + 1, rng.randint(100, 1500)))
+            last = first + length - 1
+            den = math.lcm(*range(first, last + 1)) ** s
+            exact = Fraction(sum(den // x**s for x in range(first, last + 1)), den)
+            lower, upper = _power_bracket(float(s), first, last)
+            assert Fraction(lower) <= exact <= Fraction(upper), (s, first, last)
+            assert upper - lower <= 1e-9 * exact
+
+    def test_contains_mpmath_sums_at_real_orders(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(61)
+        with mpmath.workdps(40):
+            for _ in range(80):
+                s = rng.choice((rng.uniform(0.05, 1), 1.0, rng.uniform(1, 4), rng.uniform(4, 80)))
+                first = rng.randint(1, 100)
+                last = rng.choice((
+                    first + rng.randint(0, _WITNESS_HEAD),  # inside the head
+                    first + rng.randint(_WITNESS_HEAD, 10**5),
+                    10 ** rng.randint(6, 20),
+                    math.inf if s > 1 else 10**9,
+                ))
+                lower, upper = _power_bracket(s, first, last)
+                exact = hurwitz_sum(mpmath, s, first, last)
+                assert lower <= exact <= upper, (s, first, last)
+                assert upper - lower <= 1e-9 * upper
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, -2.5])
+    def test_increasing_terms_take_the_integral_test(self, s):
+        for first, last in ((1, 10), (4, 500), (4, 5000), (2, 10**9)):
+            assert _power_bracket(s, first, last) == integral_test_bracket(s, first, last)
+
+    def test_end_powers_are_the_kernel_terms(self):
+        # the bracket evaluates x^{-s} at its ends in place: the kernel's k = 0
+        # term at x, bit for bit, for an int x of any size
+        rng = random.Random(67)
+        for _ in range(500):
+            s = rng.uniform(0.01, 80)
+            x = rng.choice((rng.randint(1, 200), rng.randint(1, 2**80)))
+            assert repr(x**-s) == repr(float(x) ** -s) == repr(schatten._terms(0, 0, s, x, x)[0])
+
 
 def memo_grid(seed):
     """Seeded (function, arguments) cases over n, r and cutoffs: the witness
@@ -467,14 +592,17 @@ def memo_grid(seed):
 
 def count_kernel_terms(monkeypatch) -> collections.Counter:
     """Patch the kernel _terms to count the terms it evaluates per calling
-    function: _direct_sum evaluates head terms, _bracket_head and
-    _sum_bracket the endpoint terms f(m) and f(last)."""
+    function, a generator counted with the function that runs it: _direct_sum
+    evaluates head terms, _sum_bracket the endpoint terms f(m) and f(last)."""
     evaluated = collections.Counter()
     kernel = schatten._terms
 
     def counting(*args):
         terms = kernel(*args)
-        evaluated[sys._getframe(1).f_code.co_name] += len(terms)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        evaluated[frame.f_code.co_name] += len(terms)
         return terms
 
     monkeypatch.setattr(schatten, "_terms", counting)
@@ -501,12 +629,13 @@ class TestDirectSumMemo:
         assert schatten._direct_sum.cache_info().hits > 0
 
     @pytest.mark.parametrize("n, doublings", [(2, 58), (3, 52), (4, 47)])
-    def test_witness_sums_its_heads_once(self, n, doublings):
-        # criterion 5's doubling from cutoff 100: the cutoffs 100 .. 800 lie
-        # inside the head of _WITNESS_HEAD terms, so each of the four power
-        # sums is summed directly there; from 1600 on every doubling reads
-        # the same four heads of _bracket_head, each summed once
+    def test_witness_sums_its_heads_once(self, n, doublings, monkeypatch):
+        # criterion 5's doubling from cutoff 100: every cutoff lies past the
+        # head of _WITNESS_HEAD terms, so each of the four power sums reads
+        # one memoised head at every doubling, and the kernel evaluates those
+        # heads alone: the end powers of the brackets are evaluated in place
         clear_library_memos()
+        evaluated = count_kernel_terms(monkeypatch)
         base = lower_bound_sum(n, n, 100, 100)
         cutoff, count, value = 100, 0, base
         while value <= 10 * base:
@@ -515,9 +644,19 @@ class TestDirectSumMemo:
             count += 1
             value = lower_bound_sum(n, n, cutoff, cutoff)
         assert count == doublings
-        heads, sums = schatten._bracket_head.cache_info(), schatten._direct_sum.cache_info()
-        assert (heads.misses, heads.hits) == (4, 4 * (doublings - 4))
-        assert (sums.misses, sums.hits) == (4 * 4 + 4, 0)
+        sums = schatten._direct_sum.cache_info()
+        assert (sums.misses, sums.hits) == (4, 4 * doublings)
+        assert evaluated == {"_direct_sum": 4 * _WITNESS_HEAD}
+
+    def test_witnesses_share_their_q_side_heads(self, monkeypatch):
+        # at r = n the q sides of every dimension sum x^-1 and x^-2 from
+        # x = 1: the n = 2 and n = 3 witnesses evaluate six heads, not eight
+        clear_library_memos()
+        evaluated = count_kernel_terms(monkeypatch)
+        for n, doublings in ((2, 58), (3, 52)):
+            for i in range(doublings + 1):
+                lower_bound_sum(n, n, 100 * 2**i, 100 * 2**i)
+        assert evaluated == {"_direct_sum": 6 * _WITNESS_HEAD}
 
     def test_float_report_shares_its_partial_sum_factors(self):
         schatten._direct_sum.cache_clear()
@@ -530,15 +669,15 @@ class TestDirectSumMemo:
     @pytest.mark.parametrize(
         "k, shift, s, first, scale, lasts",
         [
-            # a witness power sum across the store's _WITNESS_HEAD terms and back
-            (0, 0, 1.25, 2, 1, (100, 200, 1001, 1002, 3500, 2400, 1001, 800, 2, 1)),
+            # a power sum across the 4096-term chunks of _direct_sum and back
+            (0, 0, 1.25, 2, 1, (100, 4096, 4097, 4098, 9000, 8194, 4097, 800, 2, 1)),
             # the q side of n = 4 at a fractional order
-            (2, 2, 3.75, 1, 2, (50, 400, 1500, 1000, 399, 1)),
+            (2, 2, 3.75, 1, 2, (50, 400, 5000, 1000, 399, 1)),
             # the p side of n = 5 at a huge order: t grows with last through 0..3
             (3, -1, 100.5, 900, 1, (950, 1000, 1050, 1100, 1150, 1200, 1300, 1250, 1100, 1000, 930)),
         ],
     )
-    def test_stored_prefixes_are_bit_identical(self, k, shift, s, first, scale, lasts):
+    def test_memoised_sums_are_bit_identical(self, k, shift, s, first, scale, lasts):
         """A side queried with a growing, then a shrinking last sums exactly
         the terms _terms gives for that last, t split there."""
         clear_library_memos()
@@ -550,74 +689,31 @@ class TestDirectSumMemo:
             # the split changes the rounding of a term near the bottom of the float range
             assert schatten._terms(k, shift, s, 1300, 1300, scale, 0) != schatten._terms(k, shift, s, 1300, 1300, scale)
 
-    def test_store_is_bounded(self):
+    def test_memory_is_bounded(self, monkeypatch):
+        # a side of the float partial sum at P = 10^7 holds one chunk of its
+        # terms at a time, and still sums to the Hurwitz zeta difference
+        mpmath = pytest.importorskip("mpmath")
         clear_library_memos()
-        P = Q = 10**6
-        partial_sum(2, Fraction(5, 2), P, Q)
-        lengths = []
-        for _, *sides in schatten._rank_terms(2, 2.5, P, Q):
-            for k, shift, s, first, last, scale in sides:
-                # the store of a series starts at the first x of first's block
-                base = first - (first - 1) % schatten._STORE_BLOCK
-                hits = schatten._prefix.cache_info().hits
-                terms = schatten._prefix(k, shift, s, base, scale, schatten._split(k, s, last, scale))
-                assert schatten._prefix.cache_info().hits == hits + 1
-                lengths.append(len(terms))
-        assert len(lengths) == 4
-        assert 0 < min(lengths) and max(lengths) <= _WITNESS_HEAD
-        assert sum(lengths) <= 4 * _WITNESS_HEAD
-        for j in range(128):
-            schatten._direct_sum(0, 0, 2.0 + j, 1, 3, 1)
-        assert schatten._prefix.cache_info().currsize == 64
+        longest = []
+        kernel = schatten._terms
+        monkeypatch.setattr(schatten, "_terms", lambda *args: longest.append(len(terms := kernel(*args))) or terms)
+        P = 10**7
+        value = schatten._direct_sum(0, 0, 2.5, 1, P, 1)
+        assert len(longest) == -(-P // 4096) and max(longest) == 4096
+        with mpmath.workdps(30):
+            exact = mpmath.zeta(2.5) - mpmath.zeta(2.5, P + 1)
+        assert value == pytest.approx(float(exact), rel=1e-15)
 
-    def test_witness_evaluates_each_head_term_once(self, monkeypatch):
-        # criterion 5's n = 2 doubling: the heads at cutoffs 100 .. 800 are
-        # prefixes of the _WITNESS_HEAD-term head, so no term is evaluated twice
-        clear_library_memos()
-        evaluated = count_kernel_terms(monkeypatch)
-        base = lower_bound_sum(2, 2, 100, 100)
-        cutoff, value = 100, base
-        while value <= 10 * base:
-            cutoff *= 2
-            value = lower_bound_sum(2, 2, cutoff, cutoff)
-        assert cutoff == 100 * 2**58
-        assert evaluated["_direct_sum"] <= 4 * _WITNESS_HEAD
-        # every head term sits once in the store of its series, x^-1 or x^-2 from x = 1
-        stores = [schatten._prefix(0, 0, s, 1, 1, 0) for s in (1.0, 2.0)]
-        assert evaluated["_direct_sum"] == sum(map(len, stores))
-
-    def test_witnesses_share_one_head_per_series(self, monkeypatch):
-        # at r = n the four power sums are sum x^-1 and sum x^-2 from x = n
-        # and from x = 1: the n = 2 and n = 3 witnesses read two head stores
-        clear_library_memos()
-        evaluated = count_kernel_terms(monkeypatch)
-        for n, doublings in ((2, 58), (3, 52)):
-            for i in range(doublings + 1):
-                lower_bound_sum(n, n, 100 * 2**i, 100 * 2**i)
-        assert evaluated["_direct_sum"] <= 2 * (_WITNESS_HEAD + 3)
-
-    def test_doubling_evaluates_only_its_new_endpoints(self, monkeypatch):
-        # past its head a power sum's bracket evaluates f(last) alone: f(m)
-        # at the head's end is kept with the head
-        clear_library_memos()
-        evaluated = count_kernel_terms(monkeypatch)
-        cutoffs = [100 * 2**i for i in range(59)]
-        for cutoff in cutoffs:
-            lower_bound_sum(2, 2, cutoff, cutoff)
-        past_head = sum(cutoff >= 2 + _WITNESS_HEAD for cutoff in cutoffs)
-        assert past_head == 55
-        assert set(evaluated) == {"_direct_sum", "_bracket_head", "_sum_bracket"}
-        assert evaluated["_bracket_head"] + evaluated["_sum_bracket"] <= 4 * past_head + 4
-
-    def test_shared_head_store_is_bit_identical(self):
-        """Power sums of one series from first = 1 .. 5 read one store; every
-        sum, cold, warm or in shuffled order, equals math.fsum of its terms."""
+    def test_sums_are_bit_identical_in_any_order(self):
+        """Power sums of one series from first = 1 .. 5 across a head's end and
+        a chunk's: every sum, cold, warm or in shuffled order, equals
+        math.fsum of its terms."""
         edge = _WITNESS_HEAD - 1
         keys = [
             (0, 0, s, first, last, 1)
             for s in (1.0, 2.0, 1.25, 3.5)
             for first in range(1, 6)
-            for last in (first, 7, 500, first + edge - 1, first + edge, first + edge + 1, edge + 6, 1010, 3000)
+            for last in (first, 7, 500, first + edge - 1, first + edge, first + edge + 1, 4096, 4097, 9000)
             if last >= first
         ]
         expected = {key: repr(math.fsum(schatten._terms(*key))) for key in keys}
@@ -626,13 +722,9 @@ class TestDirectSumMemo:
             if cold:
                 clear_library_memos()
             for key in order:
-                # the memoised sum, and the store read afresh past that memo
+                # the memoised sum, and the sum afresh past that memo
                 assert repr(schatten._direct_sum(*key)) == expected[key], key
                 assert repr(schatten._direct_sum.__wrapped__(*key)) == expected[key], key
-        # one store per series, from x = 1 through the head of the sum from x = 5
-        assert schatten._prefix.cache_info().currsize == 4
-        stores = [schatten._prefix(0, 0, s, 1, 1, 0) for s in (1.0, 2.0, 1.25, 3.5)]
-        assert [len(store) for store in stores] == [4 + _WITNESS_HEAD] * 4
 
 
 class TestRankSplit:
@@ -726,6 +818,45 @@ class TestTermKernel:
         assert doubled[2] == [2 * v for v in sums]
         assert doubled[3] == 4 * total
 
+    def test_fast_path_matches_the_quotient(self):
+        # at t = 0 the binomial meets the power in one product; the general
+        # formula divides it by b^0 = 1 first: both round the binomial once
+        rng = random.Random(71)
+        for _ in range(3000):
+            k = rng.randint(1, 60)
+            shift, scale, s = rng.choice((-1, k, rng.randint(-1, k))), rng.choice((1, 2)), rng.uniform(0.01, 60)
+            first = rng.randint(1, 5000)
+            last = first + rng.randint(0, 5)
+            got = schatten._terms(k, shift, s, first, last, scale, 0)
+            want = [math.comb(x + shift, k) / (scale * x) ** 0 * (scale * x) ** (0 - s) for x in range(first, last + 1)]
+            assert list(map(repr, got)) == list(map(repr, want)), (k, shift, s, first, last, scale)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_fast_path_overflows_like_the_quotient(self, k):
+        # C(x, k) on either side of 2^1024 - 2^970, the least integer that
+        # rounds to 2^1024: both forms return the largest double below it and
+        # raise OverflowError from it on
+        threshold = 2**1024 - 2**970
+        low, high = k, 2**1100
+        while high - low > 1:  # the last x with C(x, k) below the threshold
+            mid = (low + high) // 2
+            low, high = (mid, high) if math.comb(mid, k) < threshold else (low, mid)
+        s = 1e-300  # x^-s rounds to 1
+        outcomes = []
+        for x in range(low - 2, low + 3):
+            pair = []
+            for form in (
+                lambda: schatten._terms(k, 0, s, x, x, 1, 0)[0],
+                lambda: math.comb(x, k) / x**0 * x ** (0 - s),
+            ):
+                try:
+                    pair.append(repr(form()))
+                except OverflowError:
+                    pair.append("OverflowError")
+            assert pair[0] == pair[1], (k, x)
+            outcomes.append(pair[0])
+        assert outcomes == [repr(sys.float_info.max)] * 3 + ["OverflowError"] * 2
+
     def test_doubled_kernel_leaves_no_doubled_memo(self):
         # the memos filled under the doubled kernel must not outlive it: a
         # later float partial sum reads the true terms, as in a fresh process
@@ -734,12 +865,21 @@ class TestTermKernel:
         assert repr(partial_sum(3, Fraction(7, 2), 0, 5)) == "0.030753772679430462"
 
 
-def witness_reference(n, r, P, Q):
-    """lower_bound_sum from the same four brackets, its quotient by
-    (n-1)!(n-2)! always through an exact Fraction, rounded once."""
+def integral_test_bracket(s, first, last):
+    """The integral test after a head of 1000 terms on the power sum
+    sum_{x=first}^{last} x^{-s}: the witness's bracket where s <= 0."""
+    return _sum_bracket(0, 0, s, first, last, first + 999)
+
+
+def witness_reference(n, r, P, Q, bracket=_power_bracket):
+    """lower_bound_sum from four brackets of its power sums (by default the
+    same ones) at the least double >= r, its quotient by (n-1)!(n-2)! always
+    through an exact Fraction, rounded once."""
     rf = float(r)
+    if rf < r:
+        rf = math.nextafter(rf, math.inf)
     sp1, sp2, sq1, sq2 = (
-        _sum_bracket(0, 0, rf - n + j, first, last, first + _WITNESS_HEAD - 1)[0]
+        bracket(rf - n + j, first, last)[0]
         for j, first, last in ((1, n, P), (2, n, P), (1, 1, Q), (2, 1, Q))
     )
     c = math.factorial(n - 1) * math.factorial(n - 2)
