@@ -491,7 +491,8 @@ class TestLowerBoundSum:
     def test_close_to_the_mpmath_sum(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workprec(120):
-            for n, r, P, Q in ((40, 40, 150, 1200), (2, 2, 150, 1200), (3, 3, 5000, 3000), (2, Fraction(5, 2), 10**9, 10**7)):
+            cases = ((40, 40, 150, 1200), (2, 2, 150, 1200), (3, 3, 5000, 3000), (2, Fraction(5, 2), 10**9, 10**7))
+            for n, r, P, Q in cases:
                 exact = mp_witness(mpmath, n, r, P, Q)
                 value = lower_bound_sum(n, r, P, Q)
                 assert exact * (1 - 2e-14) <= value <= exact, (n, r, P, Q)
@@ -694,12 +695,18 @@ class TestDirectSumMemo:
         # terms at a time, and still sums to the Hurwitz zeta difference
         mpmath = pytest.importorskip("mpmath")
         clear_library_memos()
-        longest = []
+        lengths = []
         kernel = schatten._terms
-        monkeypatch.setattr(schatten, "_terms", lambda *args: longest.append(len(terms := kernel(*args))) or terms)
+
+        def recording(*args):
+            terms = kernel(*args)
+            lengths.append(len(terms))
+            return terms
+
+        monkeypatch.setattr(schatten, "_terms", recording)
         P = 10**7
         value = schatten._direct_sum(0, 0, 2.5, 1, P, 1)
-        assert len(longest) == -(-P // 4096) and max(longest) == 4096
+        assert len(lengths) == -(-P // 4096) and max(lengths) == 4096
         with mpmath.workdps(30):
             exact = mpmath.zeta(2.5) - mpmath.zeta(2.5, P + 1)
         assert value == pytest.approx(float(exact), rel=1e-15)
