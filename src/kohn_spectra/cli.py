@@ -106,9 +106,6 @@ def _write_array(obj, newline: str, write) -> None:
         write("[]")
         return
     inner = newline + "  "
-    if all(type(value) is int for value in obj):  # a multi-index: one join
-        write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
-        return
     sep = "[" + inner
     for value in obj:
         write(sep)
@@ -124,12 +121,8 @@ def _write_object(obj, newline: str, write) -> None:
     inner = newline + "  "
     sep = "{" + inner
     for key, value in obj.items():
-        head = sep + encode_basestring_ascii(key) + ": "
-        if type(value) is str:
-            write(head + encode_basestring_ascii(value))
-        else:
-            write(head)
-            _write_json(value, inner, write)
+        write(sep + encode_basestring_ascii(key) + ": ")
+        _write_json(value, inner, write)
         sep = "," + inner
     write(newline + "}")
 

@@ -117,8 +117,6 @@ def _kernel(rows: list[dict[int, int]], cols: list[int]) -> list[dict[int, tuple
             g = math.gcd(*row.values())
             rows[i] = {k: x // g for k, x in row.items()} if g > 1 else row
         pivots.append(c)
-        if r + 1 == len(rows):
-            break
     pivot_set = set(pivots)
     basis = []
     for free in cols:

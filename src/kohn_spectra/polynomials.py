@@ -37,8 +37,7 @@ are the two structural operations everything else builds on.  The Laplacian
 on numerator maps over an unchanged denominator: ``ambient_laplacian`` and
 ``*`` wrap them in one :func:`_make`, and :func:`_fischer_peel` chains them
 without a gcd pass between steps.  The layer keeps no module-level memo: a
-polynomial keeps its own decomposition and a :class:`_PairingIndex` its own
-mu!, each freed with its owner.
+polynomial keeps its own decomposition, freed with it.
 
 The L^2 pairing on the unit sphere S^{2n-1} uses the normalized surface
 measure (total mass 1, so <1, 1> = 1) and the closed-form monomial integral
@@ -170,10 +169,6 @@ class Bidegree(NamedTuple):
 
     p: int
     q: int
-
-    @property
-    def total(self) -> int:
-        return self.p + self.q
 
 
 def _check_int(name: str, value, least: int = 0) -> int:
@@ -337,9 +332,6 @@ class Polynomial:
             return NotImplemented
         return self.n == other.n and self._den == other._den and self._num == other._num
 
-    def __hash__(self):
-        raise TypeError("Polynomial is not hashable")
-
     def __str__(self) -> str:
         if not self._num:
             return "0"
@@ -412,10 +404,7 @@ def _combine(n: int, parts: Iterable[tuple]) -> Polynomial:
         s = den // (d * f._den)
         fr, fi = fr * s, fi * s
         for key, (re, im) in f._num.items():
-            if fi:
-                re, im = re * fr - im * fi, re * fi + im * fr
-            else:  # a real factor: two products instead of four
-                re, im = re * fr, im * fr
+            re, im = re * fr - im * fi, re * fi + im * fr
             if key in num:
                 r0, i0 = num[key]
                 num[key] = (r0 + re, i0 + im)
@@ -617,12 +606,11 @@ class _PairingIndex:
     their own bucket only.  The pair adds the integer c * conj(d) * mu!
     (mu = alpha + delta) to the sum for (tag, |mu|); each sum is then lifted
     by (n-1)! / (n-1+|mu|)! over (n-1+top)! / (n-1)!, top the largest |mu|.
-    Each mu! is memoised on the index, so it is freed with the index.
     """
 
     def __init__(self) -> None:
-        # {gamma - delta: [(tag, delta, re, im)]}, {tag: den}, {mu: mu!}
-        self._buckets, self._dens, self._factorials = {}, {}, {}
+        # {gamma - delta: [(tag, delta, re, im)]}, {tag: den}
+        self._buckets, self._dens = {}, {}
 
     def add(self, tag, g: Polynomial) -> None:
         """File ``g`` under ``tag`` (a new tag for each g)."""
@@ -634,13 +622,10 @@ class _PairingIndex:
         """``{tag: (re, im, den)}`` with <f, g_tag> = (re + im*i) / den, for
         the nonzero pairings only; den includes both polynomials' denominators."""
         acc: dict = {}
-        factorials = self._factorials
         for (alpha, beta), (cr, ci) in f._num.items():
             for tag, delta, dr, di in self._buckets.get(tuple(map(sub, alpha, beta)), ()):
                 mu = tuple(map(add, alpha, delta))
-                w = factorials.get(mu)
-                if w is None:
-                    w = factorials[mu] = math.prod(map(math.factorial, mu))
+                w = math.prod(map(math.factorial, mu))
                 sums = acc.setdefault((tag, sum(mu)), [0, 0])
                 sums[0] += w * (cr * dr + ci * di)
                 sums[1] += w * (ci * dr - cr * di)

@@ -77,6 +77,13 @@ which evaluates the formula inline for a whole range; at k = 0 (the
 witness's power sums, and both sides at n = 2) it is the power x^{-s} alone,
 which _power_bracket evaluates at its two ends, bit for bit.
 
+The order rule.  Every base of a term (2q(p+n-1), its two factors, and the
+witness's p, q and 4pq) is at least 1, so every term is nonincreasing in the
+order r.  So a certified end is evaluated at a double next to r (_doubles):
+a lower end at the least double >= r, an upper end at the greatest double
+<= r, both float(r) when r is a double.  The plotting series and
+approx_formula claim no bound and take float(r).
+
 Termwise bounds from the paper, checked by the acceptance criteria and by
 ``verify`` (valid for every p, q >= 0 resp. p >= n):
 
@@ -226,6 +233,17 @@ def _direct_sum(k: int, shift: int, s: float, first: int, last: int, scale: int)
     t = _split(k, s, last, scale)
     chunks = (_terms(k, shift, s, x, min(last, x + 4095), scale, t) for x in range(first, last + 1, 4096))
     return math.fsum(chain.from_iterable(chunks))
+
+
+def _doubles(r) -> tuple[float, float]:
+    """(the greatest double <= r, the least double >= r): the order rule.
+    The sign of x - r comes from integer ratios: comparing a float with a
+    Fraction builds a Fraction, and costs several times more."""
+    c, d = r.as_integer_ratio()
+    x = c / d  # float(r): the true quotient of two ints is correctly rounded
+    a, b = x.as_integer_ratio()
+    gap = a * d - c * b
+    return (x if gap <= 0 else math.nextafter(x, -math.inf)), (x if gap >= 0 else math.nextafter(x, math.inf))
 
 
 def _rank_terms(n: int, r: float, P: int, Q: int) -> list[tuple]:
@@ -417,8 +435,7 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     separates as p^{n-1-r} q^{n-2-r} + p^{n-2-r} q^{n-1-r}, so the double sum
     combines four 1-d power sums, each the lower end of _power_bracket; the
     cost does not grow with the cutoffs, which the r = n divergence witness
-    doubles about 60 times.  Every term is nonincreasing in the order, so an
-    order that is not a double is evaluated at the least double above it.  The
+    doubles about 60 times.  It is a lower end under the order rule.  The
     quotient by (n-1)!(n-2)! is one float division while that constant is a
     double (n <= 15), an exact Fraction rounded once beyond: the same float.
     """
@@ -428,9 +445,7 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
         r = _validate_order(n, r)
     _check_int("P", P, n)
     _check_int("Q", Q, 1)
-    rf = float(r)
-    if rf < r:
-        rf = math.nextafter(rf, math.inf)
+    rf = _doubles(r)[1]
     # sp1 = sum_p p^{n-1-r}, sp2 = sum_p p^{n-2-r}, and the same over q
     sp1, sp2, sq1, sq2 = (
         _power_bracket(rf - n + j, first, last)[0]
@@ -446,12 +461,16 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
 
 def _tail_bracket(n: int, r, P: int, Q: int) -> tuple[float, float]:
     """(lower, upper) for the discarded mass {q > Q} union {q <= Q, p > P},
-    from the rank-2 split of the module docstring; both +inf when r <= n."""
+    from the rank-2 split under the order rule of the module docstring; both
+    +inf when r <= n."""
     r = _validate_order(n, r)
     _check_int("P", P)
     _check_int("Q", Q, 1)
     if r <= n:
         return math.inf, math.inf
+    below, above = _doubles(r)
+    if below != above:
+        return _tail_bracket(n, above, P, Q)[0], _tail_bracket(n, below, P, Q)[1]
 
     def ends(k, shift, s, first, last, scale):
         # (head, tail) brackets of one side; the tail is summed directly up to the first x
@@ -461,7 +480,7 @@ def _tail_bracket(n: int, r, P: int, Q: int) -> tuple[float, float]:
         head = _sum_bracket(k, shift, s, first, last, last, scale)
         return head, _sum_bracket(k, shift, s, last + 1, math.inf, decreasing - 1, scale)
 
-    brackets = [(w, ends(*a), ends(*b)) for w, a, b in _rank_terms(n, float(r), P, Q)]
+    brackets = [(w, ends(*a), ends(*b)) for w, a, b in _rank_terms(n, below, P, Q)]
     # A B_tail + A_tail B_head of the module docstring, at each end i of the brackets
     lower, upper = (
         _combine(n, brackets, lambda a, b: (a[0][i] + a[1][i]) * b[1][i] + a[1][i] * b[0][i])
@@ -505,7 +524,8 @@ def schatten_report(n: int, r, P: int, Q: int) -> SchattenReport:
     partial_sum + tail_lower <= ||G||_r^r <= partial_sum + tail_upper.
 
     A float partial sum (non-integer r) is rounded down by the margin of
-    _outward, and tail_upper widened by the width of that bracket.  With
+    _outward, and tail_upper widened by the width of that bracket, its ends
+    at the doubles of the module docstring's order rule.  With
     u = eps/2, each 1-d term is within 4u (a rounded quotient, a 1-ulp pow,
     a product), each fsum of them within 5u, each product of two within
     11u, and their sum over n-1 within 13u < 8 eps of the exact value.
@@ -515,7 +535,9 @@ def schatten_report(n: int, r, P: int, Q: int) -> SchattenReport:
     tail_lower, tail_upper = _tail_bracket(n, r, P, Q)
     total = partial_sum(n, r, P, Q)
     if isinstance(total, float):
-        total, high = _outward(total, total, total)
+        below, above = _doubles(r)
+        low, high = (total, total) if below == above else (partial_sum(n, s, P, Q) for s in (above, below))
+        total, high = _outward(low, high, high)
         tail_upper = math.nextafter(tail_upper + (high - total), math.inf)
     return SchattenReport(
         n=n,

@@ -578,6 +578,11 @@ class TestCanonicalForm:
                 assert total.terms == direct.terms
             assert Polynomial(n, direct.terms) == direct
 
+    def test_unhashable(self):
+        # Polynomial defines __eq__ and no __hash__, so Python leaves it unhashable
+        with pytest.raises(TypeError):
+            hash(Polynomial.constant(2, 1))
+
 
 # -- the storage primitives ---------------------------------------------------
 

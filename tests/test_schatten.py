@@ -104,6 +104,14 @@ def mp_fraction(x):
     return Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
+def mp_norm_at(mpmath, n, r):
+    """||G||_r^r at the exact rational order r, to 300 bits, as a Fraction:
+    2^{1-r} zeta(r) zeta(r-1) at n = 2, mp_norm beyond."""
+    with mpmath.workprec(300):
+        s = mpmath.mpf(r.numerator) / r.denominator
+        return mp_fraction(2 ** (1 - s) * mpmath.zeta(s) * mpmath.zeta(s - 1) if n == 2 else mp_norm(mpmath, n, s))
+
+
 def float_orders(n):
     return (1.0, 2.5, float(n), n + 0.5, n + 1.0, 37.25)
 
@@ -1037,6 +1045,47 @@ class TestReport:
             assert partial + Fraction(report.tail_lower) <= exact
             assert exact <= partial + Fraction(report.tail_upper)
             assert 0 < report.partial_sum <= partial_sum(n, r, P, Q)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_non_dyadic_orders_bracket_the_norm_at_r(self, n):
+        """The bracket holds at the exact rational r, not only at float(r):
+        moving the order by half an ulp moves each term by about ln(base)
+        |r - float(r)| relative, more than the outward margin at large r."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(15 + n)
+        for _ in range(30 if n == 2 else 6):
+            den = rng.choice((3, 5, 7, 10, 11))
+            r = Fraction(rng.randint(n * den + 1, 1500 * den), den)
+            if r.denominator == 1:  # an exact partial sum, closer to the norm than 300 bits tell
+                continue
+            exact = mp_norm_at(mpmath, n, r)
+            for P, Q in ((0, 1), (3, 3), (50, 50)):
+                report = schatten_report(n, r, P, Q)
+                partial = Fraction(report.partial_sum)
+                assert partial + Fraction(report.tail_lower) <= exact, (r, P, Q)
+                assert exact <= partial + Fraction(report.tail_upper), (r, P, Q)
+
+    @pytest.mark.parametrize(
+        "r, P, Q", [("100.1", 3, 3), ("150.3", 3, 3), ("301/3", 0, 1), ("301/3", 3, 3), ("301/3", 50, 50)]
+    )
+    def test_cli_brackets_the_norm_at_non_dyadic_orders(self, capsys, r, P, Q):
+        # each bracket missed the norm when both ends were taken at float(r)
+        mpmath = pytest.importorskip("mpmath")
+        obj = cli_json(capsys, "schatten", "--n", "2", "--r", r, "--cutoff-p", str(P), "--cutoff-q", str(Q))
+        exact = mp_norm_at(mpmath, 2, Fraction(r))
+        partial = Fraction(obj["partial_sum_float"])
+        assert partial + Fraction(obj["tail_lower_float"]) <= exact <= partial + Fraction(obj["tail_upper_float"])
+
+    def test_order_whose_double_is_n_has_a_finite_lower_end(self):
+        # the double below r is n, where the tail diverges, so the upper end is
+        # inf; the lower end is taken at the double above n, finite and large
+        mpmath = pytest.importorskip("mpmath")
+        for n, gap in ((2, Fraction(1, 10**19)), (3, Fraction(1, 10**20))):
+            report = schatten_report(n, n + gap, 3, 3)
+            assert report.verdict == CONVERGES
+            assert report.tail_upper == math.inf
+            assert 1e12 < report.tail_lower < math.inf
+            assert Fraction(report.partial_sum) + Fraction(report.tail_lower) <= mp_norm_at(mpmath, n, n + gap)
 
     def test_float_order_report(self, capsys):
         report = schatten_report(2, 3.5, 30, 30)
