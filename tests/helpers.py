@@ -2,10 +2,20 @@
 
 import importlib
 import json
+import os
 import pkgutil
+from pathlib import Path
 
 import kohn_spectra
 from kohn_spectra import Bidegree, Polynomial, cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """os.environ with this checkout's src/ first on PYTHONPATH, so that a
+    child interpreter imports the library under test."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def bidegree_of(f: Polynomial) -> Bidegree | None:

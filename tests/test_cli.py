@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import child_env
 from kohn_spectra import cli, harmonic_spaces, operators, schatten, sobolev
 from kohn_spectra.polynomials import ExactScalar, fraction_to_string
 from kohn_spectra.schatten import partial_sum
@@ -59,7 +60,7 @@ def run_cli(*args, check=True):
 def run_cli_subprocess(*args, check=True):
     """Run ``python -m kohn_spectra.cli`` in a fresh interpreter."""
     cmd = [sys.executable, "-m", "kohn_spectra.cli", *args]
-    return _checked(subprocess.run(cmd, capture_output=True, text=True), check)
+    return _checked(subprocess.run(cmd, capture_output=True, text=True, env=child_env()), check)
 
 
 def test_spectrum_csv_golden():
@@ -144,7 +145,7 @@ def test_sobolev_constant_golden():
 def test_sobolev_constant_at_n_1000_prints_the_proof_display():
     # the best constant is read off its certificate, so huge n answers at once
     cmd = [sys.executable, "-m", "kohn_spectra.cli", "sobolev-constant", "--n", "1000"]
-    cp = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    cp = subprocess.run(cmd, capture_output=True, text=True, timeout=10, env=child_env())
     assert cp.returncode == 0, cp.stderr
     obj = json.loads(cp.stdout)
     assert obj["c_squared"] == fraction_to_string(sobolev.proof_display_c_squared(1000))
@@ -603,7 +604,7 @@ def test_main_builds_only_the_named_subcommand():
 
 def test_module_entry_point_reads_sys_argv():
     argv = ("schatten", "--n", "2", "--r", "5/2", "--cutoff-p", "6", "--cutoff-q", "4")
-    cp = subprocess.run([sys.executable, "-m", "kohn_spectra", *argv], capture_output=True, text=True)
+    cp = subprocess.run([sys.executable, "-m", "kohn_spectra", *argv], capture_output=True, text=True, env=child_env())
     assert cp.returncode == 0 and cp.stderr == ""
     assert cp.stdout == run_cli(*argv).stdout
     assert json.loads(cp.stdout)["cutoff_q"] == 4

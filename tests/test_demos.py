@@ -1,11 +1,12 @@
 """Every script under demos/ runs to completion against the source tree."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,7 +14,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    cp = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    cp = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=child_env())
     assert cp.returncode == 0, cp.stderr
