@@ -515,22 +515,32 @@ _COMMANDS = {
 }
 
 
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser the arguments and handler of the subcommand ``name``."""
+    _, handler, add_args = _COMMANDS[name]
+    add_args(parser)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone.  A subparser's
-    prog, usage, help and errors do not depend on its siblings, so a command
-    line that names its subcommand first parses, fails and prints the same
-    through either; only the top level's --help and choices list them all."""
+    """The parser of every subcommand, or ``command``'s own parser alone,
+    which parses the arguments after the command's name.  The two are built
+    alike, prog ``kohn-spectra <command>`` included, so the arguments after
+    a subcommand's name parse, fail and print --help the same through either.
+    One message differs: an unrecognized argument is reported by the parser
+    that parsed it, ``kohn-spectra <command>: unrecognized arguments: ...``
+    from the named parser, ``kohn-spectra: ...`` from the full one."""
+    if command is not None:
+        return _command_parser(_Parser(prog=f"kohn-spectra {command}"), command)
     parser = _Parser(
         prog="kohn-spectra",
         description="Exact spectral calculus for the Kohn Laplacian and complex "
         "Green operator on the unit sphere in C^n",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, add_args) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_args(p)
-            p.set_defaults(func=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -540,9 +550,14 @@ _parser = functools.lru_cache(maxsize=9)(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line argv (default sys.argv[1:]) and return its exit
+    status.  When argv's first word names a subcommand, that subcommand's own
+    parser reads the rest, so no other subcommand's parser is built; --help,
+    an unknown command and no command go to the full parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = _parser(command).parse_args(argv if command is None else argv[1:])
         return args.func(args)
     except (CliError, ValueError) as exc:
         sys.stderr.write(_json_text({"error": str(exc)}))

@@ -418,7 +418,12 @@ def _power_bracket(s: float, first: int, last) -> tuple[float, float]:
     if s <= 0 or m > last:
         return _sum_bracket(0, 0, s, first, last, m - 1)
     direct = _direct_sum(0, 0, s, first, m - 1, 1)
-    integral, size = _integral(0, 0, s, m, last)
+    e = 1 - s  # the integral of x^{-s} from m to last: _integral's k = 0 value, in closed form
+    if e == 0:
+        integral = size = math.log1p((last - m) / m)
+    else:
+        m_e, b_e = float(m) ** e, float(last) ** e
+        integral, size = (b_e - m_e) / e, abs((m_e + b_e) / e)
     f_m, f_b = m**-s, float(last) ** -s
     d1_m, d1_b = f_m / m, f_b / last
     d3_m, d3_b = d1_m / m / m, d1_b / last / last
@@ -447,10 +452,9 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     _check_int("Q", Q, 1)
     rf = _doubles(r)[1]
     # sp1 = sum_p p^{n-1-r}, sp2 = sum_p p^{n-2-r}, and the same over q
-    sp1, sp2, sq1, sq2 = (
-        _power_bracket(rf - n + j, first, last)[0]
-        for j, first, last in ((1, n, P), (2, n, P), (1, 1, Q), (2, 1, Q))
-    )
+    s1, s2 = rf - n + 1, rf - n + 2
+    sp1, sp2 = _power_bracket(s1, n, P)[0], _power_bracket(s2, n, P)[0]
+    sq1, sq2 = _power_bracket(s1, 1, Q)[0], _power_bracket(s2, 1, Q)[0]
     x, c = (sp1 * sq2 + sp2 * sq1) * 0.25**rf, _bound_constant(n)
     value = x / c if c.bit_length() <= 1023 and float(c) == c else float(Fraction(x) / c)
     return _outward(value, value, value)[0]

@@ -6,6 +6,7 @@ import enum
 import io
 import json
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from helpers import child_env
+from test_corpus import corpus
 from kohn_spectra import cli, harmonic_spaces, operators, schatten, sobolev
 from kohn_spectra.polynomials import ExactScalar, fraction_to_string
 from kohn_spectra.schatten import partial_sum
@@ -568,6 +570,53 @@ def test_usage_error_is_a_json_error(argv, message):
     assert list(error) == ["error"] and message in error["error"]
 
 
+def test_usage_errors_read_the_same_through_either_parser(tmp_path):
+    # main parses a command line that names its subcommand with that
+    # subcommand's own parser; each usage error of the cases above and of the
+    # corpus reads as the full parser's, but for the parser an unrecognized
+    # argument names
+    cases = [argv for argv, _ in test_usage_error_is_a_json_error.pytestmark[0].args[1]]
+    cases += [case for group, case in corpus(tmp_path) if group == "errors"]
+    checked = 0
+    for argv in cases:
+        try:
+            cli.build_parser().parse_args(list(argv))
+            continue  # the library, not the parser, rejects it
+        except cli.CliError as exc:
+            expected = str(exc)
+        if "--bogus" in argv:
+            assert expected == "kohn-spectra: unrecognized arguments: --bogus"
+            expected = "kohn-spectra spectrum: unrecognized arguments: --bogus"
+        cp = run_cli(*argv, check=False)
+        assert (cp.returncode, json.loads(cp.stderr)) == (1, {"error": expected}), argv
+        checked += 1
+    assert checked == 8 + 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", "--n", "2", "--input", "<zbar1>", "--operator", "sobolev", "--t", "1e400"),
+        ("ratio", "--n", "2", "--s", "10000000", "--k-max", "3"),
+    ],
+    ids=["apply-t-1e400", "ratio-s-1e7"],
+)
+def test_exact_power_past_the_size_budget_is_a_json_error(argv, tmp_path):
+    # the exact power (1 + k(k+2n-2))^e is refused before it starts; without
+    # the budget these runs take more than 6 s, or their memory, under a
+    # 1.5 GB address-space cap
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+    path = tmp_path / "zbar1.json"
+    path.write_text(json.dumps(ZBAR1))
+    cmd = [sys.executable, "-m", "kohn_spectra", *(str(path) if a == "<zbar1>" else a for a in argv)]
+    cp = subprocess.run(cmd, capture_output=True, text=True, timeout=6, env=child_env(), preexec_fn=cap_memory)
+    assert (cp.returncode, cp.stdout) == (1, "")
+    error = json.loads(cp.stderr)["error"]
+    assert "size budget of 131072 bits" in error
+
+
 @pytest.mark.parametrize("argv", [("--help",), ("schatten", "--help")])
 def test_help_exits_zero(argv):
     cp = run_cli(*argv)
@@ -597,7 +646,10 @@ def test_main_builds_only_the_named_subcommand():
     cli._parser.cache_clear()
     run_cli("schatten", "--n", "2", "--r", "3", "--cutoff-p", "2", "--cutoff-q", "2")
     assert cli._parser.cache_info().currsize == 1
-    assert cli._parser("schatten").format_usage() == "usage: kohn-spectra [-h] {schatten} ...\n"
+    assert " ".join(cli._parser("schatten").format_usage().split()) == (
+        "usage: kohn-spectra schatten [-h] --n N [--output OUTPUT] --r R"
+        " [--cutoff-p CUTOFF_P] [--cutoff-q CUTOFF_Q] [--emit-plot EMIT_PLOT]"
+    )
     assert cli._parser.cache_info().hits == 1
     assert "{spectrum,apply,green-solve,schatten," in cli._parser().format_usage()
 

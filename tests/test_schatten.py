@@ -579,6 +579,45 @@ class TestPowerBracket:
             assert repr(x**-s) == repr(float(x) ** -s) == repr(schatten._terms(0, 0, s, x, x)[0])
 
 
+    def test_closed_form_integral_matches_the_expansion(self):
+        # the bracket takes the integral of x^{-s} in closed form; built with
+        # _integral's k = 0 expansion instead, it is the same bracket bit for
+        # bit: s = 1 (log1p) and not, last finite and infinite, heads inside
+        # and past _WITNESS_HEAD, m == last included
+        rng = random.Random(71)
+        for _ in range(1500):
+            s = rng.choice((1.0, rng.uniform(0.01, 1), rng.uniform(1, 4), rng.uniform(4, 80)))
+            first = rng.choice((1, rng.randint(1, 100), rng.randint(1, 2**40)))
+            last = rng.choice((
+                first + rng.randint(0, _WITNESS_HEAD - 1),  # inside the head
+                first + _WITNESS_HEAD,
+                first + rng.randint(_WITNESS_HEAD, 10**6),
+                rng.randint(first + _WITNESS_HEAD, 2**70),
+                math.inf,
+            ))
+            got, want = _power_bracket(s, first, last), expansion_power_bracket(s, first, last)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (s, first, last)
+        for n, r, P, Q in ((2, 2, 10**9, 10**9), (3, 3, 3 + _WITNESS_HEAD, 1), (4, 4.5, 500, 2**50)):
+            assert lower_bound_sum(n, r, P, Q) == witness_reference(n, r, P, Q, expansion_power_bracket)
+
+
+def expansion_power_bracket(s, first, last):
+    """_power_bracket with the integral of x^{-s} from _integral(0, 0, s, m, last):
+    the module's general expansion integral at k = 0."""
+    m = first + (_WITNESS_HEAD if s > 0 else 1000)
+    if s <= 0 or m > last:
+        return _sum_bracket(0, 0, s, first, last, m - 1)
+    direct = schatten._direct_sum(0, 0, s, first, m - 1, 1)
+    integral, size = schatten._integral(0, 0, s, m, last)
+    f_m, f_b = m**-s, float(last) ** -s
+    d1_m, d1_b = f_m / m, f_b / last
+    d3_m, d3_b = d1_m / m / m, d1_b / last / last
+    c2, c4 = s / 12, s * (s + 1) * (s + 2) / 720
+    upper = math.fsum((direct, integral, f_m / 2, f_b / 2, c2 * (d1_m - d1_b)))
+    size += direct + f_m + f_b + c2 * (d1_m + d1_b) + c4 * (d3_m + d3_b)
+    return schatten._outward(upper - c4 * (d3_m - d3_b), upper, size)
+
+
 def memo_grid(seed):
     """Seeded (function, arguments) cases over n, r and cutoffs: the witness
     up to 2^40, and the float partial sum and tail bracket, which sum their

@@ -14,7 +14,9 @@ from kohn_spectra import (
     multiplicity,
 )
 from kohn_spectra.spectrum import (
+    _POWER_BITS,
     multiplicity_binomial,
+    power,
     spectrum_table,
     sphere_harmonic_dim,
 )
@@ -99,6 +101,19 @@ class TestLaplaceBeltrami:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             laplace_beltrami_eigenvalue(2, -1)
+
+
+class TestPower:
+    def test_size_budget(self):
+        # |e| times the bit length of the base's larger part, at most the budget
+        assert power(2, _POWER_BITS // 2) == 2 ** (_POWER_BITS // 2)
+        assert power(Fraction(1, 2), -(_POWER_BITS // 2)) == 2 ** (_POWER_BITS // 2)
+        for base, e in ((2, _POWER_BITS // 2 + 1), (Fraction(1, 2), _POWER_BITS), (4, -(10**400)), (-3, 10**7)):
+            with pytest.raises(ValueError, match=f"size budget of {_POWER_BITS} bits"):
+                power(base, e)
+
+    def test_bases_without_size_pass_any_exponent(self):
+        assert power(1, 10**400) == 1 and power(-1, 10**400 + 1) == -1 and power(0, 10**400) == 0
 
 
 class TestLambdaMin:
