@@ -63,8 +63,12 @@ remainder between 0 and the B_4 term, b = inf included:
 
 After a direct head of _WITNESS_HEAD terms this bracket is about 5e-10 wide
 at s = 1, where the integral test's is as wide as f(m), and one evaluation
-costs the same at any cutoff.  At s <= 0 (orders r <= n-1) the terms
-increase, and the integral test brackets them after a head of 1000 terms.
+costs the same at any cutoff.  Its integral is evaluated in closed form,
+log1p((b-m)/m) at s = 1 and (b^{1-s} - m^{1-s})/(1-s) otherwise, with the
+size |m^{1-s} + b^{1-s}|/|1-s|: _integral's k = 0 value and size, bit for
+bit (up to the sign of a zero integral at m = b, which no sum sees), without
+its expansion loop.  At s <= 0 (orders r <= n-1) the terms increase, and the
+integral test brackets them after a head of 1000 terms.
 
 Every directly summed 1-d sum -- a bracket's head and the four factors of
 the float partial sum -- is one call of the memoised _direct_sum, so a float
