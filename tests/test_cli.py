@@ -573,8 +573,8 @@ def test_usage_error_is_a_json_error(argv, message):
 def test_usage_errors_read_the_same_through_either_parser(tmp_path):
     # main parses a command line that names its subcommand with that
     # subcommand's own parser; each usage error of the cases above and of the
-    # corpus reads as the full parser's, but for the parser an unrecognized
-    # argument names
+    # corpus reads as the full parser's, except that an unrecognized argument
+    # is reported under the prog of the parser that read it
     cases = [argv for argv, _ in test_usage_error_is_a_json_error.pytestmark[0].args[1]]
     cases += [case for group, case in corpus(tmp_path) if group == "errors"]
     checked = 0
