@@ -137,8 +137,8 @@ DIVERGES = "Diverges"
 _WITNESS_HEAD = 64
 
 
-def _validate_order(n: int, r) -> Fraction | float:
-    """Check the dimension n and the Schatten order r >= 1; return r."""
+def _validate_order(n: int, r) -> int | Fraction | float:
+    """Check the dimension n and the Schatten order r >= 1; return r, an int when integral."""
     spectrum._check_dimension(n)
     r = spectrum._check_order("r", r)
     if r < 1:
@@ -151,14 +151,13 @@ def _bound_constant(n: int) -> int:
 
 
 def _times_power(num: int, base: int, r, den: int = 1) -> Fraction | float:
-    """num * base^{-r} / den: exact for integral r (see
-    :func:`spectrum._integral_exponent`).  Otherwise only base^(floor(r)-r),
+    """num * base^{-r} / den for a validated order r: exact when r is an int
+    (:func:`spectrum._check_order`).  Otherwise only base^(floor(r)-r),
     in (1/base, 1], is a float power; it meets the exact
     num / (den base^floor(r)) once, so neither huge ints nor an underflowing
     power spoil a representable result."""
-    e = spectrum._integral_exponent(r)
-    if e is not None:
-        return Fraction(num, den * base**e)
+    if type(r) is int:
+        return Fraction(num, den * base**r)
     whole = math.floor(r)
     return float(Fraction(num, den * base**whole) * Fraction(spectrum.power(base, whole - r)))
 
@@ -275,11 +274,10 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     r = _validate_order(n, r)
     _check_int("P", P)
     _check_int("Q", Q, 1)
-    r_int = spectrum._integral_exponent(r)
-    if r_int is not None:
-        L = math.lcm(*range(n - 1, P + n)) ** r_int
-        M = (2 * math.lcm(*range(1, Q + 1))) ** r_int
-        weights = [L // (p + n - 1) ** r_int for p in range(P + 1)]
+    if type(r) is int:
+        L = math.lcm(*range(n - 1, P + n)) ** r
+        M = (2 * math.lcm(*range(1, Q + 1))) ** r
+        weights = [L // (p + n - 1) ** r for p in range(P + 1)]
         # looked up per call, not at import, so a wrapper set on spectrum still sees every cell
         multiplicity = spectrum.multiplicity
         total = 0
@@ -287,7 +285,7 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
             row = 0
             for p, w in enumerate(weights):
                 row += multiplicity(n, (p, q)) * w
-            total += row * (M // (2 * q) ** r_int)
+            total += row * (M // (2 * q) ** r)
         return Fraction(total, L * M)
     return _combine(n, _rank_terms(n, float(r), P, Q), lambda a, b: _direct_sum(*a) * _direct_sum(*b))
 
@@ -448,10 +446,7 @@ def lower_bound_sum(n: int, r, P: int, Q: int) -> float:
     quotient by (n-1)!(n-2)! is one float division while that constant is a
     double (n <= 15), an exact Fraction rounded once beyond: the same float.
     """
-    if type(r) is int and r >= 1:  # valid as it is, without the round trip through Fraction
-        spectrum._check_dimension(n)
-    else:
-        r = _validate_order(n, r)
+    r = _validate_order(n, r)
     _check_int("P", P, n)
     _check_int("Q", Q, 1)
     rf = _doubles(r)[1]
@@ -517,7 +512,7 @@ class SchattenReport:
     """Partial sum plus certified tail bracket and the convergence verdict."""
 
     n: int
-    r: Fraction | float
+    r: int | Fraction | float
     cutoff_p: int
     cutoff_q: int
     partial_sum: Fraction | float

@@ -202,19 +202,19 @@ def sobolev_gain_certificate(n: int, f: Polynomial, s: int = 0) -> GainCertifica
     spectrum._check_dimension(n)
     if f.n != n:
         raise ValueError(f"polynomial lives on C^{f.n}, expected C^{n}")
-    s_int = spectrum._integral_exponent(s)
-    if s_int is None or s_int < 0:
+    s = spectrum._check_order("s", s)
+    if type(s) is not int or s < 0:
         raise ValueError(f"gain certificates require a nonnegative integer s, got {s}")
 
     c_squared = best_constant(n).c_squared
     dec = decompose(f)
     green_f = apply(dec, lambda d: green_symbol(n, d))
-    lhs = weighted_norm_squared(green_f, lambda d: sobolev_symbol(n, s_int + 1, d))
-    rhs = c_squared * weighted_norm_squared(dec, lambda d: sobolev_symbol(n, s_int, d))
+    lhs = weighted_norm_squared(green_f, lambda d: sobolev_symbol(n, s + 1, d))
+    rhs = c_squared * weighted_norm_squared(dec, lambda d: sobolev_symbol(n, s, d))
     locus = equality_bidegree(n)
     return GainCertificate(
         n=n,
-        s=s_int,
+        s=s,
         green_norm_squared=lhs,
         bound=rhs,
         ratio=lhs / rhs if rhs else None,

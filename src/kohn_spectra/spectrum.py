@@ -18,7 +18,8 @@ closed form alone.
 
 The library's real orders (the Schatten r, the Sobolev s and t, spectral
 cutoffs) all pass :func:`_check_order`, as its integers pass
-:func:`kohn_spectra.polynomials._check_int`.
+:func:`kohn_spectra.polynomials._check_int`: an integral order comes back
+as an int, so ``type(x) is int`` on it marks every exact path.
 """
 
 from __future__ import annotations
@@ -50,24 +51,16 @@ def _check_bidegree(n: int, d) -> tuple[int, int]:
     return p, q
 
 
-def _check_order(name: str, value) -> Fraction | float:
-    """The library's order-argument rule: an int becomes a Fraction, a
-    Fraction or a finite float is returned unchanged, and anything else
-    (a bool, nan, inf, a str) is a ValueError naming it."""
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, Fraction) or (isinstance(value, float) and math.isfinite(value)):
+def _check_order(name: str, value) -> int | Fraction | float:
+    """The library's one exactness rule for orders: an int or an integral
+    Fraction is returned as an int (the exact path), any other Fraction or a
+    finite float (4.0 included) unchanged (the float path), and anything
+    else (a bool, nan, inf, a str) is a ValueError naming it."""
+    if type(value) is int or (isinstance(value, float) and math.isfinite(value)):
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise ValueError(f"{name} must be an int, Fraction or finite float, got {value!r}")
-
-
-def _integral_exponent(value) -> int | None:
-    """The int value of an exactly integral order (an int or an integral
-    Fraction, never a float), else None: the caller's float path."""
-    value = _check_order("exponent", value)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return None
 
 
 # The size budget of an exact power, in bits: measured, a six-component
@@ -77,13 +70,13 @@ _POWER_BITS = 2**17
 
 
 def power(base, exponent) -> Fraction | float:
-    """base ** exponent: an exact Fraction when the exponent is integral (see
-    :func:`_integral_exponent`), a double otherwise.  An exact power whose
-    size estimate, |exponent| times the bit length of the base's larger part,
-    exceeds _POWER_BITS is a ValueError naming the budget; a base of
-    0 or +-1 has no size to grow."""
-    e = _integral_exponent(exponent)
-    if e is not None:
+    """base ** exponent: an exact Fraction when the exponent is integral (an
+    int once :func:`_check_order` validates it), a double otherwise, a float
+    exponent included.  An exact power whose size estimate, |exponent| times
+    the bit length of the base's larger part, exceeds _POWER_BITS is a
+    ValueError naming the budget; a base of 0 or +-1 has no size to grow."""
+    e = _check_order("exponent", exponent)
+    if type(e) is int:
         base = Fraction(base)
         bits = max(abs(base.numerator), base.denominator).bit_length()
         if bits > 1 and abs(e) * bits > _POWER_BITS:
@@ -92,7 +85,7 @@ def power(base, exponent) -> Fraction | float:
                 f"exceeds the size budget of {_POWER_BITS} bits"
             )
         return base**e
-    return float(base) ** float(exponent)
+    return float(base) ** float(e)
 
 
 def boxb_eigenvalue(n: int, d: Bidegree) -> Fraction:
