@@ -267,7 +267,8 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     """sum_{q=1}^{Q} sum_{p=0}^{P} m_{p,q} / (2q(p+n-1))^r.
 
     Exact rational for positive integer r, accumulated as one integer over
-    the shared denominator of the module docstring and normalised once.
+    the shared denominator of the module docstring and normalised once; its
+    two lcm powers pass spectrum.power's size budget.
     Otherwise a double: the rank-2 split over its four 1-d sums, memoised
     heads that a report shares with its tail bracket (module docstring).
     """
@@ -275,8 +276,9 @@ def partial_sum(n: int, r, P: int, Q: int) -> Fraction | float:
     _check_int("P", P)
     _check_int("Q", Q, 1)
     if type(r) is int:
-        L = math.lcm(*range(n - 1, P + n)) ** r
-        M = (2 * math.lcm(*range(1, Q + 1))) ** r
+        # the sum's largest numbers, under spectrum.power's size budget
+        L = spectrum.power(math.lcm(*range(n - 1, P + n)), r).numerator
+        M = spectrum.power(2 * math.lcm(*range(1, Q + 1)), r).numerator
         weights = [L // (p + n - 1) ** r for p in range(P + 1)]
         # looked up per call, not at import, so a wrapper set on spectrum still sees every cell
         multiplicity = spectrum.multiplicity

@@ -63,27 +63,41 @@ def _check_order(name: str, value) -> int | Fraction | float:
     raise ValueError(f"{name} must be an int, Fraction or finite float, got {value!r}")
 
 
-# The size budget of an exact power, in bits: measured, a six-component
-# `apply --operator sobolev` whose powers reach it takes 0.7 s, at 2^20 bits
-# 11 s; the test suite's largest exact power has 160 bits.
-_POWER_BITS = 2**17
+# The size budget of an exact power, in bits, chosen by measurement: the least
+# power of two under which the exact Schatten report at n = 2, r = 10^5,
+# P = Q = 3 (lcm powers 12^r, estimated at 4*10^5 bits) still runs.  With
+# powers at the budget that report (r = 131072) takes 1.8 s and a
+# six-component `apply --operator sobolev` 0.7 s; at 2^20 bits 6.9 s and 1.8 s.
+_POWER_BITS = 2**19
+
+
+def _check_power_size(base: Fraction, e: int, points: int = 1) -> None:
+    """Refuse the exact power base^e, or a series of that many points none
+    larger, when its size estimate, points times |e| times the bit length of
+    the base's larger part, exceeds _POWER_BITS: a ValueError naming the
+    budget.  A base of 0 or +-1 has no size to grow."""
+    bits = max(abs(base.numerator), base.denominator).bit_length()
+    if bits > 1 and points * abs(e) * bits > _POWER_BITS:
+        what, size = (
+            (f"power of {base}", "|exponent|")
+            if points == 1
+            else (f"series of {points} powers up to {base}^{e}", "points times |exponent|")
+        )
+        raise ValueError(
+            f"exact {what} too large: {size} times the base's {bits} bits "
+            f"exceeds the size budget of {_POWER_BITS} bits"
+        )
 
 
 def power(base, exponent) -> Fraction | float:
     """base ** exponent: an exact Fraction when the exponent is integral (an
     int once :func:`_check_order` validates it), a double otherwise, a float
-    exponent included.  An exact power whose size estimate, |exponent| times
-    the bit length of the base's larger part, exceeds _POWER_BITS is a
-    ValueError naming the budget; a base of 0 or +-1 has no size to grow."""
+    exponent included.  An exact power over the size budget
+    (:func:`_check_power_size`) is a ValueError naming it."""
     e = _check_order("exponent", exponent)
     if type(e) is int:
         base = Fraction(base)
-        bits = max(abs(base.numerator), base.denominator).bit_length()
-        if bits > 1 and abs(e) * bits > _POWER_BITS:
-            raise ValueError(
-                f"exact power of {base} too large: |exponent| times the base's {bits} bits "
-                f"exceeds the size budget of {_POWER_BITS} bits"
-            )
+        _check_power_size(base, e)
         return base**e
     return float(base) ** float(e)
 

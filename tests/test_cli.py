@@ -282,6 +282,11 @@ VERIFY_FAULTS = {
         lambda lower: lambda n, r, p, q: schatten.schatten_term(n, r, p, q) + 1,
     ),
     "sobolev_gain": (sobolev, "best_constant", _halve_c_squared),
+    "sobolev_gain-equality": (
+        sobolev,
+        "sobolev_gain_certificate",
+        lambda certificate: lambda n, f, s: dataclasses.replace(certificate(n, f, s), equality=True),
+    ),
 }
 
 
@@ -614,8 +619,29 @@ def test_exact_power_past_the_size_budget_is_a_json_error(argv, tmp_path):
     cp = subprocess.run(cmd, capture_output=True, text=True, timeout=6, env=child_env(), preexec_fn=cap_memory)
     assert (cp.returncode, cp.stdout) == (1, "")
     error = json.loads(cp.stderr)["error"]
-    assert "size budget of 131072 bits" in error
+    assert "size budget of 524288 bits" in error
 
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("schatten", "--n", "2", "--r", "1000000", "--cutoff-p", "3", "--cutoff-q", "3"), "exact power of 12"),
+        (("ratio", "--n", "2", "--s", "4000", "--k-max", "5000"), "exact series of 5000 powers"),
+    ],
+    ids=["schatten-lcm-r-1e6", "ratio-series-s4000"],
+)
+def test_exact_sum_past_the_size_budget_is_a_json_error(argv, refused):
+    # the exact Schatten sum's lcm powers 12^r, and a ratio series of 5000
+    # points each under the budget, are refused before they start; without
+    # that these runs take more than 6 s under a 1.5 GB address-space cap
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+    cmd = [sys.executable, "-m", "kohn_spectra", *argv]
+    cp = subprocess.run(cmd, capture_output=True, text=True, timeout=6, env=child_env(), preexec_fn=cap_memory)
+    assert (cp.returncode, cp.stdout) == (1, "")
+    error = json.loads(cp.stderr)["error"]
+    assert refused in error and "size budget of 524288 bits" in error
 
 @pytest.mark.parametrize("argv", [("--help",), ("schatten", "--help")])
 def test_help_exits_zero(argv):

@@ -275,3 +275,32 @@ def test_bad_bidegree_entries_are_named_as_a_bidegree(name, make):
         with pytest.raises(ValueError) as info:
             function(**{**kwargs, "d": make(bad)})
         assert str(info.value) == message
+
+
+ORDER_PARAMS = [
+    pytest.param(name, param, id=f"{name}-{param}")
+    for name, (_, kwargs, _, orders) in TABLE.items()
+    for param in orders.split()
+    if type(kwargs[param]) is int
+]
+
+
+def same(a, b) -> bool:
+    """a == b with equal types throughout: field by field for a record,
+    entry by entry for a sequence."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("name, param", ORDER_PARAMS)
+def test_integral_order_gives_the_same_result_as_an_int_or_a_fraction(name, param):
+    """An integral order takes one exact path whatever its type: k and
+    Fraction(k) give equal results of the same type."""
+    function, kwargs, _, _ = TABLE[name]
+    k = kwargs[param]
+    assert same(function(**kwargs), function(**{**kwargs, param: Fraction(k)}))

@@ -120,6 +120,33 @@ class TestRingOperations:
             Polynomial.monomial(2, (1,), (0, 0))
 
 
+
+class TestOperandEdges:
+    def test_scalar_on_the_left_scales(self):
+        f = z(1) + zb(2)
+        assert 3 * f == f.scale(3) == f * 3
+        assert Fraction(1, 2) * f == f.scale(Fraction(1, 2))
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__eq__"])
+    def test_non_polynomial_operand_is_not_implemented(self, op):
+        assert getattr(z(1), op)("z1") is NotImplemented
+
+    def test_foreign_operands_fail_or_compare_unequal(self):
+        f = z(1)
+        for combine in (lambda: f + "z1", lambda: f - 1.5, lambda: f * 0.5):
+            with pytest.raises(TypeError):
+                combine()
+        assert f != "z1" and not (f == None)  # noqa: E711
+
+    def test_zero_polynomial_prints_as_zero(self):
+        zero = Polynomial.zero(2)
+        assert str(zero) == "0"
+        assert repr(zero) == "Polynomial(n=2: 0)"
+
+    def test_coordinate_index_past_the_dimension(self):
+        with pytest.raises(ValueError, match="coordinate index 3 out of range 1..2"):
+            Polynomial.z(2, 3)
+
 class TestAmbientLaplacian:
     def test_harmonic_by_cancellation(self):
         f = z(1) * zb(1) - z(2) * zb(2)

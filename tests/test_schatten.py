@@ -259,6 +259,15 @@ class TestPartialSum:
         assert all(a[1] < b[1] for a, b in zip(series, series[1:]))
 
 
+    def test_lcm_powers_have_the_power_size_budget(self):
+        # the one cell m_{0,1} / 2^r = 2^{1-r}: M = 2^r reaches the budget at r = 2^18
+        assert partial_sum(2, 2**18, 0, 1) == Fraction(2, 2 ** 2**18)
+        for r in (2**18 + 1, Fraction(10**6)):
+            with pytest.raises(ValueError, match=f"size budget of {spectrum._POWER_BITS} bits"):
+                partial_sum(2, r, 0, 1)
+        with pytest.raises(ValueError, match="exact power of 12 too large"):
+            partial_sum(2, 10**6, 3, 3)  # L = M = 12^r
+
 class TestVerdict:
     def test_examples(self):
         assert verdict(2, 3) == CONVERGES

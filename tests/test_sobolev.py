@@ -59,6 +59,26 @@ class TestRatio:
         assert points[0].value == 1
 
 
+    def test_series_size_is_checked_before_its_first_point(self, monkeypatch):
+        # 5000 points of up to 4000 * 25 bits: every point is under the budget, the series is not
+        calls = []
+        monkeypatch.setattr(sobolev, "ratio", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="exact series of 5000 powers .* size budget of 524288 bits"):
+            ratio_series(2, 4000, 5000)
+        with pytest.raises(ValueError, match="size budget"):
+            ratio_series(2, Fraction(4000), 5000)
+        assert calls == []
+
+    def test_series_at_the_budget_and_at_a_float_order(self):
+        # 1 + 4*6 = 25 has 5 bits: 4 points of |s| = 2^19 / 20 powers fill the budget
+        assert len(ratio_series(2, -(2**19 // 20), 4)) == 4
+        with pytest.raises(ValueError, match="size budget"):
+            ratio_series(2, 2**19 // 20 + 1, 4)
+        # a float order takes the float path, which the budget does not bound
+        assert all(isinstance(pt.value, float) for pt in ratio_series(2, 20.0, 5000))
+        with pytest.raises(ValueError, match="size budget"):
+            ratio_series(2, 20, 5000)
+
 class TestIsBounded:
     def test_boundary(self):
         assert is_bounded(2, 1)
@@ -237,6 +257,10 @@ class TestGainCertificate:
     def test_requires_integer_order(self):
         with pytest.raises(ValueError):
             sobolev_gain_certificate(2, Polynomial.z_bar(2, 1), Fraction(1, 2))
+
+    def test_polynomial_on_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="polynomial lives on C\\^2, expected C\\^3"):
+            sobolev_gain_certificate(3, Polynomial.z_bar(2, 1), 0)
 
     def test_decomposes_f_once(self, monkeypatch):
         calls = []
