@@ -95,7 +95,7 @@ class RatioPoint:
 def ratio_series(n: int, s, k_max: int) -> list[RatioPoint]:
     """ratio(n, s, k) for k = 1..k_max.  At an integral s the whole series
     passes the exact-power size budget before its first point: k_max points,
-    none larger than the last (spectrum._check_power_size)."""
+    none larger than the last (:func:`spectrum._check_power_size`)."""
     _check_int("k_max", k_max, 1)
     last = 1 + spectrum.laplace_beltrami_eigenvalue(n, k_max)
     s = spectrum._check_order("s", s)

@@ -81,7 +81,7 @@ def _check_power_size(base: Fraction, e: int, points: int = 1) -> None:
         what, size = (
             (f"power of {base}", "|exponent|")
             if points == 1
-            else (f"series of {points} powers up to {base}^{e}", "points times |exponent|")
+            else (f"series of {points} powers of up to {base}", "points times |exponent|")
         )
         raise ValueError(
             f"exact {what} too large: {size} times the base's {bits} bits "

@@ -603,13 +603,16 @@ def test_usage_errors_read_the_same_through_either_parser(tmp_path):
     [
         ("apply", "--n", "2", "--input", "<zbar1>", "--operator", "sobolev", "--t", "1e400"),
         ("ratio", "--n", "2", "--s", "10000000", "--k-max", "3"),
+        ("schatten", "--n", "2", "--r", "1000000", "--cutoff-p", "3", "--cutoff-q", "3"),
+        ("ratio", "--n", "2", "--s", "4000", "--k-max", "5000"),
     ],
-    ids=["apply-t-1e400", "ratio-s-1e7"],
+    ids=["apply-t-1e400", "ratio-s-1e7", "schatten-lcm-r-1e6", "ratio-series-s4000"],
 )
 def test_exact_power_past_the_size_budget_is_a_json_error(argv, tmp_path):
-    # the exact power (1 + k(k+2n-2))^e is refused before it starts; without
-    # the budget these runs take more than 6 s, or their memory, under a
-    # 1.5 GB address-space cap
+    # the exact power (1 + k(k+2n-2))^e, the exact Schatten sum's lcm powers
+    # 12^r and a ratio series of 5000 points, each under the budget, are
+    # refused before they start; without the budget these runs take more
+    # than 6 s, or their memory, under a 1.5 GB address-space cap
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
 
@@ -621,27 +624,6 @@ def test_exact_power_past_the_size_budget_is_a_json_error(argv, tmp_path):
     error = json.loads(cp.stderr)["error"]
     assert "size budget of 524288 bits" in error
 
-
-@pytest.mark.parametrize(
-    "argv, refused",
-    [
-        (("schatten", "--n", "2", "--r", "1000000", "--cutoff-p", "3", "--cutoff-q", "3"), "exact power of 12"),
-        (("ratio", "--n", "2", "--s", "4000", "--k-max", "5000"), "exact series of 5000 powers"),
-    ],
-    ids=["schatten-lcm-r-1e6", "ratio-series-s4000"],
-)
-def test_exact_sum_past_the_size_budget_is_a_json_error(argv, refused):
-    # the exact Schatten sum's lcm powers 12^r, and a ratio series of 5000
-    # points each under the budget, are refused before they start; without
-    # that these runs take more than 6 s under a 1.5 GB address-space cap
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
-
-    cmd = [sys.executable, "-m", "kohn_spectra", *argv]
-    cp = subprocess.run(cmd, capture_output=True, text=True, timeout=6, env=child_env(), preexec_fn=cap_memory)
-    assert (cp.returncode, cp.stdout) == (1, "")
-    error = json.loads(cp.stderr)["error"]
-    assert refused in error and "size budget of 524288 bits" in error
 
 @pytest.mark.parametrize("argv", [("--help",), ("schatten", "--help")])
 def test_help_exits_zero(argv):

@@ -127,16 +127,14 @@ class TestOperandEdges:
         assert 3 * f == f.scale(3) == f * 3
         assert Fraction(1, 2) * f == f.scale(Fraction(1, 2))
 
-    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__eq__"])
-    def test_non_polynomial_operand_is_not_implemented(self, op):
-        assert getattr(z(1), op)("z1") is NotImplemented
-
-    def test_foreign_operands_fail_or_compare_unequal(self):
+    def test_non_polynomial_operand_is_not_implemented(self):
         f = z(1)
-        for combine in (lambda: f + "z1", lambda: f - 1.5, lambda: f * 0.5):
+        for op in ("__add__", "__sub__", "__mul__", "__eq__"):
+            assert getattr(f, op)(0.5) is NotImplemented
+        for combine in (lambda: f + 0.5, lambda: f - 0.5, lambda: f * 0.5):
             with pytest.raises(TypeError):
                 combine()
-        assert f != "z1" and not (f == None)  # noqa: E711
+        assert f != 0.5
 
     def test_zero_polynomial_prints_as_zero(self):
         zero = Polynomial.zero(2)
