@@ -120,7 +120,6 @@ class TestRingOperations:
             Polynomial.monomial(2, (1,), (0, 0))
 
 
-
 class TestOperandEdges:
     def test_scalar_on_the_left_scales(self):
         f = z(1) + zb(2)
@@ -144,6 +143,7 @@ class TestOperandEdges:
     def test_coordinate_index_past_the_dimension(self):
         with pytest.raises(ValueError, match="coordinate index 3 out of range 1..2"):
             Polynomial.z(2, 3)
+
 
 class TestAmbientLaplacian:
     def test_harmonic_by_cancellation(self):

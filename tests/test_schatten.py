@@ -258,7 +258,6 @@ class TestPartialSum:
         assert series[-1][1] == pytest.approx(float(partial_sum(2, 3, 12, 12)), rel=1e-12)
         assert all(a[1] < b[1] for a, b in zip(series, series[1:]))
 
-
     def test_lcm_powers_have_the_power_size_budget(self):
         # the one cell m_{0,1} / 2^r = 2^{1-r}: M = 2^r reaches the budget at r = 2^18
         assert partial_sum(2, 2**18, 0, 1) == Fraction(2, 2 ** 2**18)
@@ -267,6 +266,7 @@ class TestPartialSum:
                 partial_sum(2, r, 0, 1)
         with pytest.raises(ValueError, match="exact power of 12 too large"):
             partial_sum(2, 10**6, 3, 3)  # L = M = 12^r
+
 
 class TestVerdict:
     def test_examples(self):

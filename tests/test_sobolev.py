@@ -58,7 +58,6 @@ class TestRatio:
         assert [pt.k for pt in points] == [1, 2, 3, 4]
         assert points[0].value == 1
 
-
     def test_series_size_is_checked_before_its_first_point(self, monkeypatch):
         # 5000 points of up to 4000 * 25 bits: every point is under the budget, the series is not
         calls = []
@@ -78,6 +77,7 @@ class TestRatio:
         assert all(isinstance(pt.value, float) for pt in ratio_series(2, 20.0, 5000))
         with pytest.raises(ValueError, match="size budget"):
             ratio_series(2, 20, 5000)
+
 
 class TestIsBounded:
     def test_boundary(self):
