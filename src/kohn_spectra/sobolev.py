@@ -92,15 +92,31 @@ class RatioPoint:
     value: Fraction | float
 
 
+# The size budget of an exact ratio series, in bits: k_max times its last
+# point's estimate.  Chosen by measurement (2-core Intel Xeon, `ratio` on the
+# CLI, where writing the digits costs most): at the budget the slowest shape,
+# 32 points at the exact-power budget, takes 1.1 s, and 64 points at 2^25 bits
+# 2.9 s.  Small points cost their count: s = 1 at k_max = 440000 takes 5.6 s,
+# as the float path does at s = 1.0.
+_SERIES_BITS = 2**24
+
+
 def ratio_series(n: int, s, k_max: int) -> list[RatioPoint]:
-    """ratio(n, s, k) for k = 1..k_max.  At an integral s the whole series
-    passes the exact-power size budget before its first point: k_max points,
-    none larger than the last (:func:`spectrum._check_power_size`)."""
+    """ratio(n, s, k) for k = 1..k_max.  At an integral s the series is sized
+    before its first point: its last, largest power against the exact-power
+    budget (:func:`spectrum._check_power_size`), and k_max times that power's
+    estimate against _SERIES_BITS."""
     _check_int("k_max", k_max, 1)
     last = 1 + spectrum.laplace_beltrami_eigenvalue(n, k_max)
     s = spectrum._check_order("s", s)
     if type(s) is int:
-        spectrum._check_power_size(last, s, k_max)
+        spectrum._check_power_size(last, s)
+        size = k_max * abs(s) * last.numerator.bit_length()
+        if size > _SERIES_BITS:
+            raise ValueError(
+                f"exact series of {k_max} powers of up to {last} too large: its estimated "
+                f"{size} bits exceed the series size budget of {_SERIES_BITS} bits"
+            )
     return [RatioPoint(k, ratio(n, s, k)) for k in range(1, k_max + 1)]
 
 

@@ -63,28 +63,23 @@ def _check_order(name: str, value) -> int | Fraction | float:
     raise ValueError(f"{name} must be an int, Fraction or finite float, got {value!r}")
 
 
-# The size budget of an exact power, in bits, chosen by measurement: the least
-# power of two under which the exact Schatten report at n = 2, r = 10^5,
-# P = Q = 3 (lcm powers 12^r, estimated at 4*10^5 bits) still runs.  With
-# powers at the budget that report (r = 131072) takes 1.8 s and a
-# six-component `apply --operator sobolev` 0.7 s; at 2^20 bits 6.9 s and 1.8 s.
+# The size budget of an exact power, in bits, chosen by measurement (2-core
+# Intel Xeon, CLI runs): the least power of two under which the exact Schatten
+# report at n = 2, r = 10^5, P = Q = 3 (lcm powers 12^r, estimated at 4*10^5
+# bits, 1.1 s) still runs.  With powers at the budget that report (r = 131072)
+# takes 1.75 s and `apply --operator sobolev` on z1 + z1^2 + ... + z1^6 0.65 s;
+# at 2^20 bits 6.4 s and 1.6 s, at 2^17 bits 0.2 s for the apply.
 _POWER_BITS = 2**19
 
 
-def _check_power_size(base: Fraction, e: int, points: int = 1) -> None:
-    """Refuse the exact power base^e, or a series of that many points none
-    larger, when its size estimate, points times |e| times the bit length of
-    the base's larger part, exceeds _POWER_BITS: a ValueError naming the
-    budget.  A base of 0 or +-1 has no size to grow."""
+def _check_power_size(base: Fraction, e: int) -> None:
+    """Refuse the exact power base^e when its size estimate, |e| times the
+    bit length of the base's larger part, exceeds _POWER_BITS: a ValueError
+    naming the budget.  A base of 0 or +-1 has no size to grow."""
     bits = max(abs(base.numerator), base.denominator).bit_length()
-    if bits > 1 and points * abs(e) * bits > _POWER_BITS:
-        what, size = (
-            (f"power of {base}", "|exponent|")
-            if points == 1
-            else (f"series of {points} powers of up to {base}", "points times |exponent|")
-        )
+    if bits > 1 and abs(e) * bits > _POWER_BITS:
         raise ValueError(
-            f"exact {what} too large: {size} times the base's {bits} bits "
+            f"exact power of {base} too large: |exponent| times the base's {bits} bits "
             f"exceeds the size budget of {_POWER_BITS} bits"
         )
 

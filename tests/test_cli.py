@@ -16,7 +16,7 @@ import pytest
 
 from helpers import child_env
 from test_corpus import corpus
-from kohn_spectra import cli, harmonic_spaces, operators, schatten, sobolev
+from kohn_spectra import cli, harmonic_spaces, operators, schatten, sobolev, spectrum
 from kohn_spectra.polynomials import ExactScalar, fraction_to_string
 from kohn_spectra.schatten import partial_sum
 
@@ -599,20 +599,20 @@ def test_usage_errors_read_the_same_through_either_parser(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, budget",
     [
-        ("apply", "--n", "2", "--input", "<zbar1>", "--operator", "sobolev", "--t", "1e400"),
-        ("ratio", "--n", "2", "--s", "10000000", "--k-max", "3"),
-        ("schatten", "--n", "2", "--r", "1000000", "--cutoff-p", "3", "--cutoff-q", "3"),
-        ("ratio", "--n", "2", "--s", "4000", "--k-max", "5000"),
+        (("apply", "--n", "2", "--input", "<zbar1>", "--operator", "sobolev", "--t", "1e400"), spectrum._POWER_BITS),
+        (("ratio", "--n", "2", "--s", "10000000", "--k-max", "3"), spectrum._POWER_BITS),
+        (("schatten", "--n", "2", "--r", "1000000", "--cutoff-p", "3", "--cutoff-q", "3"), spectrum._POWER_BITS),
+        (("ratio", "--n", "2", "--s", "4000", "--k-max", "5000"), sobolev._SERIES_BITS),
     ],
     ids=["apply-t-1e400", "ratio-s-1e7", "schatten-lcm-r-1e6", "ratio-series-s4000"],
 )
-def test_exact_power_past_the_size_budget_is_a_json_error(argv, tmp_path):
+def test_exact_power_past_the_size_budget_is_a_json_error(argv, budget, tmp_path):
     # the exact power (1 + k(k+2n-2))^e, the exact Schatten sum's lcm powers
-    # 12^r and a ratio series of 5000 points, each under the budget, are
-    # refused before they start; without the budget these runs take more
-    # than 6 s, or their memory, under a 1.5 GB address-space cap
+    # 12^r and a ratio series of 5000 points, each under the power budget,
+    # are refused before they start; without the budgets these runs take
+    # more than 6 s, or their memory, under a 1.5 GB address-space cap
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
 
@@ -622,7 +622,15 @@ def test_exact_power_past_the_size_budget_is_a_json_error(argv, tmp_path):
     cp = subprocess.run(cmd, capture_output=True, text=True, timeout=6, env=child_env(), preexec_fn=cap_memory)
     assert (cp.returncode, cp.stdout) == (1, "")
     error = json.loads(cp.stderr)["error"]
-    assert "size budget of 524288 bits" in error
+    assert f"size budget of {budget} bits" in error
+
+
+@pytest.mark.parametrize("s, k_max", [("1", "20000"), ("2", "10000"), ("20", "5000")])
+def test_long_exact_series_of_small_powers_runs(s, k_max):
+    # over the exact-power budget in total, under the series budget: each
+    # run takes well under a second
+    rows = run_cli("ratio", "--n", "2", "--s", s, "--k-max", k_max).stdout.splitlines()
+    assert len(rows) == 1 + int(k_max) and rows[-1].startswith(f"{k_max},")
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("schatten", "--help")])

@@ -16,6 +16,7 @@ from kohn_spectra import (
     random_polynomial,
     sobolev,
     sobolev_gain_certificate,
+    spectrum,
 )
 from kohn_spectra.sobolev import (
     argmax_degree,
@@ -59,24 +60,32 @@ class TestRatio:
         assert points[0].value == 1
 
     def test_series_size_is_checked_before_its_first_point(self, monkeypatch):
-        # 5000 points of up to 4000 * 25 bits: every point is under the budget, the series is not
+        # 5000 points of up to 4000 * 25 bits: every point is under the power budget, the series is not
         calls = []
         monkeypatch.setattr(sobolev, "ratio", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="exact series of 5000 powers .* size budget of 524288 bits"):
-            ratio_series(2, 4000, 5000)
-        with pytest.raises(ValueError, match="size budget"):
-            ratio_series(2, Fraction(4000), 5000)
+        series = f"exact series of 5000 powers .* series size budget of {sobolev._SERIES_BITS} bits"
+        for s in (4000, Fraction(4000)):
+            with pytest.raises(ValueError, match=series):
+                ratio_series(2, s, 5000)
+        # a last point past the power budget is refused as that power
+        with pytest.raises(ValueError, match=f"exact power of 16 .* size budget of {spectrum._POWER_BITS} bits"):
+            ratio_series(2, 10**7, 3)
         assert calls == []
 
-    def test_series_at_the_budget_and_at_a_float_order(self):
-        # 1 + 4*6 = 25 has 5 bits: 4 points of |s| = 2^19 / 20 powers fill the budget
-        assert len(ratio_series(2, -(2**19 // 20), 4)) == 4
-        with pytest.raises(ValueError, match="size budget"):
-            ratio_series(2, 2**19 // 20 + 1, 4)
+    def test_series_at_the_budget_and_at_a_float_order(self, monkeypatch):
+        # 1 + 4*6 = 25 has 5 bits: 4 points of |s| = 100 fill a budget of 2000 bits
+        monkeypatch.setattr(sobolev, "_SERIES_BITS", 2000)
+        assert len(ratio_series(2, -100, 4)) == 4
+        with pytest.raises(ValueError, match="series size budget of 2000 bits"):
+            ratio_series(2, 101, 4)
         # a float order takes the float path, which the budget does not bound
-        assert all(isinstance(pt.value, float) for pt in ratio_series(2, 20.0, 5000))
-        with pytest.raises(ValueError, match="size budget"):
-            ratio_series(2, 20, 5000)
+        assert all(isinstance(pt.value, float) for pt in ratio_series(2, 101.0, 4))
+
+    def test_long_series_of_small_powers_runs(self):
+        # 5000 points of up to 20 * 25 bits: 2.5 * 10^6 bits, under the series budget
+        exact, approx = ratio_series(2, 20, 5000), ratio_series(2, 20.0, 5000)
+        assert [type(pt.value) for pt in exact[::1000]] == [Fraction] * 5
+        assert float(exact[-1].value) == pytest.approx(approx[-1].value, rel=1e-12)
 
 
 class TestIsBounded:
