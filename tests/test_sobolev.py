@@ -81,12 +81,6 @@ class TestRatio:
         # a float order takes the float path, which the budget does not bound
         assert all(isinstance(pt.value, float) for pt in ratio_series(2, 101.0, 4))
 
-    def test_long_series_of_small_powers_runs(self):
-        # 5000 points of up to 20 * 25 bits: 2.5 * 10^6 bits, under the series budget
-        exact, approx = ratio_series(2, 20, 5000), ratio_series(2, 20.0, 5000)
-        assert [type(pt.value) for pt in exact[::1000]] == [Fraction] * 5
-        assert float(exact[-1].value) == pytest.approx(approx[-1].value, rel=1e-12)
-
 
 class TestIsBounded:
     def test_boundary(self):
