@@ -515,24 +515,16 @@ _COMMANDS = {
 }
 
 
-def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give parser the arguments and handler of the subcommand ``name``."""
-    _, handler, add_args = _COMMANDS[name]
-    add_args(parser)
-    parser.set_defaults(func=handler)
-    return parser
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or ``command``'s own parser alone,
-    which parses the arguments after the command's name.  The two are built
-    alike, prog ``kohn-spectra <command>`` included, so the arguments after
-    a subcommand's name parse, fail and print --help the same through either.
-    One message differs: an unrecognized argument is reported by the parser
-    that parsed it, ``kohn-spectra <command>: unrecognized arguments: ...``
-    from the named parser, ``kohn-spectra: ...`` from the full one."""
+    """``command``'s own parser, which parses the arguments after the
+    command's name, or the top-level parser, which lists the subcommands and
+    reads none of their arguments."""
     if command is not None:
-        return _command_parser(_Parser(prog=f"kohn-spectra {command}"), command)
+        _, handler, add_args = _COMMANDS[command]
+        parser = _Parser(prog=f"kohn-spectra {command}")
+        add_args(parser)
+        parser.set_defaults(func=handler)
+        return parser
     parser = _Parser(
         prog="kohn-spectra",
         description="Exact spectral calculus for the Kohn Laplacian and complex "
@@ -540,11 +532,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _command_parser(sub.add_parser(name, help=help_text), name)
+        sub.add_parser(name, help=help_text)
     return parser
 
 
-# One parser per subcommand per process (and one with all of them); parse_args
+# One parser per subcommand per process (and the top-level one); parse_args
 # fills a fresh Namespace on every call.
 _parser = functools.lru_cache(maxsize=9)(build_parser)
 
@@ -552,12 +544,14 @@ _parser = functools.lru_cache(maxsize=9)(build_parser)
 def main(argv: list[str] | None = None) -> int:
     """Run the command line argv (default sys.argv[1:]) and return its exit
     status.  When argv's first word names a subcommand, that subcommand's own
-    parser reads the rest, so no other subcommand's parser is built; --help,
-    an unknown command and no command go to the full parser."""
+    parser alone reads the rest; any other command line goes to the top-level
+    parser, which prints --help or the usage error."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         command = argv[0] if argv and argv[0] in _COMMANDS else None
         args = _parser(command).parse_args(argv if command is None else argv[1:])
+        if command is None:  # a subcommand's name after "--", which some Pythons accept
+            raise CliError("kohn-spectra: a command line must begin with its subcommand's name")
         return args.func(args)
     except (CliError, ValueError) as exc:
         sys.stderr.write(_json_text({"error": str(exc)}))

@@ -201,8 +201,8 @@ class CellVerification:
     formula_dimension: int
     harmonic_ok: bool
     bidegree_ok: bool
-    boxb_eigenvalue: Fraction
-    laplace_beltrami_eigenvalue: Fraction
+    boxb_eigenvalue: int
+    laplace_beltrami_eigenvalue: int
 
     @property
     def ok(self) -> bool:

@@ -167,7 +167,7 @@ def _is_float(symbol, factors: list) -> bool:
 def green_symbol(n: int, d: Bidegree) -> Fraction:
     """1/(2q(p+n-1)), the reciprocal Kohn eigenvalue; 0 on the Hardy part q = 0."""
     ev = spectrum.boxb_eigenvalue(n, d)
-    return Fraction(ev.denominator, ev.numerator) if ev else Fraction(0)
+    return Fraction(1, ev) if ev else Fraction(0)
 
 
 def sobolev_symbol(n: int, t, d: Bidegree) -> Fraction | float:

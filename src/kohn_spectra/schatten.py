@@ -152,13 +152,18 @@ def _bound_constant(n: int) -> int:
 
 def _times_power(num: int, base: int, r, den: int = 1) -> Fraction | float:
     """num * base^{-r} / den for a validated order r: exact when r is an int
-    (:func:`spectrum._check_order`).  Otherwise only base^(floor(r)-r),
-    in (1/base, 1], is a float power; it meets the exact
-    num / (den base^floor(r)) once, so neither huge ints nor an underflowing
-    power spoil a representable result."""
+    (:func:`spectrum._check_order`), base^r under spectrum.power's size
+    budget.  Otherwise only base^(floor(r)-r), in (1/base, 1], is a float
+    power; it meets the exact num / (den base^floor(r)) once, so neither huge
+    ints nor an underflowing power spoil a representable result, and that
+    quotient is not formed when bit lengths put it below 2^-1075, where the
+    result rounds to 0.0."""
     if type(r) is int:
+        spectrum._check_power_size(base, r)
         return Fraction(num, den * base**r)
     whole = math.floor(r)
+    if num.bit_length() - den.bit_length() + 1 - (base.bit_length() - 1) * whole <= -1075:
+        return 0.0
     return float(Fraction(num, den * base**whole) * Fraction(spectrum.power(base, whole - r)))
 
 
@@ -328,8 +333,10 @@ def approx_formula(n: int, r) -> float:
     if r <= n:
         raise ValueError(f"approximation requires r > n, got r={r}, n={n}")
     rf = float(r)
-    pole = Fraction((rf - n) * (rf - n + 1)) if rf > n else (r - n) * (r - n + 1)
-    first = float(Fraction(rf * 0.25**rf * float(n) ** (n - rf)) / (pole * (n - 1) * _bound_constant(n)))
+    first = rf * 0.25**rf * float(n) ** (n - rf)  # the numerator: 0.0 before the pole's double overflows
+    if first:
+        pole = Fraction((rf - n) * (rf - n + 1)) if rf > n else (r - n) * (r - n + 1)
+        first = float(Fraction(first) / (pole * (n - 1) * _bound_constant(n)))
     second = n * float(2 * n - 2) ** -rf
     return first + second
 

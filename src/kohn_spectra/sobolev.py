@@ -110,8 +110,7 @@ def ratio_series(n: int, s, k_max: int) -> list[RatioPoint]:
     last = 1 + spectrum.laplace_beltrami_eigenvalue(n, k_max)
     s = spectrum._check_order("s", s)
     if type(s) is int:
-        spectrum._check_power_size(last, s)
-        size = k_max * abs(s) * last.numerator.bit_length()
+        size = k_max * spectrum._check_power_size(last, s)
         if size > _SERIES_BITS:
             raise ValueError(
                 f"exact series of {k_max} powers of up to {last} too large: its estimated "

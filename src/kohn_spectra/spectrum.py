@@ -72,16 +72,18 @@ def _check_order(name: str, value) -> int | Fraction | float:
 _POWER_BITS = 2**19
 
 
-def _check_power_size(base: Fraction, e: int) -> None:
-    """Refuse the exact power base^e when its size estimate, |e| times the
-    bit length of the base's larger part, exceeds _POWER_BITS: a ValueError
-    naming the budget.  A base of 0 or +-1 has no size to grow."""
+def _check_power_size(base: int | Fraction, e: int) -> int:
+    """The size estimate of the exact power base^e, |e| times the bit length
+    of the base's larger part; over _POWER_BITS it is a ValueError naming the
+    budget.  A base of 0 or +-1 has no size to grow."""
     bits = max(abs(base.numerator), base.denominator).bit_length()
-    if bits > 1 and abs(e) * bits > _POWER_BITS:
+    size = abs(e) * bits
+    if bits > 1 and size > _POWER_BITS:
         raise ValueError(
             f"exact power of {base} too large: |exponent| times the base's {bits} bits "
             f"exceeds the size budget of {_POWER_BITS} bits"
         )
+    return size
 
 
 def power(base, exponent) -> Fraction | float:
@@ -97,13 +99,13 @@ def power(base, exponent) -> Fraction | float:
     return float(base) ** float(e)
 
 
-def boxb_eigenvalue(n: int, d: Bidegree) -> Fraction:
+def boxb_eigenvalue(n: int, d: Bidegree) -> int:
     """Kohn Laplacian eigenvalue 2q(p+n-1) on the (p, q) harmonic space.
 
     Zero exactly when q = 0 (the Hardy-space kernel).
     """
     p, q = _check_bidegree(n, d)
-    return Fraction(2 * q * (p + n - 1))
+    return 2 * q * (p + n - 1)
 
 
 def multiplicity(n: int, d: Bidegree) -> int:
@@ -134,14 +136,14 @@ def multiplicity_binomial(n: int, d: Bidegree) -> int:
     return value.numerator
 
 
-def laplace_beltrami_eigenvalue(n: int, k: int) -> Fraction:
+def laplace_beltrami_eigenvalue(n: int, k: int) -> int:
     """Laplace-Beltrami eigenvalue k(k+2n-2) on degree-k spherical harmonics."""
     _check_dimension(n)
     _check_int("degree k", k)
-    return Fraction(k * (k + 2 * n - 2))
+    return k * (k + 2 * n - 2)
 
 
-def lambda_min(n: int, k: int) -> Fraction:
+def lambda_min(n: int, k: int) -> int:
     """Smallest nonzero Kohn-Laplacian eigenvalue among bidegrees with p+q = k.
 
     The minimum of 2q(p+n-1) over q >= 1, p+q = k is attained at q = 1,
@@ -149,7 +151,7 @@ def lambda_min(n: int, k: int) -> Fraction:
     """
     _check_dimension(n)
     _check_int("total degree k", k, 1)
-    return Fraction(2 * (k + n - 2))
+    return 2 * (k + n - 2)
 
 
 def sphere_harmonic_dim(n: int, k: int) -> int:
@@ -163,13 +165,13 @@ def sphere_harmonic_dim(n: int, k: int) -> int:
 @dataclass(frozen=True)
 class SpectrumEntry:
     bidegree: Bidegree
-    eigenvalue: Fraction
+    eigenvalue: int
     multiplicity: int
 
 
 @dataclass(frozen=True)
 class AggregatedEntry:
-    eigenvalue: Fraction
+    eigenvalue: int
     multiplicity: int
     contributors: tuple[Bidegree, ...]
 
@@ -187,9 +189,7 @@ def spectrum_table(n: int, cutoff: Fraction | int) -> list[SpectrumEntry]:
     """All bidegrees with nonzero eigenvalue <= cutoff, sorted by (eigenvalue, p, q).
 
     The search is complete: 2q(p+n-1) <= cutoff exactly when q <= cutoff/2
-    and p <= cutoff/(2q) - (n-1), the bounds of the two loops.  Each
-    eigenvalue is an integer, so the sort compares numerators, ints rather
-    than Fractions.
+    and p <= cutoff/(2q) - (n-1), the bounds of the two loops.
     """
     _check_dimension(n)
     cutoff = Fraction(_check_order("cutoff", cutoff))
@@ -200,7 +200,7 @@ def spectrum_table(n: int, cutoff: Fraction | int) -> list[SpectrumEntry]:
         for p in range(int(cutoff / (2 * q)) - n + 2):
             d = Bidegree(p, q)
             entries.append(SpectrumEntry(d, boxb_eigenvalue(n, d), multiplicity(n, d)))
-    entries.sort(key=lambda e: (e.eigenvalue.numerator, e.bidegree))
+    entries.sort(key=lambda e: (e.eigenvalue, e.bidegree))
     return entries
 
 
@@ -214,7 +214,7 @@ def aggregate_spectrum(n: int, cutoff: Fraction | int) -> AggregatedSpectrum:
     table = spectrum_table(n, cutoff)
     grouped: dict[int, list[SpectrumEntry]] = {}
     for entry in table:
-        grouped.setdefault(entry.eigenvalue.numerator, []).append(entry)
+        grouped.setdefault(entry.eigenvalue, []).append(entry)
     entries = tuple(
         AggregatedEntry(
             eigenvalue=group[0].eigenvalue,

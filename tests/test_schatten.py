@@ -12,13 +12,15 @@ import collections
 import contextlib
 import math
 import random
+import resource
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 from scipy import integrate, special
 
-from helpers import clear_library_memos, cli_json
+from helpers import child_env, clear_library_memos, cli_json
 from kohn_spectra import schatten, spectrum
 from kohn_spectra.polynomials import Bidegree
 from kohn_spectra.schatten import (
@@ -422,6 +424,27 @@ class TestTermBounds:
             assert type(value) is float
             assert value == pytest.approx(float(term(3, 4, p, 2)), rel=1e-15)
             assert type(term(3, Fraction(4), p, 2)) is Fraction
+
+    def test_exact_terms_have_the_power_size_budget(self):
+        # (2q(p+n-1))^r = 24^(10^8), about 4.6*10^8 bits, is refused before it starts
+        with pytest.raises(ValueError, match=f"size budget of {spectrum._POWER_BITS} bits"):
+            schatten_term(2, 10**8, 3, 3)
+
+    def test_float_terms_below_the_double_range_are_zero_at_once(self):
+        # bit lengths put each quotient num / (den base^floor(r)) below 2^-1075,
+        # so no power of about 10^301 bits is formed; a fresh interpreter under
+        # a 1.5 GB address-space cap returns all three within a second
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+        code = (
+            "import time; from kohn_spectra import schatten as s; t = time.perf_counter(); "
+            "v = [f(2, 2e300, 3, 3) for f in (s.schatten_term, s.upper_bound_term, s.lower_bound_term)]; "
+            "print(v, time.perf_counter() - t < 1)"
+        )
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+                            env=child_env(), preexec_fn=cap_memory)
+        assert cp.stdout == "[0.0, 0.0, 0.0] True\n", cp.stderr
 
     def test_lower_term_requires_p_at_least_n(self):
         with pytest.raises(ValueError):

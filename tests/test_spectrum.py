@@ -32,6 +32,13 @@ class TestBoxbEigenvalue:
     def test_general_value(self):
         assert boxb_eigenvalue(3, Bidegree(2, 2)) == 16
 
+    def test_integral_spectral_values_are_ints(self):
+        # as multiplicity is: an integral value is exact without a Fraction
+        values = [boxb_eigenvalue(3, Bidegree(2, 2)), laplace_beltrami_eigenvalue(3, 4), lambda_min(3, 4)]
+        values += [e.eigenvalue for e in spectrum_table(2, 12)]
+        values += [e.eigenvalue for e in aggregate_spectrum(2, 12).entries]
+        assert {type(v) for v in values} == {int}
+
     def test_zero_iff_q_zero(self):
         for n in (2, 3, 4):
             for p in range(5):
