@@ -55,6 +55,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise CliError(f"{self.prog}: {message}")
 
+    def _check_value(self, action, value):
+        # Python 3.11's wording on every Python (3.13.13 drops the quotes)
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
 
 def _fraction_arg(text: str) -> Fraction:
     limit = sys.get_int_max_str_digits()  # int(str) refuses a longer digit run
@@ -90,62 +96,47 @@ def _json_text(obj) -> str:
     return "".join(chunks)
 
 
+_JSON_TYPES = frozenset((str, int, dict, list, tuple, bool, type(None), float))
+
+
 def _write_json(obj, newline: str, write) -> None:
     """Write obj at the indent ``newline`` ends with, dispatching on type(obj);
-    a subclass is written as the first type in its MRO with a writer, so an
-    IntEnum as an int and True as true."""
+    a subclass is written as the first type in its MRO that JSON writes, so an
+    IntEnum as an int."""
     kind = type(obj)
-    writer = _WRITERS.get(kind) or next((_WRITERS[t] for t in kind.__mro__ if t in _WRITERS), None)
-    if writer is None:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    writer(obj, newline, write)
-
-
-def _write_array(obj, newline: str, write) -> None:
-    if not obj:
-        write("[]")
-        return
-    inner = newline + "  "
-    sep = "[" + inner
-    for value in obj:
-        write(sep)
-        _write_json(value, inner, write)
-        sep = "," + inner
-    write(newline + "]")
-
-
-def _write_object(obj, newline: str, write) -> None:
-    if not obj:
-        write("{}")
-        return
-    inner = newline + "  "
-    sep = "{" + inner
-    for key, value in obj.items():
-        write(sep + encode_basestring_ascii(key) + ": ")
-        _write_json(value, inner, write)
-        sep = "," + inner
-    write(newline + "}")
-
-
-def _write_float(obj, newline: str, write) -> None:
-    if obj != obj:
-        write("NaN")
-    elif obj in (math.inf, -math.inf):
-        write("Infinity" if obj > 0 else "-Infinity")
-    else:
-        write(float.__repr__(obj))
-
-
-_WRITERS = {
-    dict: _write_object,
-    list: _write_array,
-    tuple: _write_array,
-    str: lambda obj, newline, write: write(encode_basestring_ascii(obj)),
-    int: lambda obj, newline, write: write(int.__repr__(obj)),
-    bool: lambda obj, newline, write: write("true" if obj else "false"),
-    type(None): lambda obj, newline, write: write("null"),
-    float: _write_float,
-}
+    if kind not in _JSON_TYPES:
+        kind = next((t for t in kind.__mro__ if t in _JSON_TYPES), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if kind is str:
+        write(encode_basestring_ascii(obj))
+    elif kind is int:
+        write(int.__repr__(obj))
+    elif kind is dict:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, write)
+            sep = "," + inner
+        write(newline + "}" if obj else "{}")
+    elif kind is list or kind is tuple:
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            write(sep)
+            _write_json(value, inner, write)
+            sep = "," + inner
+        write(newline + "]" if obj else "[]")
+    elif kind is float:
+        if obj != obj:
+            write("NaN")
+        elif obj in (math.inf, -math.inf):
+            write("Infinity" if obj > 0 else "-Infinity")
+        else:
+            write(float.__repr__(obj))
+    else:  # bool or None
+        write("null" if obj is None else "true" if obj else "false")
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -545,14 +536,17 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command line argv (default sys.argv[1:]) and return its exit
     status.  When argv's first word names a subcommand, that subcommand's own
     parser alone reads the rest; any other command line goes to the top-level
-    parser, which prints --help or the usage error."""
+    parser, which prints --help or the usage error.  A command line with a
+    "--" before its subcommand's name skips that parser, whose reading of
+    the words after a "--" differs between Python releases."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = _parser(command).parse_args(argv if command is None else argv[1:])
-        if command is None:  # a subcommand's name after "--", which some Pythons accept
-            raise CliError("kohn-spectra: a command line must begin with its subcommand's name")
-        return args.func(args)
+        if argv and argv[0] in _COMMANDS:
+            args = _parser(argv[0]).parse_args(argv[1:])
+            return args.func(args)
+        if "--" not in argv:
+            _parser(None).parse_args(argv)
+        raise CliError("kohn-spectra: a command line must begin with its subcommand's name")
     except (CliError, ValueError) as exc:
         sys.stderr.write(_json_text({"error": str(exc)}))
         return 1

@@ -10,6 +10,9 @@ CLI case is hashed as its argument list (the temporary directory written
 ``<tmp>``), exit status, stdout, stderr and written files.  After a change
 meant to move these bytes, ``PYTHONPATH=src python tests/test_corpus.py``
 rewrites the golden and prints each group that moved, or "no group moved".
+With ``--check`` it runs one warm pass, prints the same, writes nothing and
+exits 1 when a group moved: ``test_every_interpreter_prints_the_same_bytes``
+runs it under each listed interpreter.
 """
 
 import contextlib
@@ -18,11 +21,14 @@ import io
 import json
 import math
 import random
+import subprocess
 import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import clear_library_memos
+from helpers import child_env, clear_library_memos
 from kohn_spectra import cli, schatten
 from kohn_spectra.polynomials import polynomial_to_dict, random_polynomial
 from kohn_spectra.schatten import lower_bound_sum
@@ -193,12 +199,67 @@ def test_corpus_covers_both_divisions_and_the_split(tmp_path):
     assert (len(groups), groups.count("errors"), groups.count("witness")) == (105 + 122 + 488, 17, 488)
 
 
+# the Pythons besides pytest's own that the CLI's bytes are checked under, at
+# pyenv's and miniconda's install paths in the home directory
+OTHER_PYTHONS = [
+    *(Path.home() / ".pyenv" / "versions" / version / "bin" / "python3" for version in ("3.10.13", "3.12.1", "3.13.0")),
+    Path.home() / "miniconda" / "bin" / "python3.13",
+]
+# command lines whose errors argparse releases word differently, besides the
+# invalid choices of the corpus's errors group: an invalid subcommand after a
+# flag, and a "--" before the subcommand's name
+RELEASE_SENSITIVE = [
+    ["--n", "2", "spectrum", "--cutoff", "4"],
+    ["--", "spectrum", "--help"],
+    ["-x", "--", "spectrum", "--help"],
+    ["--", "spectrum", "--n", "2", "--cutoff", "4"],
+]
+RECORD_LINES = (
+    "import json, sys; from pathlib import Path; from test_corpus import record\n"
+    "sys.stdout.write(''.join(record('errors', tuple(argv), Path(sys.argv[2])) for argv in json.loads(sys.argv[1])))"
+)
+
+
+def test_every_interpreter_prints_the_same_bytes(tmp_path):
+    """Under each of OTHER_PYTHONS the check-only corpus moves no group, and
+    each RELEASE_SENSITIVE line ends in one JSON error with the bytes it has
+    under pytest's Python.  --help is left out: its text differs by argparse
+    release."""
+    missing = [str(python) for python in OTHER_PYTHONS if not python.exists()]
+    if missing:
+        warnings.warn(f"not found, so not checked: {', '.join(missing)}")
+    found = [str(python) for python in OTHER_PYTHONS if python.exists()]
+    if not found:
+        import pytest  # here alone: the check-only run imports this module where pytest is absent
+
+        pytest.skip("none of the listed Pythons is installed")
+    expected = "".join(record("errors", tuple(argv), tmp_path) for argv in RELEASE_SENSITIVE)
+    here = Path(__file__).parent
+
+    def run(cmd):
+        return subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=here, env=child_env())
+
+    with ThreadPoolExecutor(len(found)) as pool:
+        checks = pool.map(run, [[python, "test_corpus.py", "--check"] for python in found])
+        lines = pool.map(run, [[python, "-c", RECORD_LINES, json.dumps(RELEASE_SENSITIVE), str(tmp_path)]
+                               for python in found])
+        for python, check, line in zip(found, checks, lines):
+            assert (check.returncode, check.stdout, check.stderr) == (0, "no group moved\n", ""), python
+            assert (line.returncode, line.stdout, line.stderr) == (0, expected, ""), python
+
+
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Rewrite golden/corpus.json and print the groups that moved.")
+    parser.add_argument("--check", action="store_true", help="write nothing; exit 1 when a group moved")
+    check = parser.parse_args().check
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as directory:
         new = corpus_hashes(Path(directory))
-    GOLDEN.write_text(json.dumps(new, indent=2) + "\n")
+    if not check:
+        GOLDEN.write_text(json.dumps(new, indent=2) + "\n")
     moved = sorted(group for group in old.keys() | new.keys() if old.get(group) != new.get(group))
     sys.stdout.write("".join(f"moved: {group}\n" for group in moved) or "no group moved\n")
+    sys.exit(1 if check and moved else 0)

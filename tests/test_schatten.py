@@ -209,6 +209,19 @@ class TestPartialSum:
             assert exact == naive
             assert str(exact) == str(naive)
 
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_matches_separable_fraction_sum_at_400(self, n):
+        """At P = Q = 400 the exact sum equals the rank-2 split summed as four
+        1-d Fraction sums, which never call spectrum.multiplicity: with
+        x = p+n-1 and C_k = C(k+n-2, n-2), m_{p,q} = C_p C_q (x + q)/(n-1), so
+        the sum is (A_{r-1} B_r + A_r B_{r-1}/2)/(n-1), A_s = sum_p C_p x^-s,
+        B_s = sum_q C_q (2q)^-s."""
+        r, P, Q = n + 1, 400, 400
+        c = [math.comb(k + n - 2, n - 2) for k in range(max(P, Q) + 1)]
+        a = [sum(Fraction(c[p], (p + n - 1) ** s) for p in range(P + 1)) for s in (r - 1, r)]
+        b = [sum(Fraction(c[q], (2 * q) ** s) for q in range(1, Q + 1)) for s in (r, r - 1)]
+        assert partial_sum(n, r, P, Q) == (a[0] * b[0] + a[1] * b[1] / 2) / (n - 1)
+
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("P, Q", [(0, 1), (7, 3), (3, 7), (50, 50)])
     def test_float_branch_matches_sorted_cell_loop(self, n, P, Q):

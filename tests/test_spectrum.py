@@ -71,6 +71,15 @@ class TestMultiplicity:
                     d = Bidegree(p, q)
                     assert multiplicity(n, d) == multiplicity_binomial(n, d)
 
+    def test_product_form_agrees_with_binomial_forms_up_to_degree_2000(self):
+        # a sparse grid out to p + q = 2000, its edges p = 0 and q = 0 included:
+        # the sizes that the exact Schatten sums and large spectra reach
+        for n in (2, 3, 4, 7):
+            for p in range(0, 2001, 37):
+                for q in [*range(0, 2000 - p, 29), 2000 - p]:
+                    d = Bidegree(p, q)
+                    assert multiplicity(n, d) == multiplicity_binomial(n, d)
+
     def test_matches_rising_factorial_product(self):
         # the factorial-free reference (n+p+q-1) (p+1)...(p+n-2) (q+1)...(q+n-2) / ((n-1)!(n-2)!)
         for n in (2, 3, 4, 10):
